@@ -10,8 +10,10 @@ from .statevector import (
     expect_z,
     expect_z_string,
     init_zero,
+    probabilities,
     reduced_density_matrix,
     von_neumann_entropy,
+    z_signs,
 )
 from .ansatz import (
     CircuitSpec,
@@ -33,6 +35,8 @@ from .losses import (
     centered_d2,
     data_loss,
     default_target,
+    loss_from_outputs,
+    observables,
     output_vector,
     pde_loss,
     pde_residual,
@@ -45,6 +49,7 @@ from .gradients import (
     finite_difference_gradient,
     gradient_variance,
     jacobian_outputs,
+    loss_and_gradient,
     loss_gradient,
 )
 from .experiments import (

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from . import statevector as sv
-from .statevector import StateVector, init_zero
+from .statevector import StateVector
 
 _NORM_TOL = 1e-10
 
@@ -89,21 +89,7 @@ def _check_params(spec: CircuitSpec, params) -> np.ndarray:
 def run_circuit(spec: CircuitSpec, params) -> StateVector:
     """Apply the full layered circuit to the all-zeros state."""
     angles = _check_params(spec, params)
-    state = init_zero(spec.n_qubits)
-    amps = state.amplitudes
-    n = spec.n_qubits
-    for gate in circuit_gates(spec):
-        kind, a, b = gate
-        if kind == "ry":
-            sv._apply_ry_inplace(amps, n, a, angles[b])
-        elif kind == "rz":
-            sv._apply_rz_inplace(amps, n, a, angles[b])
-        else:
-            sv._apply_cnot_inplace(amps, n, a, b)
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm_sq - 1.0) > _NORM_TOL:
-        raise ArithmeticError(f"statevector norm drifted: |psi|^2 = {norm_sq}")
-    return state
+    return StateVector(spec.n_qubits, run_circuit_batch(spec, angles[None])[0])
 
 
 def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray:
@@ -121,44 +107,20 @@ def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray
             f"got {angles_batch.shape}"
         )
     n = spec.n_qubits
-    batch = angles_batch.shape[0]
-    amps = np.zeros((batch, 2**n), dtype=np.complex128)
+    amps = np.zeros((angles_batch.shape[0], 2**n), dtype=np.complex128)
     amps[:, 0] = 1.0
-    for gate in circuit_gates(spec):
-        kind, a, b = gate
+    # Gate coefficients of every angle, shaped (p, B, 1, 1) so entry j
+    # broadcasts over the (B, hi, lo) kernel views.
+    half = angles_batch.T[:, :, None, None] / 2.0
+    cos_half, sin_half, phase = np.cos(half), np.sin(half), np.exp(-1j * half)
+    for kind, a, b in circuit_gates(spec):
         if kind == "ry":
-            view = amps.reshape(batch, 2 ** (n - 1 - a), 2, 2**a)
-            half = angles_batch[:, b] / 2.0
-            c = np.cos(half)[:, None, None]
-            s = np.sin(half)[:, None, None]
-            a0 = view[:, :, 0, :]
-            a1 = view[:, :, 1, :]
-            new0 = c * a0 - s * a1
-            new1 = s * a0 + c * a1
-            view[:, :, 0, :] = new0
-            view[:, :, 1, :] = new1
+            sv._apply_ry_inplace(amps, n, a, cos_half[b], sin_half[b])
         elif kind == "rz":
-            view = amps.reshape(batch, 2 ** (n - 1 - a), 2, 2**a)
-            half = angles_batch[:, b] / 2.0
-            phase = np.exp(-1j * half)[:, None, None]
-            view[:, :, 0, :] *= phase
-            view[:, :, 1, :] *= np.conj(phase)
+            sv._apply_rz_inplace(amps, n, a, phase[b])
         else:
-            control, target = a, b
-            q_hi, q_lo = max(control, target), min(control, target)
-            view = amps.reshape(
-                batch, 2 ** (n - 1 - q_hi), 2, 2 ** (q_hi - q_lo - 1), 2, 2**q_lo
-            )
-            if control == q_hi:
-                block = view[:, :, 1, :, :, :]
-                tmp = block[:, :, :, 0, :].copy()
-                block[:, :, :, 0, :] = block[:, :, :, 1, :]
-                block[:, :, :, 1, :] = tmp
-            else:
-                tmp = view[:, :, 0, :, 1, :].copy()
-                view[:, :, 0, :, 1, :] = view[:, :, 1, :, 1, :]
-                view[:, :, 1, :, 1, :] = tmp
-    norms = np.sum(amps.real**2 + amps.imag**2, axis=1)
+            sv._apply_cnot_inplace(amps, n, a, b)
+    norms = np.sum(sv.probabilities(amps), axis=1)
     if np.max(np.abs(norms - 1.0)) > _NORM_TOL:
         raise ArithmeticError("statevector norm drifted in batch evaluation")
     return amps

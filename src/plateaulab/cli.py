@@ -71,7 +71,7 @@ class Table:
     columns: list[str]
     records: list[dict]
     config: dict
-    companions: dict = field(default_factory=dict)  # name -> (columns, records)
+    companions: dict = field(default_factory=dict)  # name -> Table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,17 +92,26 @@ def _default_seed() -> int:
         raise SystemExit(f"invalid {SEED_ENV_VAR} value: {raw!r}")
 
 
-def _add_common(sub, seed_default: int, samples_default: int) -> None:
+def _add_shared(parser, seed=argparse.SUPPRESS, out=argparse.SUPPRESS,
+                fmt=argparse.SUPPRESS) -> None:
+    # Declared on the top-level parser with real defaults and on every
+    # subcommand with SUPPRESS, so a flag given before the subcommand is not
+    # overwritten by a subcommand default and one given after it wins.
+    parser.add_argument("--seed", type=int, default=seed,
+                        help=f"master seed (default overridable via ${SEED_ENV_VAR})")
+    parser.add_argument("--out", type=str, default=out,
+                        help="output path (default: <experiment>.<format>); "
+                             "with --all, the output directory")
+    parser.add_argument("--format", choices=("csv", "json"), default=fmt,
+                        help="output format")
+
+
+def _add_common(sub, samples_default: int) -> None:
     sub.add_argument("--samples", type=int, default=samples_default,
                      help="number of random initializations K")
-    sub.add_argument("--seed", type=int, default=seed_default,
-                     help=f"master seed (default overridable via ${SEED_ENV_VAR})")
     sub.add_argument("--physics-weight", type=float, default=DEFAULT_PHYSICS_WEIGHT,
                      help="weight of the physics term in PDE losses")
-    sub.add_argument("--out", type=str, default=None,
-                     help="output path (default: <experiment>.<format>)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="output format")
+    _add_shared(sub)
 
 
 def build_parser(seed_default: Optional[int] = None) -> _Parser:
@@ -118,12 +127,7 @@ def build_parser(seed_default: Optional[int] = None) -> _Parser:
     parser.add_argument("--all", action="store_true", dest="run_all",
                         help="run every experiment with default settings "
                              "into a timestamped directory")
-    parser.add_argument("--out", type=str, default=None,
-                        help="with --all: directory for the output files")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="with --all: output format")
-    parser.add_argument("--seed", type=int, default=seed_default,
-                        help="with --all: master seed")
+    _add_shared(parser, seed_default, None, "csv")
     subs = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
@@ -132,20 +136,20 @@ def build_parser(seed_default: Optional[int] = None) -> _Parser:
     sub.add_argument("--qubits", type=int, nargs="+", default=list(xp.QUBIT_GRID),
                      help="qubit counts to sweep")
     sub.add_argument("--layers", type=int, default=3, help="circuit depth")
-    _add_common(sub, seed_default, xp.DEFAULT_VARIANCE_SAMPLES)
+    _add_common(sub, xp.DEFAULT_VARIANCE_SAMPLES)
 
     sub = subs.add_parser("sweep-depth", formatter_class=fmt,
                           help="gradient variance across circuit depths")
     sub.add_argument("--layers", type=int, nargs="+", default=list(xp.DEPTH_GRID),
                      help="depths to sweep")
     sub.add_argument("--qubits", type=int, default=6, help="qubit count")
-    _add_common(sub, seed_default, xp.DEFAULT_VARIANCE_SAMPLES)
+    _add_common(sub, xp.DEFAULT_VARIANCE_SAMPLES)
 
     sub = subs.add_parser("sweep-pde", formatter_class=fmt,
                           help="gradient variance across PDE residual types")
     sub.add_argument("--qubits", type=int, default=6, help="qubit count")
     sub.add_argument("--layers", type=int, default=3, help="circuit depth")
-    _add_common(sub, seed_default, xp.DEFAULT_VARIANCE_SAMPLES)
+    _add_common(sub, xp.DEFAULT_VARIANCE_SAMPLES)
 
     sub = subs.add_parser("entanglement", formatter_class=fmt,
                           help="half-cut entanglement entropy sweep")
@@ -153,7 +157,7 @@ def build_parser(seed_default: Optional[int] = None) -> _Parser:
                      help="qubit counts to sweep")
     sub.add_argument("--layers", type=int, nargs="+",
                      default=list(xp.ENTANGLEMENT_DEPTHS), help="depths to sweep")
-    _add_common(sub, seed_default, xp.DEFAULT_ENTROPY_SAMPLES)
+    _add_common(sub, xp.DEFAULT_ENTROPY_SAMPLES)
 
     sub = subs.add_parser("converge", formatter_class=fmt,
                           help="gradient-descent training of all configurations")
@@ -163,13 +167,13 @@ def build_parser(seed_default: Optional[int] = None) -> _Parser:
                      help="number of descent steps")
     sub.add_argument("--lr", type=float, default=xp.DEFAULT_LEARNING_RATE,
                      help="learning rate")
-    _add_common(sub, seed_default, xp.DEFAULT_VARIANCE_SAMPLES)
+    _add_common(sub, xp.DEFAULT_VARIANCE_SAMPLES)
 
     sub = subs.add_parser("per-param", formatter_class=fmt,
                           help="per-parameter gradient variance distribution")
     sub.add_argument("--qubits", type=int, default=8, help="qubit count")
     sub.add_argument("--layers", type=int, default=3, help="circuit depth")
-    _add_common(sub, seed_default, xp.DEFAULT_VARIANCE_SAMPLES)
+    _add_common(sub, xp.DEFAULT_VARIANCE_SAMPLES)
 
     return parser
 
@@ -241,120 +245,55 @@ REFERENCE_COLUMNS = ["n", "reference_variance"]
 FIT_COLUMNS = ["experiment", "config", "model", "exponent", "residual_norm"]
 
 
-def table_from_sweep(result: xp.SweepResult, config: dict) -> Table:
-    records = [
-        {
-            "experiment": result.experiment,
-            "n": row.n,
-            "layers": row.layers,
-            "config": row.config_name,
-            "pde": row.pde_name,
-            "mean_variance": row.mean_variance,
-            "stderr_of_mean": row.stderr_of_mean,
-            "K": row.n_samples,
-            "seed": row.seed,
-        }
-        for row in result.rows
+# Columns a table is sorted by, in priority order, where it has them.
+KEY_COLUMNS = ("n", "layers", "config", "pde", "topology", "param_index", "epoch")
+
+
+def make_table(experiment: str, columns: list[str], rows, config: dict) -> Table:
+    """Table of ``rows`` (value tuples in column order), sorted by its key columns."""
+    records = [dict(zip(columns, row, strict=True)) for row in rows]
+    keys = [c for c in KEY_COLUMNS if c in columns]
+    records.sort(key=lambda r: tuple("" if r[k] is None else r[k] for k in keys))
+    return Table(experiment, columns, records, config)
+
+
+def _variance_rows(result: xp.SweepResult) -> list[tuple]:
+    return [
+        (result.experiment, r.n, r.layers, r.config_name, r.pde_name,
+         r.mean_variance, r.stderr_of_mean, r.n_samples, r.seed)
+        for r in result.rows
     ]
-    records.sort(key=lambda r: (r["n"], r["layers"], r["config"], r["pde"] or ""))
-    return Table(result.experiment, VARIANCE_COLUMNS, records, config)
 
 
-def table_from_per_param(result: xp.SweepResult, config: dict) -> Table:
-    records = [
-        {
-            "experiment": result.experiment,
-            "n": row.n,
-            "layers": row.layers,
-            "config": row.config_name,
-            "pde": row.pde_name,
-            "param_index": j,
-            "variance": float(v),
-            "K": row.n_samples,
-            "seed": row.seed,
-        }
-        for row in result.rows
-        for j, v in enumerate(row.per_param_variance)
-    ]
-    records.sort(key=lambda r: (r["n"], r["layers"], r["config"], r["param_index"]))
-    return Table(result.experiment, PER_PARAM_COLUMNS, records, config)
-
-
-def table_from_entropy(result: xp.EntropyResult, config: dict) -> Table:
-    records = [
-        {
-            "experiment": result.experiment,
-            "n": row.n,
-            "layers": row.layers,
-            "topology": row.topology,
-            "mean_entropy_bits": row.mean_entropy_bits,
-            "ratio_to_max": row.ratio_to_max,
-            "K": row.n_samples,
-            "seed": row.seed,
-        }
-        for row in result.rows
-    ]
-    records.sort(key=lambda r: (r["n"], r["layers"], r["topology"]))
-    return Table(result.experiment, ENTROPY_COLUMNS, records, config)
-
-
-def table_from_traces(traces: list[xp.TrainTrace], n: int, layers: int, config: dict) -> Table:
-    records = [
-        {
-            "experiment": "converge",
-            "n": n,
-            "layers": layers,
-            "config": trace.config_name,
-            "epoch": entry.epoch_index,
-            "loss": entry.loss_value,
-            "grad_norm": entry.gradient_norm,
-            "seed": trace.seed,
-        }
-        for trace in traces
-        for entry in trace.epochs
-    ]
-    records.sort(key=lambda r: (r["n"], r["layers"], r["config"], r["epoch"]))
-    return Table("converge", TRACE_COLUMNS, records, config)
-
-
-def _csv_lines(columns: list[str], records: list[dict]) -> str:
-    lines = [",".join(columns)]
-    for record in records:
-        lines.append(",".join(_fmt(record[c]) for c in columns))
+def _csv_text(table: Table) -> str:
+    lines = [",".join(table.columns)]
+    for record in table.records:
+        lines.append(",".join(_fmt(record[c]) for c in table.columns))
     return "\n".join(lines) + "\n"
+
+
+def _json_rows(table: Table) -> list[dict]:
+    return [{c: _round9(record[c]) for c in table.columns} for record in table.records]
 
 
 def emit_table(table: Table, fmt: str, path) -> list[Path]:
     """Write the table (and its companions) to disk; returns written paths."""
     path = Path(path)
-    written = []
     if fmt == "csv":
-        path.write_text(_csv_lines(table.columns, table.records),
-                        encoding="utf-8", newline="\n")
-        written.append(path)
-        for name, (columns, records) in table.companions.items():
-            side = path.with_name(f"{path.stem}_{name}.csv")
-            side.write_text(_csv_lines(columns, records),
-                            encoding="utf-8", newline="\n")
-            written.append(side)
+        texts = {path: _csv_text(table)}
+        for name, side in table.companions.items():
+            texts[path.with_name(f"{path.stem}_{name}.csv")] = _csv_text(side)
     elif fmt == "json":
-        doc = {
-            "experiment": table.experiment,
-            "config": table.config,
-            "rows": [
-                {k: _round9(v) for k, v in record.items()} for record in table.records
-            ],
-        }
-        for name, (_, records) in table.companions.items():
-            doc[name] = [
-                {k: _round9(v) for k, v in record.items()} for record in records
-            ]
-        path.write_text(json.dumps(doc, indent=2) + "\n",
-                        encoding="utf-8", newline="\n")
-        written.append(path)
+        doc = {"experiment": table.experiment, "config": table.config,
+               "rows": _json_rows(table)}
+        for name, side in table.companions.items():
+            doc[name] = _json_rows(side)
+        texts = {path: json.dumps(doc, indent=2) + "\n"}
     else:
         raise ValueError(f"unknown format: {fmt}")
-    return written
+    for p, text in texts.items():
+        p.write_text(text, encoding="utf-8", newline="\n")
+    return list(texts)
 
 
 def _attach_qubit_sweep_companions(table: Table, run: RunConfig) -> None:
@@ -363,83 +302,75 @@ def _attach_qubit_sweep_companions(table: Table, run: RunConfig) -> None:
         by_config.setdefault(record["config"], []).append(
             (record["n"], record["mean_variance"])
         )
-    fit_records = []
+    fit_rows = []
     for config_name in sorted(by_config):
         points = sorted(by_config[config_name])
         if len(points) < 2:
             continue
         for model in xp.ScalingModel:
             fit = xp.fit_scaling(points, model)
-            fit_records.append(
-                {
-                    "experiment": table.experiment,
-                    "config": config_name,
-                    "model": model.value,
-                    "exponent": fit.exponent,
-                    "residual_norm": fit.residual_norm,
-                }
-            )
+            fit_rows.append((table.experiment, config_name, model.value,
+                             fit.exponent, fit.residual_norm))
     anchor = table.records[0]["mean_variance"] if table.records else 1.0
-    ref_records = [
-        {"n": n, "reference_variance": v}
-        for n, v in emit_reference_lines(sorted(set(run.qubit_list)), anchor)
-    ]
-    table.companions["fits"] = (FIT_COLUMNS, fit_records)
-    table.companions["reference"] = (REFERENCE_COLUMNS, ref_records)
+    ref_rows = emit_reference_lines(sorted(set(run.qubit_list)), anchor)
+    table.companions["fits"] = make_table(table.experiment, FIT_COLUMNS, fit_rows,
+                                          table.config)
+    table.companions["reference"] = make_table(table.experiment, REFERENCE_COLUMNS,
+                                               ref_rows, table.config)
 
 
 def run_experiment(run: RunConfig) -> Table:
     """Execute one experiment and build its output table."""
     config = run.as_dict()
+    n, layers = run.qubit_list[0], run.layer_list[0]
     if run.experiment == "sweep-qubits":
-        result = xp.sweep_qubits(run.qubit_list, run.layer_list[0],
+        result = xp.sweep_qubits(run.qubit_list, layers,
                                  run.n_samples, run.seed, run.physics_weight)
-        table = table_from_sweep(result, config)
+        table = make_table(result.experiment, VARIANCE_COLUMNS,
+                           _variance_rows(result), config)
         _attach_qubit_sweep_companions(table, run)
         return table
     if run.experiment == "sweep-depth":
-        result = xp.sweep_depth(run.layer_list, run.qubit_list[0],
+        result = xp.sweep_depth(run.layer_list, n,
                                 run.n_samples, run.seed, run.physics_weight)
-        return table_from_sweep(result, config)
+        return make_table(result.experiment, VARIANCE_COLUMNS,
+                          _variance_rows(result), config)
     if run.experiment == "sweep-pde":
-        result = xp.sweep_pde(xp.DEFAULT_PDES, run.qubit_list[0], run.layer_list[0],
+        result = xp.sweep_pde(xp.DEFAULT_PDES, n, layers,
                               run.n_samples, run.seed, run.physics_weight)
-        return table_from_sweep(result, config)
+        return make_table(result.experiment, VARIANCE_COLUMNS,
+                          _variance_rows(result), config)
     if run.experiment == "entanglement":
         result = xp.entanglement_sweep(run.qubit_list, run.layer_list,
                                        run.n_samples, run.seed)
-        return table_from_entropy(result, config)
+        rows = [(result.experiment, r.n, r.layers, r.topology, r.mean_entropy_bits,
+                 r.ratio_to_max, r.n_samples, r.seed) for r in result.rows]
+        return make_table(result.experiment, ENTROPY_COLUMNS, rows, config)
     if run.experiment == "converge":
         traces = [
-            xp.train(cfg, run.qubit_list[0], run.layer_list[0], run.epochs,
-                     run.learning_rate, run.seed)
+            xp.train(cfg, n, layers, run.epochs, run.learning_rate, run.seed)
             for cfg in all_configs(run.physics_weight)
         ]
-        return table_from_traces(traces, run.qubit_list[0], run.layer_list[0], config)
+        rows = [("converge", n, layers, t.config_name, e.epoch_index, e.loss_value,
+                 e.gradient_norm, t.seed) for t in traces for e in t.epochs]
+        return make_table("converge", TRACE_COLUMNS, rows, config)
     if run.experiment == "per-param":
-        result = xp.per_param_distribution(run.qubit_list[0], run.layer_list[0],
-                                           run.n_samples, run.seed,
+        result = xp.per_param_distribution(n, layers, run.n_samples, run.seed,
                                            run.physics_weight)
-        return table_from_per_param(result, config)
+        rows = [(result.experiment, r.n, r.layers, r.config_name, r.pde_name, j,
+                 float(v), r.n_samples, r.seed)
+                for r in result.rows for j, v in enumerate(r.per_param_variance)]
+        return make_table(result.experiment, PER_PARAM_COLUMNS, rows, config)
     raise ValueError(f"unknown experiment: {run.experiment}")
 
 
+def _default_out(experiment: str, fmt: str) -> str:
+    return f"{experiment.replace('-', '_')}.{fmt}"
+
+
 def _single_run(run: RunConfig) -> list[Path]:
-    table = run_experiment(run)
-    out = run.out or f"{run.experiment.replace('-', '_')}.{run.format}"
-    return emit_table(table, run.format, out)
-
-
-# (qubit list, layer list, sample count) per experiment under --all
-_ALL_RUN_GRIDS = {
-    "sweep-qubits": (list(xp.QUBIT_GRID), [3], xp.DEFAULT_VARIANCE_SAMPLES),
-    "sweep-depth": ([6], list(xp.DEPTH_GRID), xp.DEFAULT_VARIANCE_SAMPLES),
-    "sweep-pde": ([6], [3], xp.DEFAULT_VARIANCE_SAMPLES),
-    "entanglement": (list(xp.QUBIT_GRID), list(xp.ENTANGLEMENT_DEPTHS),
-                     xp.DEFAULT_ENTROPY_SAMPLES),
-    "converge": ([4], [3], xp.DEFAULT_VARIANCE_SAMPLES),
-    "per-param": ([8], [3], xp.DEFAULT_VARIANCE_SAMPLES),
-}
+    out = run.out or _default_out(run.experiment, run.format)
+    return emit_table(run_experiment(run), run.format, out)
 
 
 def _run_all(run: RunConfig) -> list[Path]:
@@ -448,16 +379,9 @@ def _run_all(run: RunConfig) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for experiment in EXPERIMENTS:
-        qubits, layers, samples = _ALL_RUN_GRIDS[experiment]
-        sub = RunConfig(
-            experiment=experiment,
-            qubit_list=qubits,
-            layer_list=layers,
-            n_samples=samples,
-            seed=run.seed,
-            format=run.format,
-            out=str(out_dir / f"{experiment.replace('-', '_')}.{run.format}"),
-        )
+        out = out_dir / _default_out(experiment, run.format)
+        sub = parse_args([experiment, "--seed", str(run.seed),
+                          "--format", run.format, "--out", str(out)])
         written.extend(_single_run(sub))
     return written
 

@@ -1,10 +1,12 @@
 """Exact gradients and the gradient-variance estimation protocol.
 
 Expectation values of this gate set are trigonometric in each angle, so the
-pi/2 parameter-shift rule gives exact derivatives. Composite physics losses
-are quadratic in the outputs, so their gradients are assembled as J^T * dL/df
-with J the parameter-shift Jacobian of the outputs and dL/df analytic;
-shifting the full nonlinear loss directly would be wrong.
+pi/2 parameter-shift rule gives exact derivatives. Every loss is a function
+of the outputs f, the expectations of its ``observables``, so its gradient is
+J^T * dL/df with J the parameter-shift Jacobian of the outputs and dL/df
+analytic; shifting a nonlinear composite loss directly would be wrong. One
+forward batch (the 2p shifted rows plus the unshifted one) gives both the
+loss value and the gradient.
 
 All randomness flows through ``draw_params``: sample i of a run is drawn from
 a generator seeded by (seed, n_qubits, layers, i), so draws are independent
@@ -15,13 +17,20 @@ making cross-configuration comparisons paired.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .ansatz import CircuitSpec, _check_params, run_circuit_batch
-from .losses import Discretization, LossConfig, LossKind, check_pairing, d_loss_d_outputs
+from .losses import (
+    Discretization,
+    LossConfig,
+    check_pairing,
+    d_loss_d_outputs,
+    loss_from_outputs,
+    observables,
+)
+from .statevector import probabilities, z_signs
 
 SHIFT = np.pi / 2.0
 
@@ -36,68 +45,54 @@ class VarianceReport:
     seed: int
 
 
-@lru_cache(maxsize=None)
-def _z_sign_table(n_qubits: int) -> np.ndarray:
-    # Row k holds the +-1 signs of <Z_k> over the 2^n basis states.
-    idx = np.arange(2**n_qubits)
-    return np.stack([1.0 - 2.0 * ((idx >> k) & 1) for k in range(n_qubits)])
-
-
-@lru_cache(maxsize=None)
-def _parity_sign_table(n_qubits: int) -> np.ndarray:
-    idx = np.arange(2**n_qubits)
-    parity = np.zeros_like(idx)
-    for k in range(n_qubits):
-        parity ^= (idx >> k) & 1
-    return 1.0 - 2.0 * parity
-
-
-def _batch_probs(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray:
-    amps = run_circuit_batch(spec, angles_batch)
-    return amps.real**2 + amps.imag**2
-
-
-def _batch_outputs(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray:
-    """Per-qubit <Z> for every batch row; shape (B, n)."""
-    return _batch_probs(spec, angles_batch) @ _z_sign_table(spec.n_qubits).T
-
-
 def _shift_batch(angles: np.ndarray) -> np.ndarray:
-    # Rows 0..p-1 shift angle j by +pi/2, rows p..2p-1 by -pi/2.
+    # Rows 0..p-1 shift angle j by +pi/2, rows p..2p-1 by -pi/2, and the
+    # last row is the unshifted point.
     p = angles.size
-    shifted = np.tile(angles, (2 * p, 1))
+    shifted = np.tile(angles, (2 * p + 1, 1))
     j = np.arange(p)
     shifted[j, j] += SHIFT
     shifted[p + j, j] -= SHIFT
     return shifted
 
 
+def _shift_jacobian(f_batch: np.ndarray, p: int) -> np.ndarray:
+    # Row j holds df/dphi_j from the +-pi/2 rows of a shift batch's outputs.
+    return (f_batch[:p] - f_batch[p : 2 * p]) / 2.0
+
+
 def jacobian_outputs(spec: CircuitSpec, params) -> np.ndarray:
     """Parameter-shift Jacobian of the outputs: entry (k, j) = df_k/dphi_j."""
     angles = _check_params(spec, params)
-    p = spec.param_count
-    f_shifted = _batch_outputs(spec, _shift_batch(angles))
-    return (f_shifted[:p] - f_shifted[p:]).T / 2.0
+    probs = probabilities(run_circuit_batch(spec, _shift_batch(angles)))
+    return _shift_jacobian(probs @ z_signs(spec.n_qubits).T, spec.param_count).T
+
+
+def loss_and_gradient(
+    config: LossConfig, spec: CircuitSpec, params, disc: Discretization
+) -> tuple[float, np.ndarray]:
+    """Loss value and its exact gradient with respect to all angles.
+
+    One forward batch holds the 2p shifted rows and the unshifted row. Its
+    outputs f give the Jacobian J and the point where dL/df is taken, so the
+    gradient is J^T * dL/df. The value contracts the unshifted row on its
+    own, as ``total_loss`` does, so the two agree bit for bit.
+    """
+    check_pairing(config, spec, disc)
+    angles = _check_params(spec, params)
+    obs = observables(config, spec.n_qubits)
+    probs = probabilities(run_circuit_batch(spec, _shift_batch(angles)))
+    f_batch = probs @ obs.T
+    jac = _shift_jacobian(f_batch, spec.param_count)
+    value = loss_from_outputs(config, obs @ probs[-1], disc)
+    return value, jac @ d_loss_d_outputs(config, f_batch[-1], disc)
 
 
 def loss_gradient(
     config: LossConfig, spec: CircuitSpec, params, disc: Discretization
 ) -> np.ndarray:
     """Exact gradient of the configured loss with respect to all angles."""
-    check_pairing(config, spec, disc)
-    angles = _check_params(spec, params)
-    p = spec.param_count
-    if config.kind in (LossKind.GLOBAL_COST, LossKind.LOCAL_COST):
-        probs = _batch_probs(spec, _shift_batch(angles))
-        if config.kind is LossKind.GLOBAL_COST:
-            values = probs @ _parity_sign_table(spec.n_qubits)
-        else:
-            values = probs @ _z_sign_table(spec.n_qubits)[0]
-        return (values[:p] - values[p:]) / 2.0
-    batch = np.vstack([_shift_batch(angles), angles[None, :]])
-    f_all = _batch_outputs(spec, batch)
-    jac = (f_all[:p] - f_all[p : 2 * p]).T / 2.0
-    return jac.T @ d_loss_d_outputs(config, f_all[-1], disc)
+    return loss_and_gradient(config, spec, params, disc)[1]
 
 
 def finite_difference_gradient(

@@ -21,7 +21,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .ansatz import CircuitSpec, Topology, run_circuit
-from .statevector import StateVector, expect_z, expect_z_string
+from .statevector import StateVector, probabilities, z_signs
+# Unused here, kept as bindings that bench/tracer.py wraps.
+from .statevector import expect_z, expect_z_string  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,8 @@ class LossKind(enum.Enum):
     PDE_STRUCTURED = "pde_structured"
 
 
+_COST_KINDS = (LossKind.GLOBAL_COST, LossKind.LOCAL_COST)
+
 _REQUIRED_TOPOLOGY = {
     LossKind.GLOBAL_COST: Topology.ALL_TO_ALL,
     LossKind.LOCAL_COST: Topology.ALL_TO_ALL,
@@ -117,7 +121,7 @@ class LossConfig:
     target_profile: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        if self.kind in (LossKind.GLOBAL_COST, LossKind.LOCAL_COST) and self.pde is not None:
+        if self.kind in _COST_KINDS and self.pde is not None:
             raise ValueError(f"{self.kind.value} does not take a PDE")
         if self.physics_weight < 0:
             raise ValueError("physics_weight must be nonnegative")
@@ -160,9 +164,23 @@ def all_configs(physics_weight: float = DEFAULT_PHYSICS_WEIGHT) -> list[LossConf
     ]
 
 
+def observables(config: LossConfig, n: int) -> np.ndarray:
+    """Diagonals, shape (m, 2^n), whose expectations are the loss outputs f.
+
+    The global cost reads the parity row, the local cost the Z_0 row and the
+    composite losses every Z_k, so f = observables(config, n) @ probs.
+    """
+    signs = z_signs(n)
+    if config.kind is LossKind.GLOBAL_COST:
+        return np.prod(signs, axis=0, keepdims=True)
+    if config.kind is LossKind.LOCAL_COST:
+        return signs[:1]
+    return signs
+
+
 def output_vector(state: StateVector) -> np.ndarray:
     """Per-qubit Pauli-Z expectations, component k = <Z_k>."""
-    return np.array([expect_z(state, k) for k in range(state.n_qubits)])
+    return z_signs(state.n_qubits) @ probabilities(state.amplitudes)
 
 
 def _check_profile(f, disc: Discretization) -> np.ndarray:
@@ -241,8 +259,14 @@ def physics_term(config: LossConfig, f, disc: Discretization) -> float:
 
 
 def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float:
-    """Composite data + physics loss evaluated on an output profile."""
+    """Loss evaluated on the outputs f of ``observables(config, n)``.
+
+    A cost is its single output itself; a composite loss is data MSE plus
+    the weighted physics penalty of the output profile.
+    """
     arr = np.asarray(f, dtype=np.float64)
+    if config.kind in _COST_KINDS:
+        return float(arr[0])
     target = config.target(arr.size)
     return data_loss(arr, target) + config.physics_weight * physics_term(config, arr, disc)
 
@@ -253,7 +277,10 @@ def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
     The stencils are linear maps, so their adjoints are again stencils
     (centered_d1 is antisymmetric, centered_d2 symmetric); the pointwise
     nonlinearities of Burgers and Saint-Venant contribute diagonal factors.
+    A cost's single output is the loss, so its derivative is ones(1).
     """
+    if config.kind in _COST_KINDS:
+        return np.ones(1)
     arr = _check_profile(f, disc)
     n = arr.size
     target = config.target(n)
@@ -285,12 +312,8 @@ def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
 def total_loss(config: LossConfig, spec: CircuitSpec, params, disc: Discretization) -> float:
     """Run the circuit and evaluate the configured loss."""
     check_pairing(config, spec, disc)
-    state = run_circuit(spec, params)
-    if config.kind is LossKind.GLOBAL_COST:
-        return expect_z_string(state, range(spec.n_qubits))
-    if config.kind is LossKind.LOCAL_COST:
-        return expect_z(state, 0)
-    return loss_from_outputs(config, output_vector(state), disc)
+    probs = probabilities(run_circuit(spec, params).amplitudes)
+    return loss_from_outputs(config, observables(config, spec.n_qubits) @ probs, disc)
 
 
 def check_pairing(config: LossConfig, spec: CircuitSpec, disc: Discretization) -> None:

@@ -6,14 +6,17 @@ are diagonal in the computational basis, so any consistent convention gives
 the same physics; this one is fixed so that states, reduced density matrices
 and tests all agree bit-for-bit.
 
-Gates are applied in place over the full amplitude array (no 2^n x 2^n
-matrix is ever built), which is O(2^n) per single-qubit gate and entirely
-adequate for n <= 12.
+The gate kernels act in place on a (B, 2^n) batch of amplitude rows (no
+2^n x 2^n matrix is ever built), which is O(B 2^n) per gate and entirely
+adequate for n <= 12. A single state is a batch of one. Their coefficients
+come precomputed (cos and sin of a/2 for RY, exp(-i a/2) for RZ), one per
+row, so a caller evaluating many gates computes them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,52 +61,50 @@ def _check_qubit(n_qubits: int, qubit: int) -> None:
         raise IndexError(f"qubit {qubit} out of range for {n_qubits} qubits")
 
 
-def _qubit_axis_view(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
-    # Reshape so the target qubit is its own axis: index = hi*2^(q+1) + bit*2^q + lo.
-    return amps.reshape(2 ** (n_qubits - 1 - qubit), 2, 2**qubit)
+def _apply_ry_inplace(
+    amps: np.ndarray, n_qubits: int, qubit: int, cos_half, sin_half
+) -> None:
+    # Axes of the view: (row, hi, bit of ``qubit``, lo) with
+    # index = hi*2^(q+1) + bit*2^q + lo; coefficients broadcast per row.
+    view = amps.reshape(-1, 2 ** (n_qubits - 1 - qubit), 2, 2**qubit)
+    a0 = view[:, :, 0, :]
+    a1 = view[:, :, 1, :]
+    new0 = cos_half * a0 - sin_half * a1
+    new1 = sin_half * a0 + cos_half * a1
+    view[:, :, 0, :] = new0
+    view[:, :, 1, :] = new1
 
 
-def _apply_ry_inplace(amps: np.ndarray, n_qubits: int, qubit: int, angle: float) -> None:
-    view = _qubit_axis_view(amps, n_qubits, qubit)
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-    a0 = view[:, 0, :]
-    a1 = view[:, 1, :]
-    new0 = c * a0 - s * a1
-    new1 = s * a0 + c * a1
-    view[:, 0, :] = new0
-    view[:, 1, :] = new1
-
-
-def _apply_rz_inplace(amps: np.ndarray, n_qubits: int, qubit: int, angle: float) -> None:
-    view = _qubit_axis_view(amps, n_qubits, qubit)
-    half = angle / 2.0
-    view[:, 0, :] *= np.exp(-1j * half)
-    view[:, 1, :] *= np.exp(1j * half)
+def _apply_rz_inplace(amps: np.ndarray, n_qubits: int, qubit: int, phase) -> None:
+    # ``phase`` is exp(-i a/2); the bit-1 half gets its conjugate.
+    view = amps.reshape(-1, 2 ** (n_qubits - 1 - qubit), 2, 2**qubit)
+    view[:, :, 0, :] *= phase
+    view[:, :, 1, :] *= np.conj(phase)
 
 
 def _apply_cnot_inplace(amps: np.ndarray, n_qubits: int, control: int, target: int) -> None:
     q_hi, q_lo = max(control, target), min(control, target)
     view = amps.reshape(
-        2 ** (n_qubits - 1 - q_hi), 2, 2 ** (q_hi - q_lo - 1), 2, 2**q_lo
+        -1, 2 ** (n_qubits - 1 - q_hi), 2, 2 ** (q_hi - q_lo - 1), 2, 2**q_lo
     )
     # Swap the two target-bit slices within the control=1 block.
     if control == q_hi:
-        block = view[:, 1, :, :, :]
-        tmp = block[:, :, 0, :].copy()
-        block[:, :, 0, :] = block[:, :, 1, :]
-        block[:, :, 1, :] = tmp
+        block = view[:, :, 1, :, :, :]
+        tmp = block[:, :, :, 0, :].copy()
+        block[:, :, :, 0, :] = block[:, :, :, 1, :]
+        block[:, :, :, 1, :] = tmp
     else:
-        tmp = view[:, 0, :, 1, :].copy()
-        view[:, 0, :, 1, :] = view[:, 1, :, 1, :]
-        view[:, 1, :, 1, :] = tmp
+        tmp = view[:, :, 0, :, 1, :].copy()
+        view[:, :, 0, :, 1, :] = view[:, :, 1, :, 1, :]
+        view[:, :, 1, :, 1, :] = tmp
 
 
 def apply_ry(state: StateVector, qubit: int, angle: float) -> StateVector:
     """Rotate ``qubit`` about Y: [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]]."""
     _check_qubit(state.n_qubits, qubit)
     out = state.copy()
-    _apply_ry_inplace(out.amplitudes, out.n_qubits, qubit, angle)
+    half = angle / 2.0
+    _apply_ry_inplace(out.amplitudes, out.n_qubits, qubit, np.cos(half), np.sin(half))
     return out
 
 
@@ -111,7 +112,7 @@ def apply_rz(state: StateVector, qubit: int, angle: float) -> StateVector:
     """Rotate ``qubit`` about Z: diag(exp(-i a/2), exp(+i a/2))."""
     _check_qubit(state.n_qubits, qubit)
     out = state.copy()
-    _apply_rz_inplace(out.amplitudes, out.n_qubits, qubit, angle)
+    _apply_rz_inplace(out.amplitudes, out.n_qubits, qubit, np.exp(-1j * angle / 2.0))
     return out
 
 
@@ -126,31 +127,34 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     return out
 
 
-def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def z_signs(n_qubits: int) -> np.ndarray:
+    """Read-only (n, 2^n) table; row k is the +-1 diagonal of Z_k."""
     idx = np.arange(2**n_qubits)
-    return 1.0 - 2.0 * ((idx >> qubit) & 1)
+    table = 1.0 - 2.0 * ((idx >> np.arange(n_qubits)[:, None]) & 1)
+    table.flags.writeable = False
+    return table
+
+
+def probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """Born probabilities |a|^2 of each amplitude, computed as re^2 + im^2."""
+    return amplitudes.real**2 + amplitudes.imag**2
 
 
 def expect_z(state: StateVector, qubit: int) -> float:
     """Expectation of Pauli-Z on one qubit; +1 weight where its bit is 0."""
-    _check_qubit(state.n_qubits, qubit)
-    probs = np.abs(state.amplitudes) ** 2
-    return float(np.dot(_z_signs(state.n_qubits, qubit), probs))
+    return expect_z_string(state, {qubit})
 
 
 def expect_z_string(state: StateVector, qubits) -> float:
     """Parity expectation of the Z string over ``qubits``."""
-    qubits = set(qubits)
+    qubits = sorted(set(qubits))
     if not qubits:
         raise ValueError("qubits must be a nonempty set")
     for q in qubits:
         _check_qubit(state.n_qubits, q)
-    idx = np.arange(2**state.n_qubits)
-    parity = np.zeros_like(idx)
-    for q in qubits:
-        parity ^= (idx >> q) & 1
-    probs = np.abs(state.amplitudes) ** 2
-    return float(np.dot(1.0 - 2.0 * parity, probs))
+    signs = np.prod(z_signs(state.n_qubits)[qubits], axis=0)
+    return float(np.dot(signs, probabilities(state.amplitudes)))
 
 
 def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:

@@ -192,3 +192,12 @@ class TestBatchEvaluator:
         spec = CircuitSpec(3, 1, NN)
         with pytest.raises(ValueError):
             run_circuit_batch(spec, np.zeros((2, 5)))
+
+
+def test_run_circuit_is_a_batch_of_one():
+    rng = np.random.default_rng(21)
+    for spec in (CircuitSpec(4, 3, NN), CircuitSpec(5, 2, ATA)):
+        x = rng.uniform(0, 2 * np.pi, spec.param_count)
+        np.testing.assert_array_equal(
+            run_circuit(spec, x).amplitudes, run_circuit_batch(spec, x[None])[0]
+        )

@@ -231,3 +231,22 @@ class TestMainExitCodes:
         names = {p.name for p in out_dir.iterdir()}
         for experiment in cli.EXPERIMENTS:
             assert f"{experiment.replace('-', '_')}.csv" in names
+
+
+class TestSharedFlagPlacement:
+    def test_flags_before_subcommand_are_kept(self):
+        assert parse_args(["--seed", "5", "converge"]).seed == 5
+        run = parse_args(["--format", "json", "--out", "x.json", "sweep-pde"])
+        assert (run.format, run.out) == ("json", "x.json")
+
+    def test_flag_after_subcommand_wins(self):
+        run = parse_args(["--seed", "5", "--format", "json", "--out", "a.json",
+                          "converge", "--seed", "7", "--format", "csv",
+                          "--out", "b.csv"])
+        assert (run.seed, run.format, run.out) == (7, "csv", "b.csv")
+
+    def test_explicit_seed_beats_environment(self, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
+        assert parse_args(["converge"]).seed == 123
+        assert parse_args(["--seed", "5", "converge"]).seed == 5
+        assert parse_args(["converge", "--seed", "6"]).seed == 6

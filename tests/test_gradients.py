@@ -10,6 +10,7 @@ from plateaulab.gradients import (
     finite_difference_gradient,
     gradient_variance,
     jacobian_outputs,
+    loss_and_gradient,
     loss_gradient,
 )
 from plateaulab.losses import (
@@ -20,6 +21,7 @@ from plateaulab.losses import (
     LossKind,
     SaintVenant,
     all_configs,
+    observables,
     total_loss,
 )
 
@@ -203,3 +205,26 @@ class TestGradientVariance:
         cfg = LossConfig(LossKind.GLOBAL_COST)
         with pytest.raises(ValueError):
             gradient_variance(cfg, CircuitSpec(4, 1, ATA), Discretization(4), 1, 0)
+
+
+class TestOneForwardPass:
+    @pytest.mark.parametrize("config", all_configs(), ids=lambda c: c.name)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_value_and_gradient_equal_separate_calls(self, config, n):
+        spec = spec_for(config, n, 2)
+        disc = Discretization(n)
+        for k in range(3):
+            params = draw_params(17, n, 2, k)
+            value, grad = loss_and_gradient(config, spec, params, disc)
+            assert value == total_loss(config, spec, params, disc)
+            np.testing.assert_array_equal(grad, loss_gradient(config, spec, params, disc))
+
+    def test_observable_rows_per_config(self):
+        global_cost, local_cost, constrained, structured = all_configs()
+        signs = observables(constrained, 3)
+        assert signs.shape == (3, 8)
+        np.testing.assert_array_equal(observables(structured, 3), signs)
+        np.testing.assert_array_equal(observables(local_cost, 3), signs[:1])
+        np.testing.assert_array_equal(
+            observables(global_cost, 3), [[1, -1, -1, 1, -1, 1, 1, -1]]
+        )

@@ -11,8 +11,10 @@ from plateaulab.statevector import (
     expect_z,
     expect_z_string,
     init_zero,
+    probabilities,
     reduced_density_matrix,
     von_neumann_entropy,
+    z_signs,
 )
 
 
@@ -270,3 +272,22 @@ class TestNormPreservation:
                     if t != q:
                         state = apply_cnot(state, q, t)
             assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
+
+
+class TestSignTable:
+    def test_single_qubit_string_equals_expect_z(self):
+        rng = np.random.default_rng(22)
+        state = random_state(5, rng)
+        for q in range(5):
+            assert expect_z_string(state, {q}) == expect_z(state, q)
+
+    def test_rows_are_z_diagonals_and_read_only(self):
+        signs = z_signs(3)
+        np.testing.assert_array_equal(signs[1], [1, 1, -1, -1, 1, 1, -1, -1])
+        assert not signs.flags.writeable
+        with pytest.raises(ValueError):
+            signs[0, 0] = 0.0
+
+    def test_probabilities_are_squared_moduli(self):
+        amps = np.array([0.6, 0.8j, -0.3 + 0.4j])
+        np.testing.assert_allclose(probabilities(amps), [0.36, 0.64, 0.25], atol=1e-15)

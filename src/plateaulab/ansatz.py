@@ -121,6 +121,6 @@ def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray
         else:
             sv._apply_cnot_inplace(amps, n, a, b)
     norms = np.sum(sv.probabilities(amps), axis=1)
-    if np.max(np.abs(norms - 1.0)) > _NORM_TOL:
+    if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):  # a NaN norm fails too
         raise ArithmeticError("statevector norm drifted in batch evaluation")
     return amps

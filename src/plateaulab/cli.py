@@ -4,13 +4,15 @@ Output is data only (no plotting): each subcommand writes one table whose
 rows mirror the in-memory records, with floats serialized to 9 significant
 digits. Identical flags always produce byte-identical files.
 
-Exit status: 0 on success, 1 on usage errors, 2 on I/O errors.
+Exit status: 0 on success, 1 on usage errors (including out-of-range values,
+rejected before any computation), 2 on I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -19,18 +21,30 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import experiments as xp
+from .gradients import MIN_VARIANCE_SAMPLES
 from .losses import DEFAULT_PHYSICS_WEIGHT, all_configs
+from .statevector import MAX_QUBITS, MIN_QUBITS
 
 SEED_ENV_VAR = "PLATEAULAB_SEED"
 
-EXPERIMENTS = (
-    "sweep-qubits",
-    "sweep-depth",
-    "sweep-pde",
-    "entanglement",
-    "converge",
-    "per-param",
-)
+# One row per subcommand: help text, --qubits default, --layers default and
+# --samples default (None: no --samples flag). A tuple default makes the flag
+# a sweep that takes one or more values.
+SUBCOMMANDS = {
+    "sweep-qubits": ("gradient variance across qubit counts",
+                     xp.QUBIT_GRID, 3, xp.DEFAULT_VARIANCE_SAMPLES),
+    "sweep-depth": ("gradient variance across circuit depths",
+                    6, xp.DEPTH_GRID, xp.DEFAULT_VARIANCE_SAMPLES),
+    "sweep-pde": ("gradient variance across PDE residual types",
+                  6, 3, xp.DEFAULT_VARIANCE_SAMPLES),
+    "entanglement": ("half-cut entanglement entropy sweep",
+                     xp.QUBIT_GRID, xp.ENTANGLEMENT_DEPTHS, xp.DEFAULT_ENTROPY_SAMPLES),
+    "converge": ("gradient-descent training of all configurations", 4, 3, None),
+    "per-param": ("per-parameter gradient variance distribution",
+                  8, 3, xp.DEFAULT_VARIANCE_SAMPLES),
+}
+
+EXPERIMENTS = tuple(SUBCOMMANDS)
 
 
 @dataclass
@@ -83,9 +97,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError:
@@ -106,17 +118,7 @@ def _add_shared(parser, seed=argparse.SUPPRESS, out=argparse.SUPPRESS,
                         help="output format")
 
 
-def _add_common(sub, samples_default: int) -> None:
-    sub.add_argument("--samples", type=int, default=samples_default,
-                     help="number of random initializations K")
-    sub.add_argument("--physics-weight", type=float, default=DEFAULT_PHYSICS_WEIGHT,
-                     help="weight of the physics term in PDE losses")
-    _add_shared(sub)
-
-
-def build_parser(seed_default: Optional[int] = None) -> _Parser:
-    if seed_default is None:
-        seed_default = _default_seed()
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="plateaulab",
         description="Gradient-variance and trainability experiments for "
@@ -127,87 +129,84 @@ def build_parser(seed_default: Optional[int] = None) -> _Parser:
     parser.add_argument("--all", action="store_true", dest="run_all",
                         help="run every experiment with default settings "
                              "into a timestamped directory")
-    _add_shared(parser, seed_default, None, "csv")
+    _add_shared(parser, _default_seed(), None, "csv")
     subs = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
-    fmt = argparse.ArgumentDefaultsHelpFormatter
-
-    sub = subs.add_parser("sweep-qubits", formatter_class=fmt,
-                          help="gradient variance across qubit counts")
-    sub.add_argument("--qubits", type=int, nargs="+", default=list(xp.QUBIT_GRID),
-                     help="qubit counts to sweep")
-    sub.add_argument("--layers", type=int, default=3, help="circuit depth")
-    _add_common(sub, xp.DEFAULT_VARIANCE_SAMPLES)
-
-    sub = subs.add_parser("sweep-depth", formatter_class=fmt,
-                          help="gradient variance across circuit depths")
-    sub.add_argument("--layers", type=int, nargs="+", default=list(xp.DEPTH_GRID),
-                     help="depths to sweep")
-    sub.add_argument("--qubits", type=int, default=6, help="qubit count")
-    _add_common(sub, xp.DEFAULT_VARIANCE_SAMPLES)
-
-    sub = subs.add_parser("sweep-pde", formatter_class=fmt,
-                          help="gradient variance across PDE residual types")
-    sub.add_argument("--qubits", type=int, default=6, help="qubit count")
-    sub.add_argument("--layers", type=int, default=3, help="circuit depth")
-    _add_common(sub, xp.DEFAULT_VARIANCE_SAMPLES)
-
-    sub = subs.add_parser("entanglement", formatter_class=fmt,
-                          help="half-cut entanglement entropy sweep")
-    sub.add_argument("--qubits", type=int, nargs="+", default=list(xp.QUBIT_GRID),
-                     help="qubit counts to sweep")
-    sub.add_argument("--layers", type=int, nargs="+",
-                     default=list(xp.ENTANGLEMENT_DEPTHS), help="depths to sweep")
-    _add_common(sub, xp.DEFAULT_ENTROPY_SAMPLES)
-
-    sub = subs.add_parser("converge", formatter_class=fmt,
-                          help="gradient-descent training of all configurations")
-    sub.add_argument("--qubits", type=int, default=4, help="qubit count")
-    sub.add_argument("--layers", type=int, default=3, help="circuit depth")
-    sub.add_argument("--epochs", type=int, default=xp.DEFAULT_EPOCHS,
-                     help="number of descent steps")
-    sub.add_argument("--lr", type=float, default=xp.DEFAULT_LEARNING_RATE,
-                     help="learning rate")
-    _add_common(sub, xp.DEFAULT_VARIANCE_SAMPLES)
-
-    sub = subs.add_parser("per-param", formatter_class=fmt,
-                          help="per-parameter gradient variance distribution")
-    sub.add_argument("--qubits", type=int, default=8, help="qubit count")
-    sub.add_argument("--layers", type=int, default=3, help="circuit depth")
-    _add_common(sub, xp.DEFAULT_VARIANCE_SAMPLES)
-
+    for name, (help_text, qubits, layers, samples) in SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text,
+                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for flag, default, what in (("--qubits", qubits, "qubit count"),
+                                    ("--layers", layers, "circuit depth")):
+            if isinstance(default, tuple):
+                sub.add_argument(flag, type=int, nargs="+", default=list(default),
+                                 help=f"{what}s to sweep")
+            else:
+                sub.add_argument(flag, type=int, default=default, help=what)
+        if name == "converge":
+            sub.add_argument("--epochs", type=int, default=xp.DEFAULT_EPOCHS,
+                             help="number of descent steps")
+            sub.add_argument("--lr", type=float, default=xp.DEFAULT_LEARNING_RATE,
+                             help="learning rate")
+        if samples is not None:
+            sub.add_argument("--samples", type=int, default=samples,
+                             help="number of random initializations K")
+        if name != "entanglement":
+            sub.add_argument("--physics-weight", type=float,
+                             default=DEFAULT_PHYSICS_WEIGHT,
+                             help="weight of the physics term in PDE losses")
+        _add_shared(sub)
     return parser
 
 
+def _usage_problem(run: RunConfig) -> Optional[str]:
+    """Why the run cannot be carried out, or None if every value is in range."""
+    if run.seed < 0:
+        return f"seed must be >= 0, got {run.seed}"
+    for n in run.qubit_list:
+        if not MIN_QUBITS <= n <= MAX_QUBITS:
+            return f"--qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n}"
+    if min(run.layer_list) < 1:
+        return f"--layers must be >= 1, got {min(run.layer_list)}"
+    min_samples = 1 if run.experiment == "entanglement" else MIN_VARIANCE_SAMPLES
+    if run.n_samples < min_samples:
+        return f"--samples must be >= {min_samples}, got {run.n_samples}"
+    if run.epochs < 1:
+        return f"--epochs must be >= 1, got {run.epochs}"
+    if not math.isfinite(run.learning_rate):
+        return f"--lr must be finite, got {run.learning_rate}"
+    if not (math.isfinite(run.physics_weight) and run.physics_weight >= 0):
+        return f"--physics-weight must be finite and >= 0, got {run.physics_weight}"
+    return None
+
+
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Parse CLI arguments into a RunConfig; exits with status 1 on misuse."""
+    """Parse and validate CLI arguments into a RunConfig; exits with status 1
+    on misuse or an out-of-range value, before any computation."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.run_all:
-        return RunConfig(
-            experiment="all",
-            qubit_list=list(xp.QUBIT_GRID),
-            layer_list=list(xp.DEPTH_GRID),
-            n_samples=xp.DEFAULT_VARIANCE_SAMPLES,
+        run = RunConfig("all", list(xp.QUBIT_GRID), list(xp.DEPTH_GRID),
+                        xp.DEFAULT_VARIANCE_SAMPLES, args.seed,
+                        out=args.out, format=args.format)
+    elif args.experiment is None:
+        parser.error("an experiment subcommand (or --all) is required")
+    else:
+        # A flag the subcommand does not take keeps its default value.
+        run = RunConfig(
+            experiment=args.experiment,
+            qubit_list=args.qubits if isinstance(args.qubits, list) else [args.qubits],
+            layer_list=args.layers if isinstance(args.layers, list) else [args.layers],
+            n_samples=getattr(args, "samples", xp.DEFAULT_VARIANCE_SAMPLES),
             seed=args.seed,
+            epochs=getattr(args, "epochs", xp.DEFAULT_EPOCHS),
+            learning_rate=getattr(args, "lr", xp.DEFAULT_LEARNING_RATE),
+            physics_weight=getattr(args, "physics_weight", DEFAULT_PHYSICS_WEIGHT),
             out=args.out,
             format=args.format,
         )
-    if args.experiment is None:
-        parser.error("an experiment subcommand (or --all) is required")
-    qubits = args.qubits if isinstance(args.qubits, list) else [args.qubits]
-    layers = args.layers if isinstance(args.layers, list) else [args.layers]
-    return RunConfig(
-        experiment=args.experiment,
-        qubit_list=qubits,
-        layer_list=layers,
-        n_samples=args.samples,
-        seed=args.seed,
-        epochs=getattr(args, "epochs", xp.DEFAULT_EPOCHS),
-        learning_rate=getattr(args, "lr", xp.DEFAULT_LEARNING_RATE),
-        physics_weight=args.physics_weight,
-        out=args.out,
-        format=args.format,
-    )
+    problem = _usage_problem(run)
+    if problem is not None:
+        parser.error(problem)
+    return run
 
 
 def _fmt(value) -> str:
@@ -257,12 +256,11 @@ def make_table(experiment: str, columns: list[str], rows, config: dict) -> Table
     return Table(experiment, columns, records, config)
 
 
-def _variance_rows(result: xp.SweepResult) -> list[tuple]:
-    return [
-        (result.experiment, r.n, r.layers, r.config_name, r.pde_name,
-         r.mean_variance, r.stderr_of_mean, r.n_samples, r.seed)
-        for r in result.rows
-    ]
+def _sweep_table(result: xp.SweepResult, config: dict) -> Table:
+    rows = [(result.experiment, r.n, r.layers, r.config_name, r.pde_name,
+             r.mean_variance, r.stderr_of_mean, r.n_samples, r.seed)
+            for r in result.rows]
+    return make_table(result.experiment, VARIANCE_COLUMNS, rows, config)
 
 
 def _csv_text(table: Table) -> str:
@@ -326,20 +324,15 @@ def run_experiment(run: RunConfig) -> Table:
     if run.experiment == "sweep-qubits":
         result = xp.sweep_qubits(run.qubit_list, layers,
                                  run.n_samples, run.seed, run.physics_weight)
-        table = make_table(result.experiment, VARIANCE_COLUMNS,
-                           _variance_rows(result), config)
+        table = _sweep_table(result, config)
         _attach_qubit_sweep_companions(table, run)
         return table
     if run.experiment == "sweep-depth":
-        result = xp.sweep_depth(run.layer_list, n,
-                                run.n_samples, run.seed, run.physics_weight)
-        return make_table(result.experiment, VARIANCE_COLUMNS,
-                          _variance_rows(result), config)
+        return _sweep_table(xp.sweep_depth(run.layer_list, n, run.n_samples, run.seed,
+                                           run.physics_weight), config)
     if run.experiment == "sweep-pde":
-        result = xp.sweep_pde(xp.DEFAULT_PDES, n, layers,
-                              run.n_samples, run.seed, run.physics_weight)
-        return make_table(result.experiment, VARIANCE_COLUMNS,
-                          _variance_rows(result), config)
+        return _sweep_table(xp.sweep_pde(xp.DEFAULT_PDES, n, layers, run.n_samples,
+                                         run.seed, run.physics_weight), config)
     if run.experiment == "entanglement":
         result = xp.entanglement_sweep(run.qubit_list, run.layer_list,
                                        run.n_samples, run.seed)

@@ -119,22 +119,21 @@ class ScalingFit:
     residual_norm: float
 
 
-def _variance_row(
-    config: LossConfig, n: int, layers: int, n_samples: int, seed: int
-) -> SweepRow:
-    n, layers = int(n), int(layers)
-    spec = CircuitSpec(n, layers, config.required_topology())
-    report = gradient_variance(config, spec, Discretization(n), n_samples, seed)
-    return SweepRow(
-        n=n,
-        layers=layers,
-        config_name=config.name,
-        pde_name=config.pde_name,
-        mean_variance=report.mean_variance,
-        per_param_variance=report.per_param_variance,
-        n_samples=n_samples,
-        seed=seed,
-    )
+def _variance_sweep(
+    experiment: str, cells: Sequence[tuple[int, int]], configs: Sequence[LossConfig],
+    n_samples: int, seed: int,
+) -> SweepResult:
+    """One row per config per (n, layers) cell, cell-major, then config order."""
+    result = SweepResult(experiment)
+    for n, layers in cells:
+        n, layers = int(n), int(layers)
+        for config in configs:
+            spec = CircuitSpec(n, layers, config.required_topology())
+            report = gradient_variance(config, spec, Discretization(n), n_samples, seed)
+            result.rows.append(SweepRow(n, layers, config.name, config.pde_name,
+                                        report.mean_variance, report.per_param_variance,
+                                        n_samples, seed))
+    return result
 
 
 def sweep_qubits(
@@ -145,11 +144,8 @@ def sweep_qubits(
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
 ) -> SweepResult:
     """Gradient variance of all four configurations across qubit counts."""
-    result = SweepResult("sweep_qubits")
-    for n in ns:
-        for config in all_configs(physics_weight):
-            result.rows.append(_variance_row(config, n, layers, n_samples, seed))
-    return result
+    return _variance_sweep("sweep_qubits", [(n, layers) for n in ns],
+                           all_configs(physics_weight), n_samples, seed)
 
 
 def sweep_depth(
@@ -160,11 +156,8 @@ def sweep_depth(
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
 ) -> SweepResult:
     """Gradient variance of all four configurations across circuit depths."""
-    result = SweepResult("sweep_depth")
-    for layers in depths:
-        for config in all_configs(physics_weight):
-            result.rows.append(_variance_row(config, n, layers, n_samples, seed))
-    return result
+    return _variance_sweep("sweep_depth", [(n, layers) for layers in depths],
+                           all_configs(physics_weight), n_samples, seed)
 
 
 def sweep_pde(
@@ -176,13 +169,9 @@ def sweep_pde(
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
 ) -> SweepResult:
     """Gradient variance of the residual-based loss across PDE kinds."""
-    result = SweepResult("sweep_pde")
-    for pde in pdes:
-        config = LossConfig(
-            LossKind.PDE_CONSTRAINED, pde=pde, physics_weight=physics_weight
-        )
-        result.rows.append(_variance_row(config, n, layers, n_samples, seed))
-    return result
+    configs = [LossConfig(LossKind.PDE_CONSTRAINED, pde=pde,
+                          physics_weight=physics_weight) for pde in pdes]
+    return _variance_sweep("sweep_pde", [(n, layers)], configs, n_samples, seed)
 
 
 def per_param_distribution(
@@ -193,10 +182,8 @@ def per_param_distribution(
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
 ) -> SweepResult:
     """Full per-parameter variance vectors of all four configurations."""
-    result = SweepResult("per_param")
-    for config in all_configs(physics_weight):
-        result.rows.append(_variance_row(config, n, layers, n_samples, seed))
-    return result
+    return _variance_sweep("per_param", [(n, layers)], all_configs(physics_weight),
+                           n_samples, seed)
 
 
 def entanglement_sweep(

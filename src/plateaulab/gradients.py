@@ -34,6 +34,8 @@ from .statevector import probabilities, z_signs
 
 SHIFT = np.pi / 2.0
 
+MIN_VARIANCE_SAMPLES = 2  # the unbiased K-1 divisor needs K >= 2
+
 
 @dataclass(frozen=True)
 class VarianceReport:
@@ -134,8 +136,9 @@ def gradient_variance(
     the per-parameter variances use the unbiased K-1 divisor, and the mean
     is the plain arithmetic mean over parameters.
     """
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
+    if n_samples < MIN_VARIANCE_SAMPLES:
+        raise ValueError(f"need at least {MIN_VARIANCE_SAMPLES} samples, "
+                         f"got {n_samples}")
     grads = np.stack(
         [
             loss_gradient(

@@ -2,10 +2,15 @@
 
 Four configurations are supported: a global parity cost, a single-qubit local
 cost, and two physics-informed losses (data MSE plus a weighted physics
-penalty) differing only in which entangling topology they pair with. The
-physics penalty is either a squared-gradient penalty on the output profile or
-the mean squared residual of a steady PDE operator, selected by whether the
-config carries a PDE kind.
+penalty) differing only in which entangling topology they pair with.
+
+Every physics penalty is the mean squared local residual r(f) at the
+collocation points. Each term (Heat, Burgers, SaintVenant, and the
+squared-gradient penalty of a config without a PDE kind, whose residual is
+df/dx) defines ``residual(f, disc)`` and ``d_loss_d_f(f, r, disc)``, the
+gradient of mean(r^2) at r = residual(f). The stencils' adjoints are stencils
+(centered_d1 is antisymmetric, centered_d2 symmetric); pointwise
+nonlinearities contribute diagonal factors.
 
 Outputs live on a periodic unit-length grid with one collocation point per
 qubit, so dx = 1/n. Residuals are steady-state: time derivatives are zero and
@@ -34,6 +39,12 @@ class Heat:
 
     name = "heat"
 
+    def residual(self, f, disc: Discretization) -> np.ndarray:
+        return self.kappa * centered_d2(f, disc)
+
+    def d_loss_d_f(self, f, res, disc: Discretization) -> np.ndarray:
+        return (2.0 / disc.n_points) * self.kappa * centered_d2(res, disc)
+
 
 @dataclass(frozen=True)
 class Burgers:
@@ -42,6 +53,14 @@ class Burgers:
     nu: float = 0.01
 
     name = "burgers"
+
+    def residual(self, f, disc: Discretization) -> np.ndarray:
+        return f * centered_d1(f, disc) - self.nu * centered_d2(f, disc)
+
+    def d_loss_d_f(self, f, res, disc: Discretization) -> np.ndarray:
+        d1f = centered_d1(f, disc)
+        return (2.0 / disc.n_points) * (d1f * res - centered_d1(f * res, disc)
+                                        - self.nu * centered_d2(res, disc))
 
 
 @dataclass(frozen=True)
@@ -64,6 +83,36 @@ class SaintVenant:
         if self.epsilon_floor <= 0:
             raise ValueError("epsilon_floor must be positive")
 
+    def _area_and_coeff(self, f) -> tuple[np.ndarray, float]:
+        area = (f + 1.0) / 2.0 + self.epsilon_floor
+        return area, np.sqrt(self.friction_slope) / self.manning_n
+
+    def residual(self, f, disc: Discretization) -> np.ndarray:
+        area, coeff = self._area_and_coeff(f)
+        with np.errstate(invalid="ignore"):
+            discharge = coeff * area ** (5.0 / 3.0)
+        if not np.all(np.isfinite(discharge)):
+            raise ArithmeticError("non-finite discharge "
+                                  "(negative area raised to fractional power)")
+        return centered_d1(discharge, disc)
+
+    def d_loss_d_f(self, f, res, disc: Discretization) -> np.ndarray:
+        area, coeff = self._area_and_coeff(f)
+        dq_df = coeff * (5.0 / 3.0) * area ** (2.0 / 3.0) * 0.5
+        return -(2.0 / disc.n_points) * dq_df * centered_d1(res, disc)
+
+
+class _GradientPenalty:
+    """Squared-gradient penalty, the physics term without a PDE: residual df/dx."""
+
+    def residual(self, f, disc: Discretization) -> np.ndarray:
+        return centered_d1(f, disc)
+
+    def d_loss_d_f(self, f, res, disc: Discretization) -> np.ndarray:
+        return -(2.0 / disc.n_points) * centered_d1(res, disc)
+
+
+_GRADIENT_PENALTY = _GradientPenalty()
 
 PdeKind = Union[Heat, Burgers, SaintVenant]
 
@@ -137,6 +186,11 @@ class LossConfig:
     def pde_name(self) -> Optional[str]:
         return None if self.pde is None else self.pde.name
 
+    @property
+    def physics(self) -> Union[PdeKind, _GradientPenalty]:
+        """The physics term: the PDE kind, or the squared-gradient penalty."""
+        return _GRADIENT_PENALTY if self.pde is None else self.pde
+
     def required_topology(self) -> Topology:
         return _REQUIRED_TOPOLOGY[self.kind]
 
@@ -202,35 +256,9 @@ def centered_d2(f, disc: Discretization) -> np.ndarray:
     return (np.roll(arr, -1) - 2.0 * arr + np.roll(arr, 1)) / disc.dx**2
 
 
-def physics_loss_gradient_penalty(f, disc: Discretization) -> float:
-    """Mean squared centered first difference of the profile."""
-    d1 = centered_d1(f, disc)
-    return float(np.mean(d1**2))
-
-
-def _manning_discharge(pde: SaintVenant, area: np.ndarray) -> np.ndarray:
-    coeff = np.sqrt(pde.friction_slope) / pde.manning_n
-    return coeff * area ** (5.0 / 3.0)
-
-
 def pde_residual(f, pde: PdeKind, disc: Discretization) -> np.ndarray:
     """Steady spatial residual of the given PDE on the periodic grid."""
-    arr = _check_profile(f, disc)
-    if isinstance(pde, Heat):
-        res = pde.kappa * centered_d2(arr, disc)
-    elif isinstance(pde, Burgers):
-        res = arr * centered_d1(arr, disc) - pde.nu * centered_d2(arr, disc)
-    elif isinstance(pde, SaintVenant):
-        area = (arr + 1.0) / 2.0 + pde.epsilon_floor
-        with np.errstate(invalid="ignore"):
-            discharge = _manning_discharge(pde, area)
-        if not np.all(np.isfinite(discharge)):
-            raise ArithmeticError(
-                "non-finite discharge (negative area raised to fractional power)"
-            )
-        res = centered_d1(discharge, disc)
-    else:
-        raise TypeError(f"unknown PDE kind: {pde!r}")
+    res = pde.residual(_check_profile(f, disc), disc)
     if not np.all(np.isfinite(res)):
         raise ArithmeticError("non-finite PDE residual")
     return res
@@ -242,6 +270,11 @@ def pde_loss(f, pde: PdeKind, disc: Discretization) -> float:
     return float(np.mean(res**2))
 
 
+def physics_loss_gradient_penalty(f, disc: Discretization) -> float:
+    """Mean squared centered first difference of the profile."""
+    return pde_loss(f, _GRADIENT_PENALTY, disc)
+
+
 def data_loss(f, target) -> float:
     """Mean squared error between profile and target."""
     arr = np.asarray(f, dtype=np.float64)
@@ -249,13 +282,6 @@ def data_loss(f, target) -> float:
     if arr.shape != tgt.shape:
         raise ValueError(f"length mismatch: {arr.shape} vs {tgt.shape}")
     return float(np.mean((arr - tgt) ** 2))
-
-
-def physics_term(config: LossConfig, f, disc: Discretization) -> float:
-    """The unweighted physics penalty the config selects."""
-    if config.pde is None:
-        return physics_loss_gradient_penalty(f, disc)
-    return pde_loss(f, config.pde, disc)
 
 
 def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float:
@@ -268,45 +294,27 @@ def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float:
     if config.kind in _COST_KINDS:
         return float(arr[0])
     target = config.target(arr.size)
-    return data_loss(arr, target) + config.physics_weight * physics_term(config, arr, disc)
+    physics = pde_loss(arr, config.physics, disc)
+    return data_loss(arr, target) + config.physics_weight * physics
 
 
 def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
     """Analytic gradient of the composite loss with respect to the outputs.
 
-    The stencils are linear maps, so their adjoints are again stencils
-    (centered_d1 is antisymmetric, centered_d2 symmetric); the pointwise
-    nonlinearities of Burgers and Saint-Venant contribute diagonal factors.
-    A cost's single output is the loss, so its derivative is ones(1).
+    Data MSE plus the weighted physics term's ``d_loss_d_f``. A cost's single
+    output is the loss, so its derivative is ones(1).
     """
     if config.kind in _COST_KINDS:
         return np.ones(1)
     arr = _check_profile(f, disc)
     n = arr.size
-    target = config.target(n)
-    grad = (2.0 / n) * (arr - target)
+    grad = (2.0 / n) * (arr - config.target(n))
     lam = config.physics_weight
     if lam == 0.0:
         return grad
-    if config.pde is None:
-        d1 = centered_d1(arr, disc)
-        grad += lam * (-(2.0 / n) * centered_d1(d1, disc))
-        return grad
-    pde = config.pde
-    res = pde_residual(arr, pde, disc)
-    if isinstance(pde, Heat):
-        phys = (2.0 / n) * pde.kappa * centered_d2(res, disc)
-    elif isinstance(pde, Burgers):
-        d1f = centered_d1(arr, disc)
-        phys = (2.0 / n) * (
-            d1f * res - centered_d1(arr * res, disc) - pde.nu * centered_d2(res, disc)
-        )
-    else:
-        area = (arr + 1.0) / 2.0 + pde.epsilon_floor
-        coeff = np.sqrt(pde.friction_slope) / pde.manning_n
-        dq_df = coeff * (5.0 / 3.0) * area ** (2.0 / 3.0) * 0.5
-        phys = -(2.0 / n) * dq_df * centered_d1(res, disc)
-    return grad + lam * phys
+    physics = config.physics
+    res = pde_residual(arr, physics, disc)
+    return grad + lam * physics.d_loss_d_f(arr, res, disc)
 
 
 def total_loss(config: LossConfig, spec: CircuitSpec, params, disc: Discretization) -> float:

@@ -201,3 +201,11 @@ def test_run_circuit_is_a_batch_of_one():
         np.testing.assert_array_equal(
             run_circuit(spec, x).amplitudes, run_circuit_batch(spec, x[None])[0]
         )
+
+
+def test_nan_angle_fails_the_norm_check():
+    spec = CircuitSpec(3, 1, NN)
+    x = np.zeros(spec.param_count)
+    x[1] = np.nan
+    with pytest.raises(ArithmeticError):
+        run_circuit_batch(spec, x[None])

@@ -250,3 +250,47 @@ class TestSharedFlagPlacement:
         assert parse_args(["converge"]).seed == 123
         assert parse_args(["--seed", "5", "converge"]).seed == 5
         assert parse_args(["converge", "--seed", "6"]).seed == 6
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("argv", [
+        ["sweep-qubits", "--samples", "1"],
+        ["sweep-qubits", "--qubits", "4", "13"],
+        ["sweep-qubits", "--qubits", "1"],
+        ["sweep-depth", "--layers", "2", "0"],
+        ["entanglement", "--samples", "0"],
+        ["converge", "--epochs", "0"],
+        ["converge", "--lr", "nan"],
+        ["converge", "--lr", "inf"],
+        ["sweep-pde", "--seed", "-1"],
+        ["--all", "--seed", "-1"],
+        ["per-param", "--physics-weight", "-1"],
+        ["sweep-pde", "--physics-weight", "nan"],
+        ["sweep-pde", "--physics-weight", "inf"],
+        # Flags these subcommands never read.
+        ["converge", "--samples", "5"],
+        ["entanglement", "--physics-weight", "0.2"],
+    ])
+    def test_bad_value_exits_1_before_any_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: plateaulab")
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_smallest_valid_values_parse(self):
+        assert parse_args(["entanglement", "--samples", "1"]).n_samples == 1
+        run = parse_args(["sweep-qubits", "--qubits", "2", "12", "--samples", "2",
+                          "--physics-weight", "0"])
+        assert (run.qubit_list, run.n_samples, run.physics_weight) == ([2, 12], 2, 0.0)
+
+    def test_unread_flags_not_offered(self, capsys):
+        for experiment, flag in (("converge", "--samples"),
+                                 ("entanglement", "--physics-weight")):
+            with pytest.raises(SystemExit):
+                parse_args([experiment, "--help"])
+            assert flag not in capsys.readouterr().out

@@ -37,6 +37,16 @@ CASES = [
     ("converge.csv", ["converge", "--epochs", "5"], []),
     ("per_param.csv",
      ["per-param", "--qubits", "4", "--layers", "2", "--samples", "3"], []),
+    # The JSON config blocks pin the defaults filled in for flags a
+    # subcommand does not take (converge: samples; entanglement:
+    # physics_weight).
+    ("converge.json", ["converge", "--epochs", "5", "--format", "json"], []),
+    ("entanglement.json",
+     ["entanglement", "--qubits", "4", "6", "--layers", "1", "3", "--samples", "2",
+      "--seed", "3", "--format", "json"], []),
+    ("sweep_pde.json",
+     ["sweep-pde", "--qubits", "4", "--layers", "2", "--samples", "3",
+      "--physics-weight", "0.3", "--format", "json"], []),
 ]
 
 

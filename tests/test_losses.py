@@ -312,3 +312,31 @@ def test_default_target_is_unit_sine():
 def test_all_configs_lists_the_four_kinds():
     names = [c.name for c in all_configs()]
     assert names == ["global_cost", "local_cost", "pde_constrained", "pde_structured"]
+
+
+class TestPhysicsTerms:
+    def test_no_pde_selects_the_gradient_penalty(self):
+        config = LossConfig(LossKind.PDE_CONSTRAINED)
+        f = np.random.default_rng(4).uniform(-1, 1, 5)
+        disc = Discretization(5)
+        assert config.pde_name is None
+        np.testing.assert_array_equal(config.physics.residual(f, disc),
+                                      centered_d1(f, disc))
+        assert LossConfig(LossKind.PDE_CONSTRAINED, pde=Heat()).physics == Heat()
+
+    @pytest.mark.parametrize(
+        "config",
+        [LossConfig(LossKind.PDE_CONSTRAINED, pde=p) for p in [None, *ALL_PDES]],
+        ids=lambda c: str(c.pde_name),
+    )
+    def test_d_loss_d_f_is_the_gradient_of_the_mean_squared_residual(self, config):
+        term, disc = config.physics, Discretization(6)
+        f = np.random.default_rng(33).uniform(-0.9, 0.9, 6)
+        got = term.d_loss_d_f(f, term.residual(f, disc), disc)
+        h = 1e-6
+        for m in range(6):
+            up, down = f.copy(), f.copy()
+            up[m] += h
+            down[m] -= h
+            numeric = (pde_loss(up, term, disc) - pde_loss(down, term, disc)) / (2 * h)
+            assert abs(got[m] - numeric) < 1e-7 * max(1.0, abs(numeric))

@@ -5,7 +5,8 @@ rows mirror the in-memory records, with floats serialized to 9 significant
 digits. Identical flags always produce byte-identical files.
 
 Exit status: 0 on success, 1 on usage errors (including out-of-range values,
-rejected before any computation), 2 on I/O errors.
+rejected before any computation) and on non-finite results (nothing is
+written), 2 on I/O errors.
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ SEED_ENV_VAR = "PLATEAULAB_SEED"
 # a sweep that takes one or more values.
 SUBCOMMANDS = {
     "sweep-qubits": ("gradient variance across qubit counts",
-                     xp.QUBIT_GRID, 3, xp.DEFAULT_VARIANCE_SAMPLES),
+                     xp.QUBIT_GRID, xp.DEFAULT_LAYERS, xp.DEFAULT_VARIANCE_SAMPLES),
     "sweep-depth": ("gradient variance across circuit depths",
-                    6, xp.DEPTH_GRID, xp.DEFAULT_VARIANCE_SAMPLES),
+                    xp.DEFAULT_QUBITS, xp.DEPTH_GRID, xp.DEFAULT_VARIANCE_SAMPLES),
     "sweep-pde": ("gradient variance across PDE residual types",
-                  6, 3, xp.DEFAULT_VARIANCE_SAMPLES),
+                  xp.DEFAULT_QUBITS, xp.DEFAULT_LAYERS, xp.DEFAULT_VARIANCE_SAMPLES),
     "entanglement": ("half-cut entanglement entropy sweep",
                      xp.QUBIT_GRID, xp.ENTANGLEMENT_DEPTHS, xp.DEFAULT_ENTROPY_SAMPLES),
-    "converge": ("gradient-descent training of all configurations", 4, 3, None),
+    "converge": ("gradient-descent training of all configurations",
+                 xp.TRAIN_QUBITS, xp.DEFAULT_LAYERS, None),
     "per-param": ("per-parameter gradient variance distribution",
-                  8, 3, xp.DEFAULT_VARIANCE_SAMPLES),
+                  xp.PER_PARAM_QUBITS, xp.DEFAULT_LAYERS, xp.DEFAULT_VARIANCE_SAMPLES),
 }
 
 EXPERIMENTS = tuple(SUBCOMMANDS)
@@ -54,8 +56,8 @@ class RunConfig:
     experiment: str
     qubit_list: list[int]
     layer_list: list[int]
-    n_samples: int
-    seed: int
+    n_samples: int = xp.DEFAULT_VARIANCE_SAMPLES
+    seed: int = xp.DEFAULT_SEED
     epochs: int = xp.DEFAULT_EPOCHS
     learning_rate: float = xp.DEFAULT_LEARNING_RATE
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT
@@ -96,25 +98,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"invalid {SEED_ENV_VAR} value: {raw!r}")
-
-
-def _add_shared(parser, seed=argparse.SUPPRESS, out=argparse.SUPPRESS,
-                fmt=argparse.SUPPRESS) -> None:
-    # Declared on the top-level parser with real defaults and on every
-    # subcommand with SUPPRESS, so a flag given before the subcommand is not
-    # overwritten by a subcommand default and one given after it wins.
+def _add_shared(parser, seed=argparse.SUPPRESS) -> None:
+    # Declared on the top-level parser and on every subcommand without
+    # defaults (RunConfig holds them), so a flag given before the subcommand
+    # is kept and one given after it wins. The top-level seed default is the
+    # environment's string, which type=int parses only when it is used.
     parser.add_argument("--seed", type=int, default=seed,
                         help=f"master seed (default overridable via ${SEED_ENV_VAR})")
-    parser.add_argument("--out", type=str, default=out,
+    parser.add_argument("--out", type=str, default=argparse.SUPPRESS,
                         help="output path (default: <experiment>.<format>); "
                              "with --all, the output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default=fmt,
+    parser.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS,
                         help="output format")
 
 
@@ -129,25 +123,28 @@ def build_parser() -> _Parser:
     parser.add_argument("--all", action="store_true", dest="run_all",
                         help="run every experiment with default settings "
                              "into a timestamped directory")
-    _add_shared(parser, _default_seed(), None, "csv")
+    _add_shared(parser, os.environ.get(SEED_ENV_VAR, argparse.SUPPRESS))
     subs = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
     for name, (help_text, qubits, layers, samples) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text,
                               formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        for flag, default, what in (("--qubits", qubits, "qubit count"),
-                                    ("--layers", layers, "circuit depth")):
-            if isinstance(default, tuple):
-                sub.add_argument(flag, type=int, nargs="+", default=list(default),
-                                 help=f"{what}s to sweep")
-            else:
-                sub.add_argument(flag, type=int, default=default, help=what)
+        # Either way the value is a list: one value, or one or more to sweep.
+        for flag, dest, default, what in (
+                ("--qubits", "qubit_list", qubits, "qubit count"),
+                ("--layers", "layer_list", layers, "circuit depth")):
+            sweep = isinstance(default, tuple)
+            sub.add_argument(flag, dest=dest, metavar=flag[2:].upper(), type=int,
+                             nargs="+" if sweep else 1,
+                             default=list(default) if sweep else [default],
+                             help=f"{what}s to sweep" if sweep else what)
         if name == "converge":
             sub.add_argument("--epochs", type=int, default=xp.DEFAULT_EPOCHS,
                              help="number of descent steps")
-            sub.add_argument("--lr", type=float, default=xp.DEFAULT_LEARNING_RATE,
-                             help="learning rate")
+            sub.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                             default=xp.DEFAULT_LEARNING_RATE, help="learning rate")
         if samples is not None:
-            sub.add_argument("--samples", type=int, default=samples,
+            sub.add_argument("--samples", dest="n_samples", metavar="SAMPLES",
+                             type=int, default=samples,
                              help="number of random initializations K")
         if name != "entanglement":
             sub.add_argument("--physics-weight", type=float,
@@ -166,6 +163,9 @@ def _usage_problem(run: RunConfig) -> Optional[str]:
             return f"--qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n}"
     if min(run.layer_list) < 1:
         return f"--layers must be >= 1, got {min(run.layer_list)}"
+    for flag, values in (("--qubits", run.qubit_list), ("--layers", run.layer_list)):
+        if len(set(values)) < len(values):
+            return f"{flag} values must be distinct, got {values}"
     min_samples = 1 if run.experiment == "entanglement" else MIN_VARIANCE_SAMPLES
     if run.n_samples < min_samples:
         return f"--samples must be >= {min_samples}, got {run.n_samples}"
@@ -182,27 +182,14 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Parse and validate CLI arguments into a RunConfig; exits with status 1
     on misuse or an out-of-range value, before any computation."""
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.run_all:
-        run = RunConfig("all", list(xp.QUBIT_GRID), list(xp.DEPTH_GRID),
-                        xp.DEFAULT_VARIANCE_SAMPLES, args.seed,
-                        out=args.out, format=args.format)
-    elif args.experiment is None:
+    fields = vars(parser.parse_args(argv))
+    if fields.pop("run_all"):
+        fields.update(experiment="all", qubit_list=list(xp.QUBIT_GRID),
+                      layer_list=list(xp.DEPTH_GRID))
+    elif fields["experiment"] is None:
         parser.error("an experiment subcommand (or --all) is required")
-    else:
-        # A flag the subcommand does not take keeps its default value.
-        run = RunConfig(
-            experiment=args.experiment,
-            qubit_list=args.qubits if isinstance(args.qubits, list) else [args.qubits],
-            layer_list=args.layers if isinstance(args.layers, list) else [args.layers],
-            n_samples=getattr(args, "samples", xp.DEFAULT_VARIANCE_SAMPLES),
-            seed=args.seed,
-            epochs=getattr(args, "epochs", xp.DEFAULT_EPOCHS),
-            learning_rate=getattr(args, "lr", xp.DEFAULT_LEARNING_RATE),
-            physics_weight=getattr(args, "physics_weight", DEFAULT_PHYSICS_WEIGHT),
-            out=args.out,
-            format=args.format,
-        )
+    # Each flag fills its field; a flag not given leaves the field's default.
+    run = RunConfig(**fields)
     problem = _usage_problem(run)
     if problem is not None:
         parser.error(problem)
@@ -226,10 +213,7 @@ def _round9(value):
 def emit_reference_lines(ns: Sequence[int], anchor: float = 1.0) -> list[tuple[int, float]]:
     """Exponential 2^-n reference curve anchored at the first point."""
     ns = list(ns)
-    if not ns:
-        return []
-    n0 = ns[0]
-    return [(n, anchor * 2.0 ** (-(n - n0))) for n in ns]
+    return [(n, anchor * 2.0 ** (-(n - ns[0]))) for n in ns]
 
 
 VARIANCE_COLUMNS = ["experiment", "n", "layers", "config", "pde",
@@ -249,8 +233,13 @@ KEY_COLUMNS = ("n", "layers", "config", "pde", "topology", "param_index", "epoch
 
 
 def make_table(experiment: str, columns: list[str], rows, config: dict) -> Table:
-    """Table of ``rows`` (value tuples in column order), sorted by its key columns."""
+    """Table of ``rows`` (value tuples in column order), sorted by its key
+    columns; raises ArithmeticError on a non-finite float."""
     records = [dict(zip(columns, row, strict=True)) for row in rows]
+    for record in records:
+        for column, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ArithmeticError(f"non-finite {experiment} {column}: {value}")
     keys = [c for c in KEY_COLUMNS if c in columns]
     records.sort(key=lambda r: tuple("" if r[k] is None else r[k] for k in keys))
     return Table(experiment, columns, records, config)
@@ -294,23 +283,23 @@ def emit_table(table: Table, fmt: str, path) -> list[Path]:
     return list(texts)
 
 
-def _attach_qubit_sweep_companions(table: Table, run: RunConfig) -> None:
+def _attach_qubit_sweep_companions(table: Table) -> None:
+    # Records are sorted by n, then config: each config's points come in n order.
     by_config: dict[str, list[tuple[int, float]]] = {}
     for record in table.records:
         by_config.setdefault(record["config"], []).append(
             (record["n"], record["mean_variance"])
         )
     fit_rows = []
-    for config_name in sorted(by_config):
-        points = sorted(by_config[config_name])
+    for config_name, points in by_config.items():
         if len(points) < 2:
             continue
         for model in xp.ScalingModel:
             fit = xp.fit_scaling(points, model)
             fit_rows.append((table.experiment, config_name, model.value,
                              fit.exponent, fit.residual_norm))
-    anchor = table.records[0]["mean_variance"] if table.records else 1.0
-    ref_rows = emit_reference_lines(sorted(set(run.qubit_list)), anchor)
+    ref_rows = emit_reference_lines(sorted({r["n"] for r in table.records}),
+                                    table.records[0]["mean_variance"])
     table.companions["fits"] = make_table(table.experiment, FIT_COLUMNS, fit_rows,
                                           table.config)
     table.companions["reference"] = make_table(table.experiment, REFERENCE_COLUMNS,
@@ -325,7 +314,7 @@ def run_experiment(run: RunConfig) -> Table:
         result = xp.sweep_qubits(run.qubit_list, layers,
                                  run.n_samples, run.seed, run.physics_weight)
         table = _sweep_table(result, config)
-        _attach_qubit_sweep_companions(table, run)
+        _attach_qubit_sweep_companions(table)
         return table
     if run.experiment == "sweep-depth":
         return _sweep_table(xp.sweep_depth(run.layer_list, n, run.n_samples, run.seed,
@@ -386,6 +375,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"plateaulab: I/O error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"plateaulab: error: {exc}", file=sys.stderr)
+        return 1
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -36,6 +36,11 @@ from .losses import total_loss  # noqa: F401
 QUBIT_GRID = (4, 6, 8)
 DEPTH_GRID = (1, 2, 3, 4, 5)
 ENTANGLEMENT_DEPTHS = (1, 3, 5)
+DEFAULT_LAYERS = 3
+DEFAULT_QUBITS = 6  # depth and PDE sweeps
+PER_PARAM_QUBITS = 8
+TRAIN_QUBITS = 4
+DEFAULT_SEED = 0
 DEFAULT_PDES = (Heat(), Burgers(), SaintVenant())
 
 DEFAULT_VARIANCE_SAMPLES = 25
@@ -138,9 +143,9 @@ def _variance_sweep(
 
 def sweep_qubits(
     ns: Sequence[int] = QUBIT_GRID,
-    layers: int = 3,
+    layers: int = DEFAULT_LAYERS,
     n_samples: int = DEFAULT_VARIANCE_SAMPLES,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
 ) -> SweepResult:
     """Gradient variance of all four configurations across qubit counts."""
@@ -150,9 +155,9 @@ def sweep_qubits(
 
 def sweep_depth(
     depths: Sequence[int] = DEPTH_GRID,
-    n: int = 6,
+    n: int = DEFAULT_QUBITS,
     n_samples: int = DEFAULT_VARIANCE_SAMPLES,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
 ) -> SweepResult:
     """Gradient variance of all four configurations across circuit depths."""
@@ -162,10 +167,10 @@ def sweep_depth(
 
 def sweep_pde(
     pdes: Sequence[PdeKind] = DEFAULT_PDES,
-    n: int = 6,
-    layers: int = 3,
+    n: int = DEFAULT_QUBITS,
+    layers: int = DEFAULT_LAYERS,
     n_samples: int = DEFAULT_VARIANCE_SAMPLES,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
 ) -> SweepResult:
     """Gradient variance of the residual-based loss across PDE kinds."""
@@ -175,10 +180,10 @@ def sweep_pde(
 
 
 def per_param_distribution(
-    n: int = 8,
-    layers: int = 3,
+    n: int = PER_PARAM_QUBITS,
+    layers: int = DEFAULT_LAYERS,
     n_samples: int = DEFAULT_VARIANCE_SAMPLES,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
 ) -> SweepResult:
     """Full per-parameter variance vectors of all four configurations."""
@@ -190,7 +195,7 @@ def entanglement_sweep(
     ns: Sequence[int] = QUBIT_GRID,
     depths: Sequence[int] = ENTANGLEMENT_DEPTHS,
     n_samples: int = DEFAULT_ENTROPY_SAMPLES,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> EntropyResult:
     """Mean half-cut entanglement entropy over random initializations.
 
@@ -230,11 +235,11 @@ def entanglement_sweep(
 
 def train(
     config: LossConfig,
-    n: int = 4,
-    layers: int = 3,
+    n: int = TRAIN_QUBITS,
+    layers: int = DEFAULT_LAYERS,
     epochs: int = DEFAULT_EPOCHS,
     learning_rate: float = DEFAULT_LEARNING_RATE,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> TrainTrace:
     """Plain gradient descent, recording loss and gradient norm per epoch.
 

@@ -172,8 +172,9 @@ class LossConfig:
     def __post_init__(self) -> None:
         if self.kind in _COST_KINDS and self.pde is not None:
             raise ValueError(f"{self.kind.value} does not take a PDE")
-        if self.physics_weight < 0:
-            raise ValueError("physics_weight must be nonnegative")
+        if not (np.isfinite(self.physics_weight) and self.physics_weight >= 0):
+            raise ValueError(f"physics_weight must be finite and >= 0, "
+                             f"got {self.physics_weight}")
         if self.target_profile is not None:
             coerced = tuple(float(x) for x in self.target_profile)
             object.__setattr__(self, "target_profile", coerced)

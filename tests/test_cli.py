@@ -270,6 +270,9 @@ class TestFailFast:
         # Flags these subcommands never read.
         ["converge", "--samples", "5"],
         ["entanglement", "--physics-weight", "0.2"],
+        # Repeated sweep values.
+        ["sweep-qubits", "--qubits", "4", "4"],
+        ["entanglement", "--layers", "1", "1"],
     ])
     def test_bad_value_exits_1_before_any_output(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -294,3 +297,36 @@ class TestFailFast:
             with pytest.raises(SystemExit):
                 parse_args([experiment, "--help"])
             assert flag not in capsys.readouterr().out
+
+    def test_bad_seed_variable_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "banana")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["converge"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: plateaulab")
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        # An explicit --seed never reads the variable.
+        assert parse_args(["--seed", "2", "converge"]).seed == 2
+
+
+class TestNonFiniteResult:
+    @pytest.mark.parametrize("argv", [
+        ["sweep-pde", "--qubits", "4", "--layers", "1", "--samples", "2"],
+        ["converge"],
+    ])
+    def test_exits_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with np.errstate(all="ignore"):
+            code = main([*argv, "--physics-weight", "1e308", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("plateaulab: error:")
+        assert "wrote" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_make_table_rejects_non_finite_floats(self):
+        for bad in (float("nan"), float("inf"), np.float64("-inf")):
+            with pytest.raises(ArithmeticError):
+                cli.make_table("x", ["n", "value"], [(4, bad)], {})

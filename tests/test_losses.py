@@ -272,6 +272,11 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossConfig(LossKind.GLOBAL_COST, pde=Heat())
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+    def test_physics_weight_must_be_finite_and_nonnegative(self, weight):
+        with pytest.raises(ValueError):
+            LossConfig(LossKind.PDE_CONSTRAINED, physics_weight=weight)
+
 
 class TestOutputLossGradient:
     @pytest.mark.parametrize(

@@ -35,7 +35,8 @@ class CircuitSpec:
 
     def __post_init__(self) -> None:
         if not sv.MIN_QUBITS <= self.n_qubits <= sv.MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [2, 12], got {self.n_qubits}")
+            raise ValueError(f"n_qubits must be in [{sv.MIN_QUBITS}, {sv.MAX_QUBITS}], "
+                             f"got {self.n_qubits}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
 

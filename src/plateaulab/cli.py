@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import experiments as xp
 from .gradients import MIN_VARIANCE_SAMPLES
 from .losses import DEFAULT_PHYSICS_WEIGHT, all_configs
@@ -371,7 +373,10 @@ def _run_all(run: RunConfig) -> list[Path]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     run = parse_args(argv)
     try:
-        written = _run_all(run) if run.experiment == "all" else _single_run(run)
+        # A non-finite value still fails below: make_table, the norm guard and
+        # pde_residual reject it, so numpy's warnings would only add noise.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            written = _run_all(run) if run.experiment == "all" else _single_run(run)
     except OSError as exc:
         print(f"plateaulab: I/O error: {exc}", file=sys.stderr)
         return 2

@@ -132,9 +132,8 @@ def _variance_sweep(
     result = SweepResult(experiment)
     for n, layers in cells:
         n, layers = int(n), int(layers)
-        for config in configs:
-            spec = CircuitSpec(n, layers, config.required_topology())
-            report = gradient_variance(config, spec, Discretization(n), n_samples, seed)
+        reports = gradient_variance(configs, n, layers, n_samples, seed)
+        for config, report in zip(configs, reports):
             result.rows.append(SweepRow(n, layers, config.name, config.pde_name,
                                         report.mean_variance, report.per_param_variance,
                                         n_samples, seed))
@@ -258,6 +257,9 @@ def train(
         if epoch:
             params = params - learning_rate * grad
         value, grad = loss_and_gradient(config, spec, params, disc)
+        if not np.all(np.isfinite(grad)):
+            raise ArithmeticError(f"non-finite gradient of {config.name} "
+                                  f"at epoch {epoch}")
         trace.epochs.append(TrainEpoch(epoch, value, float(np.linalg.norm(grad))))
     return trace
 

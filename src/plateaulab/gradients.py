@@ -5,19 +5,20 @@ pi/2 parameter-shift rule gives exact derivatives. Every loss is a function
 of the outputs f, the expectations of its ``observables``, so its gradient is
 J^T * dL/df with J the parameter-shift Jacobian of the outputs and dL/df
 analytic; shifting a nonlinear composite loss directly would be wrong. One
-forward batch (the 2p shifted rows plus the unshifted one) gives both the
-loss value and the gradient.
+forward batch (the 2p shifted rows plus the unshifted one) depends only on
+the circuit and the angles; each loss value and gradient contracts it.
 
 All randomness flows through ``draw_params``: sample i of a run is drawn from
 a generator seeded by (seed, n_qubits, layers, i), so draws are independent
 of evaluation order and shared across loss configurations of the same shape,
-making cross-configuration comparisons paired.
+making cross-configuration comparisons paired; configurations of one
+topology also share each draw's forward batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,8 +44,6 @@ class VarianceReport:
 
     per_param_variance: np.ndarray
     mean_variance: float
-    n_samples: int
-    seed: int
 
 
 def _shift_batch(angles: np.ndarray) -> np.ndarray:
@@ -63,11 +62,24 @@ def _shift_jacobian(f_batch: np.ndarray, p: int) -> np.ndarray:
     return (f_batch[:p] - f_batch[p : 2 * p]) / 2.0
 
 
+def _shift_probs(spec: CircuitSpec, params) -> np.ndarray:
+    angles = _check_params(spec, params)
+    return probabilities(run_circuit_batch(spec, _shift_batch(angles)))
+
+
 def jacobian_outputs(spec: CircuitSpec, params) -> np.ndarray:
     """Parameter-shift Jacobian of the outputs: entry (k, j) = df_k/dphi_j."""
-    angles = _check_params(spec, params)
-    probs = probabilities(run_circuit_batch(spec, _shift_batch(angles)))
+    probs = _shift_probs(spec, params)
     return _shift_jacobian(probs @ z_signs(spec.n_qubits).T, spec.param_count).T
+
+
+def _value_and_gradient(config: LossConfig, probs: np.ndarray,
+                        disc: Discretization) -> tuple[float, np.ndarray]:
+    obs = observables(config, disc.n_points)
+    f_batch = probs @ obs.T
+    jac = _shift_jacobian(f_batch, len(probs) // 2)
+    value = loss_from_outputs(config, obs @ probs[-1], disc)
+    return value, jac @ d_loss_d_outputs(config, f_batch[-1], disc)
 
 
 def loss_and_gradient(
@@ -81,13 +93,8 @@ def loss_and_gradient(
     own, as ``total_loss`` does, so the two agree bit for bit.
     """
     check_pairing(config, spec, disc)
-    angles = _check_params(spec, params)
-    obs = observables(config, spec.n_qubits)
-    probs = probabilities(run_circuit_batch(spec, _shift_batch(angles)))
-    f_batch = probs @ obs.T
-    jac = _shift_jacobian(f_batch, spec.param_count)
-    value = loss_from_outputs(config, obs @ probs[-1], disc)
-    return value, jac @ d_loss_d_outputs(config, f_batch[-1], disc)
+    probs = _shift_probs(spec, params)
+    return _value_and_gradient(config, probs, disc)
 
 
 def loss_gradient(
@@ -124,33 +131,27 @@ def draw_params(seed: int, n_qubits: int, layers: int, index: int) -> np.ndarray
 
 
 def gradient_variance(
-    config: LossConfig,
-    spec: CircuitSpec,
-    disc: Discretization,
-    n_samples: int,
-    seed: int,
-) -> VarianceReport:
-    """Sample gradients at random initializations and report their variance.
+    configs: Sequence[LossConfig], n_qubits: int, layers: int, n_samples: int, seed: int
+) -> list[VarianceReport]:
+    """Sample gradients at random initializations and report their variances.
 
-    Each of the ``n_samples`` draws gets its own counter-derived substream,
-    the per-parameter variances use the unbiased K-1 divisor, and the mean
-    is the plain arithmetic mean over parameters.
+    One report per config, in order. Each of the ``n_samples`` draws is shared
+    by every config and runs one forward batch per topology. Variances use the
+    unbiased K-1 divisor; the mean is their plain mean over parameters.
     """
     if n_samples < MIN_VARIANCE_SAMPLES:
-        raise ValueError(f"need at least {MIN_VARIANCE_SAMPLES} samples, "
-                         f"got {n_samples}")
-    grads = np.stack(
-        [
-            loss_gradient(
-                config, spec, draw_params(seed, spec.n_qubits, spec.layers, k), disc
-            )
-            for k in range(n_samples)
-        ]
-    )
-    per_param = grads.var(axis=0, ddof=1)
-    return VarianceReport(
-        per_param_variance=per_param,
-        mean_variance=float(np.mean(per_param)),
-        n_samples=n_samples,
-        seed=seed,
-    )
+        raise ValueError(f"need at least {MIN_VARIANCE_SAMPLES} samples, got {n_samples}")
+    specs = [CircuitSpec(n_qubits, layers, c.required_topology()) for c in configs]
+    disc = Discretization(n_qubits)
+    grads: list[list[np.ndarray]] = [[] for _ in configs]
+    draws = [draw_params(seed, n_qubits, layers, k) for k in range(n_samples)]
+    # Topology-major, one live batch: interleaving or holding them raised peak RSS.
+    for spec in dict.fromkeys(specs):
+        for angles in draws:
+            probs = _shift_probs(spec, angles)
+            for config, config_spec, config_grads in zip(configs, specs, grads):
+                if config_spec == spec:
+                    config_grads.append(_value_and_gradient(config, probs, disc)[1])
+            del probs
+    per_params = [np.stack(g).var(axis=0, ddof=1) for g in grads]
+    return [VarianceReport(v, float(np.mean(v))) for v in per_params]

@@ -70,9 +70,10 @@ def _apply_ry_inplace(
     a0 = view[:, :, 0, :]
     a1 = view[:, :, 1, :]
     new0 = cos_half * a0 - sin_half * a1
-    new1 = sin_half * a0 + cos_half * a1
+    # The bit-1 half is updated in place: one full-size temporary fewer.
+    a1 *= cos_half
+    a1 += sin_half * a0
     view[:, :, 0, :] = new0
-    view[:, :, 1, :] = new1
 
 
 def _apply_rz_inplace(amps: np.ndarray, n_qubits: int, qubit: int, phase) -> None:

@@ -315,16 +315,22 @@ class TestNonFiniteResult:
         ["sweep-pde", "--qubits", "4", "--layers", "1", "--samples", "2"],
         ["converge"],
     ])
-    def test_exits_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):
+    def test_exits_1_with_one_line_and_no_file(self, argv, tmp_path, capsys, recwarn):
         out = tmp_path / "out.csv"
-        with np.errstate(all="ignore"):
-            code = main([*argv, "--physics-weight", "1e308", "--out", str(out)])
+        code = main([*argv, "--physics-weight", "1e308", "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
         [line] = captured.err.splitlines()
         assert line.startswith("plateaulab: error:")
         assert "wrote" not in captured.out
         assert list(tmp_path.iterdir()) == []
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_converge_names_the_non_finite_gradient(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["converge", "--physics-weight", "1e308", "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert "non-finite gradient of pde_constrained at epoch 0" in line
 
     def test_make_table_rejects_non_finite_floats(self):
         for bad in (float("nan"), float("inf"), np.float64("-inf")):

@@ -164,22 +164,20 @@ class TestGradientVariance:
         fixed = draw_params(0, 4, 1, 0)
         monkeypatch.setattr(gradients, "draw_params", lambda *args: fixed.copy())
         cfg = LossConfig(LossKind.GLOBAL_COST)
-        report = gradient_variance(cfg, CircuitSpec(4, 1, ATA), Discretization(4), 5, 0)
+        report = gradient_variance([cfg], 4, 1, 5, 0)[0]
         np.testing.assert_allclose(report.per_param_variance, 0.0, atol=1e-30)
         assert report.mean_variance == 0.0
 
     def test_reference_scale_global_cost(self):
         """Mean variance near 3.17e-2 for the global cost at n=4, L=3."""
         cfg = LossConfig(LossKind.GLOBAL_COST)
-        report = gradient_variance(cfg, CircuitSpec(4, 3, ATA), Discretization(4), 25, 7)
+        report = gradient_variance([cfg], 4, 3, 25, 7)[0]
         assert 0.5 * 3.17e-2 <= report.mean_variance <= 1.5 * 3.17e-2
 
     def test_estimate_self_consistent_as_samples_grow(self):
         cfg = LossConfig(LossKind.GLOBAL_COST)
-        spec = CircuitSpec(4, 3, ATA)
-        disc = Discretization(4)
-        small = gradient_variance(cfg, spec, disc, 25, 7)
-        big = gradient_variance(cfg, spec, disc, 400, 7)
+        small = gradient_variance([cfg], 4, 3, 25, 7)[0]
+        big = gradient_variance([cfg], 4, 3, 400, 7)[0]
         stderr = np.std(small.per_param_variance, ddof=1) / np.sqrt(
             small.per_param_variance.size
         )
@@ -187,7 +185,7 @@ class TestGradientVariance:
 
     def test_mean_is_exact_mean_of_per_param(self):
         cfg = LossConfig(LossKind.LOCAL_COST)
-        report = gradient_variance(cfg, CircuitSpec(4, 2, ATA), Discretization(4), 10, 3)
+        report = gradient_variance([cfg], 4, 2, 10, 3)[0]
         assert report.mean_variance == pytest.approx(
             float(np.mean(report.per_param_variance)), abs=1e-12
         )
@@ -195,16 +193,43 @@ class TestGradientVariance:
 
     def test_deterministic_reports(self):
         cfg = LossConfig(LossKind.PDE_CONSTRAINED)
-        spec = CircuitSpec(4, 2, ATA)
-        a = gradient_variance(cfg, spec, Discretization(4), 6, 11)
-        b = gradient_variance(cfg, spec, Discretization(4), 6, 11)
+        a = gradient_variance([cfg], 4, 2, 6, 11)[0]
+        b = gradient_variance([cfg], 4, 2, 6, 11)[0]
         np.testing.assert_array_equal(a.per_param_variance, b.per_param_variance)
         assert a.mean_variance == b.mean_variance
 
     def test_too_few_samples_rejected(self):
         cfg = LossConfig(LossKind.GLOBAL_COST)
         with pytest.raises(ValueError):
-            gradient_variance(cfg, CircuitSpec(4, 1, ATA), Discretization(4), 1, 0)
+            gradient_variance([cfg], 4, 1, 1, 0)
+
+    def test_one_forward_batch_per_draw_and_topology(self, monkeypatch):
+        original = gradients.run_circuit_batch
+        batches = []
+
+        def counting(spec, angles_batch):
+            batches.append(spec.topology)
+            return original(spec, angles_batch)
+
+        monkeypatch.setattr(gradients, "run_circuit_batch", counting)
+        gradient_variance(all_configs(), 4, 2, 3, 0)
+        # Three configs share the all-to-all circuit, one uses the chain.
+        assert len(batches) == 2 * 3
+        assert set(batches) == {ATA, Topology.NEAREST_NEIGHBOR}
+
+    def test_reports_equal_per_config_gradient_stacks(self):
+        configs = all_configs()
+        reports = gradient_variance(configs, 4, 2, 3, 0)
+        assert len(reports) == len(configs)
+        for config, report in zip(configs, reports):
+            grads = np.stack([
+                loss_gradient(config, spec_for(config, 4, 2), draw_params(0, 4, 2, k),
+                              Discretization(4))
+                for k in range(3)
+            ])
+            expected = grads.var(axis=0, ddof=1)
+            np.testing.assert_array_equal(report.per_param_variance, expected)
+            assert report.mean_variance == float(np.mean(expected))
 
 
 class TestOneForwardPass:

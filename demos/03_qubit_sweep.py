@@ -16,7 +16,7 @@ NS = (4, 6, 8)
 result = sweep_qubits(ns=NS, layers=3, n_samples=25, seed=7)
 
 by_config = {}
-for row in result.rows:
+for row in result:
     by_config.setdefault(row.config_name, {})[row.n] = row.mean_variance
 
 print("mean gradient variance (x 1e-2), L = 3, K = 25")

@@ -9,7 +9,7 @@ DEPTHS = (1, 2, 3, 4, 5)
 result = sweep_depth(depths=DEPTHS, n=6, n_samples=25, seed=7)
 
 by_config = {}
-for row in result.rows:
+for row in result:
     by_config.setdefault(row.config_name, {})[row.layers] = row.mean_variance
 
 print("mean gradient variance (x 1e-2), n = 6, K = 25")

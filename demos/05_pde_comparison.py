@@ -15,7 +15,7 @@ from plateaulab import Burgers, Discretization, Heat, SaintVenant, pde_residual,
 result = sweep_pde(n=6, layers=3, n_samples=25, seed=7)
 
 print("mean gradient variance (x 1e-3), n = 6, L = 3, K = 25")
-for row in result.rows:
+for row in result:
     print(f"  {row.pde_name:<14} {1000 * row.mean_variance:.3f}")
 
 # What the residuals themselves look like on a sample profile:

@@ -17,7 +17,7 @@ for topology in ("nearest_neighbor", "all_to_all"):
     for layers in (1, 3, 5):
         ratios = [
             row.ratio_to_max
-            for row in result.rows
+            for row in result
             if row.topology == topology and row.layers == layers
         ]
         cells = "  ".join(f"{r:.3f}" for r in ratios)

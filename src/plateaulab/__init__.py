@@ -53,10 +53,8 @@ from .gradients import (
     loss_gradient,
 )
 from .experiments import (
-    EntropyResult,
     ScalingFit,
     ScalingModel,
-    SweepResult,
     TrainTrace,
     entanglement_sweep,
     fit_scaling,

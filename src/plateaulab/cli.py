@@ -247,13 +247,6 @@ def make_table(experiment: str, columns: list[str], rows, config: dict) -> Table
     return Table(experiment, columns, records, config)
 
 
-def _sweep_table(result: xp.SweepResult, config: dict) -> Table:
-    rows = [(result.experiment, r.n, r.layers, r.config_name, r.pde_name,
-             r.mean_variance, r.stderr_of_mean, r.n_samples, r.seed)
-            for r in result.rows]
-    return make_table(result.experiment, VARIANCE_COLUMNS, rows, config)
-
-
 def _csv_text(table: Table) -> str:
     lines = [",".join(table.columns)]
     for record in table.records:
@@ -309,47 +302,57 @@ def _attach_qubit_sweep_companions(table: Table) -> None:
 
 
 def run_experiment(run: RunConfig) -> Table:
-    """Execute one experiment and build its output table."""
-    config = run.as_dict()
+    """Execute one experiment and build its table; label, K and seed come from the run."""
+    label = _label(run.experiment)
     n, layers = run.qubit_list[0], run.layer_list[0]
-    if run.experiment == "sweep-qubits":
-        result = xp.sweep_qubits(run.qubit_list, layers,
-                                 run.n_samples, run.seed, run.physics_weight)
-        table = _sweep_table(result, config)
-        _attach_qubit_sweep_companions(table)
-        return table
-    if run.experiment == "sweep-depth":
-        return _sweep_table(xp.sweep_depth(run.layer_list, n, run.n_samples, run.seed,
-                                           run.physics_weight), config)
-    if run.experiment == "sweep-pde":
-        return _sweep_table(xp.sweep_pde(xp.DEFAULT_PDES, n, layers, run.n_samples,
-                                         run.seed, run.physics_weight), config)
     if run.experiment == "entanglement":
-        result = xp.entanglement_sweep(run.qubit_list, run.layer_list,
-                                       run.n_samples, run.seed)
-        rows = [(result.experiment, r.n, r.layers, r.topology, r.mean_entropy_bits,
-                 r.ratio_to_max, r.n_samples, r.seed) for r in result.rows]
-        return make_table(result.experiment, ENTROPY_COLUMNS, rows, config)
+        sweep = xp.entanglement_sweep(run.qubit_list, run.layer_list,
+                                      run.n_samples, run.seed)
+        rows = [(label, r.n, r.layers, r.topology, r.mean_entropy_bits,
+                 r.ratio_to_max, run.n_samples, run.seed) for r in sweep]
+        return make_table(label, ENTROPY_COLUMNS, rows, run.as_dict())
     if run.experiment == "converge":
         traces = [
             xp.train(cfg, n, layers, run.epochs, run.learning_rate, run.seed)
             for cfg in all_configs(run.physics_weight)
         ]
-        rows = [("converge", n, layers, t.config_name, e.epoch_index, e.loss_value,
-                 e.gradient_norm, t.seed) for t in traces for e in t.epochs]
-        return make_table("converge", TRACE_COLUMNS, rows, config)
+        rows = [(label, n, layers, t.config_name, e.epoch_index, e.loss_value,
+                 e.gradient_norm, run.seed) for t in traces for e in t.epochs]
+        return make_table(label, TRACE_COLUMNS, rows, run.as_dict())
     if run.experiment == "per-param":
-        result = xp.per_param_distribution(n, layers, run.n_samples, run.seed,
-                                           run.physics_weight)
-        rows = [(result.experiment, r.n, r.layers, r.config_name, r.pde_name, j,
-                 float(v), r.n_samples, r.seed)
-                for r in result.rows for j, v in enumerate(r.per_param_variance)]
-        return make_table(result.experiment, PER_PARAM_COLUMNS, rows, config)
-    raise ValueError(f"unknown experiment: {run.experiment}")
+        sweep = xp.per_param_distribution(n, layers, run.n_samples, run.seed,
+                                          run.physics_weight)
+        rows = [(label, r.n, r.layers, r.config_name, r.pde_name, j,
+                 float(v), run.n_samples, run.seed)
+                for r in sweep for j, v in enumerate(r.per_param_variance)]
+        return make_table(label, PER_PARAM_COLUMNS, rows, run.as_dict())
+    if run.experiment == "sweep-qubits":
+        sweep = xp.sweep_qubits(run.qubit_list, layers,
+                                run.n_samples, run.seed, run.physics_weight)
+    elif run.experiment == "sweep-depth":
+        sweep = xp.sweep_depth(run.layer_list, n, run.n_samples, run.seed,
+                               run.physics_weight)
+    elif run.experiment == "sweep-pde":
+        sweep = xp.sweep_pde(xp.DEFAULT_PDES, n, layers, run.n_samples,
+                             run.seed, run.physics_weight)
+    else:
+        raise ValueError(f"unknown experiment: {run.experiment}")
+    rows = [(label, r.n, r.layers, r.config_name, r.pde_name,
+             r.mean_variance, r.stderr_of_mean, run.n_samples, run.seed)
+            for r in sweep]
+    table = make_table(label, VARIANCE_COLUMNS, rows, run.as_dict())
+    if run.experiment == "sweep-qubits":
+        _attach_qubit_sweep_companions(table)
+    return table
+
+
+def _label(experiment: str) -> str:
+    """Table label and default file stem of a subcommand: sweep-qubits -> sweep_qubits."""
+    return experiment.replace("-", "_")
 
 
 def _default_out(experiment: str, fmt: str) -> str:
-    return f"{experiment.replace('-', '_')}.{fmt}"
+    return f"{_label(experiment)}.{fmt}"
 
 
 def _single_run(run: RunConfig) -> list[Path]:

@@ -4,12 +4,16 @@ entanglement entropy, training convergence, and scaling-exponent fits.
 Every sweep is a deterministic function of its seed. Sample i of cell (n, L)
 always uses the draw from (seed, n, L, i) regardless of configuration, so
 rows of the same cell are paired and directly comparable.
+
+A sweep returns a list of rows and a training run a trace; both hold only
+computed values. The sample count K and the seed are the caller's arguments,
+so a row does not repeat them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,20 +61,12 @@ class SweepRow:
     pde_name: Optional[str]
     mean_variance: float
     per_param_variance: np.ndarray
-    n_samples: int
-    seed: int
 
     @property
     def stderr_of_mean(self) -> float:
         """Standard error of the mean over parameters: std(var_j)/sqrt(p)."""
         v = self.per_param_variance
         return float(np.std(v, ddof=1) / np.sqrt(v.size))
-
-
-@dataclass
-class SweepResult:
-    experiment: str
-    rows: list[SweepRow] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -80,14 +76,6 @@ class EntropyRow:
     topology: str
     mean_entropy_bits: float
     ratio_to_max: float
-    n_samples: int
-    seed: int
-
-
-@dataclass
-class EntropyResult:
-    experiment: str
-    rows: list[EntropyRow] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -100,7 +88,6 @@ class TrainEpoch:
 @dataclass
 class TrainTrace:
     config_name: str
-    seed: int
     epochs: list[TrainEpoch]
 
     @property
@@ -125,19 +112,18 @@ class ScalingFit:
 
 
 def _variance_sweep(
-    experiment: str, cells: Sequence[tuple[int, int]], configs: Sequence[LossConfig],
+    cells: Sequence[tuple[int, int]], configs: Sequence[LossConfig],
     n_samples: int, seed: int,
-) -> SweepResult:
+) -> list[SweepRow]:
     """One row per config per (n, layers) cell, cell-major, then config order."""
-    result = SweepResult(experiment)
+    rows = []
     for n, layers in cells:
         n, layers = int(n), int(layers)
         reports = gradient_variance(configs, n, layers, n_samples, seed)
         for config, report in zip(configs, reports):
-            result.rows.append(SweepRow(n, layers, config.name, config.pde_name,
-                                        report.mean_variance, report.per_param_variance,
-                                        n_samples, seed))
-    return result
+            rows.append(SweepRow(n, layers, config.name, config.pde_name,
+                                 report.mean_variance, report.per_param_variance))
+    return rows
 
 
 def sweep_qubits(
@@ -146,9 +132,9 @@ def sweep_qubits(
     n_samples: int = DEFAULT_VARIANCE_SAMPLES,
     seed: int = DEFAULT_SEED,
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
-) -> SweepResult:
+) -> list[SweepRow]:
     """Gradient variance of all four configurations across qubit counts."""
-    return _variance_sweep("sweep_qubits", [(n, layers) for n in ns],
+    return _variance_sweep([(n, layers) for n in ns],
                            all_configs(physics_weight), n_samples, seed)
 
 
@@ -158,9 +144,9 @@ def sweep_depth(
     n_samples: int = DEFAULT_VARIANCE_SAMPLES,
     seed: int = DEFAULT_SEED,
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
-) -> SweepResult:
+) -> list[SweepRow]:
     """Gradient variance of all four configurations across circuit depths."""
-    return _variance_sweep("sweep_depth", [(n, layers) for layers in depths],
+    return _variance_sweep([(n, layers) for layers in depths],
                            all_configs(physics_weight), n_samples, seed)
 
 
@@ -171,11 +157,11 @@ def sweep_pde(
     n_samples: int = DEFAULT_VARIANCE_SAMPLES,
     seed: int = DEFAULT_SEED,
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
-) -> SweepResult:
+) -> list[SweepRow]:
     """Gradient variance of the residual-based loss across PDE kinds."""
     configs = [LossConfig(LossKind.PDE_CONSTRAINED, pde=pde,
                           physics_weight=physics_weight) for pde in pdes]
-    return _variance_sweep("sweep_pde", [(n, layers)], configs, n_samples, seed)
+    return _variance_sweep([(n, layers)], configs, n_samples, seed)
 
 
 def per_param_distribution(
@@ -184,10 +170,9 @@ def per_param_distribution(
     n_samples: int = DEFAULT_VARIANCE_SAMPLES,
     seed: int = DEFAULT_SEED,
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
-) -> SweepResult:
+) -> list[SweepRow]:
     """Full per-parameter variance vectors of all four configurations."""
-    return _variance_sweep("per_param", [(n, layers)], all_configs(physics_weight),
-                           n_samples, seed)
+    return _variance_sweep([(n, layers)], all_configs(physics_weight), n_samples, seed)
 
 
 def entanglement_sweep(
@@ -195,7 +180,7 @@ def entanglement_sweep(
     depths: Sequence[int] = ENTANGLEMENT_DEPTHS,
     n_samples: int = DEFAULT_ENTROPY_SAMPLES,
     seed: int = DEFAULT_SEED,
-) -> EntropyResult:
+) -> list[EntropyRow]:
     """Mean half-cut entanglement entropy over random initializations.
 
     The cut keeps the first floor(n/2) qubits; the ratio divides by the
@@ -203,7 +188,7 @@ def entanglement_sweep(
     """
     if n_samples < 1:
         raise ValueError("need at least 1 sample")
-    result = EntropyResult("entanglement")
+    rows = []
     for n in ns:
         n = int(n)
         half = n // 2
@@ -218,18 +203,16 @@ def entanglement_sweep(
                     rho = reduced_density_matrix(state, range(half))
                     entropies.append(von_neumann_entropy(rho))
                 mean_bits = float(np.mean(entropies))
-                result.rows.append(
+                rows.append(
                     EntropyRow(
                         n=n,
                         layers=layers,
                         topology=topology.value,
                         mean_entropy_bits=mean_bits,
                         ratio_to_max=mean_bits / (n / 2.0),
-                        n_samples=n_samples,
-                        seed=seed,
                     )
                 )
-    return result
+    return rows
 
 
 def train(
@@ -252,10 +235,13 @@ def train(
     spec = CircuitSpec(n, layers, config.required_topology())
     disc = Discretization(n)
     params = draw_params(seed, n, layers, 0)
-    trace = TrainTrace(config_name=config.name, seed=seed, epochs=[])
+    trace = TrainTrace(config_name=config.name, epochs=[])
     for epoch in range(epochs + 1):
         if epoch:
             params = params - learning_rate * grad
+            if not np.all(np.isfinite(params)):
+                raise ArithmeticError(f"non-finite step of {config.name} "
+                                      f"at epoch {epoch}")
         value, grad = loss_and_gradient(config, spec, params, disc)
         if not np.all(np.isfinite(grad)):
             raise ArithmeticError(f"non-finite gradient of {config.name} "

@@ -35,7 +35,7 @@ from .statevector import expect_z, expect_z_string  # noqa: F401
 class Heat:
     """Linear diffusion: residual kappa * d2f/dx2."""
 
-    kappa: float = 0.01
+    kappa = 0.01
 
     name = "heat"
 
@@ -50,7 +50,7 @@ class Heat:
 class Burgers:
     """Nonlinear advection-diffusion: residual f*df/dx - nu * d2f/dx2."""
 
-    nu: float = 0.01
+    nu = 0.01
 
     name = "burgers"
 
@@ -73,15 +73,11 @@ class SaintVenant:
     the spatial divergence of the discharge Q = A^(5/3) * sqrt(S_f) / n_M.
     """
 
-    manning_n: float = 0.035
-    friction_slope: float = 0.001
-    epsilon_floor: float = 0.05
+    manning_n = 0.035
+    friction_slope = 0.001
+    epsilon_floor = 0.05
 
     name = "saint_venant"
-
-    def __post_init__(self) -> None:
-        if self.epsilon_floor <= 0:
-            raise ValueError("epsilon_floor must be positive")
 
     def _area_and_coeff(self, f) -> tuple[np.ndarray, float]:
         area = (f + 1.0) / 2.0 + self.epsilon_floor
@@ -310,12 +306,9 @@ def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
     arr = _check_profile(f, disc)
     n = arr.size
     grad = (2.0 / n) * (arr - config.target(n))
-    lam = config.physics_weight
-    if lam == 0.0:
-        return grad
     physics = config.physics
     res = pde_residual(arr, physics, disc)
-    return grad + lam * physics.d_loss_d_f(arr, res, disc)
+    return grad + config.physics_weight * physics.d_loss_d_f(arr, res, disc)
 
 
 def total_loss(config: LossConfig, spec: CircuitSpec, params, disc: Discretization) -> float:

@@ -72,7 +72,7 @@ def criterion(number, title):
 def mean_variances(result):
     return {
         (row.n, row.layers, row.config_name, row.pde_name): row.mean_variance
-        for row in result.rows
+        for row in result
     }
 
 
@@ -269,7 +269,7 @@ def test_criterion_10_pde_ordering():
         violations = []
         for seed in (7, 19, 31):
             result = sweep_pde(n=6, layers=3, n_samples=TREND_SAMPLES, seed=seed)
-            values = {row.pde_name: row.mean_variance for row in result.rows}
+            values = {row.pde_name: row.mean_variance for row in result}
             ordered = (
                 values["saint_venant"] >= values["burgers"] >= values["heat"]
             )
@@ -290,7 +290,7 @@ def test_criterion_11_entanglement_table():
             ns=(4, 6, 8), depths=(1, 3, 5), n_samples=20, seed=TREND_SEED
         )
         ratios = {
-            (row.n, row.layers, row.topology): row.ratio_to_max for row in result.rows
+            (row.n, row.layers, row.topology): row.ratio_to_max for row in result
         }
         assert all(0.0 < r < 1.0 for r in ratios.values())
         assert abs(ratios[(8, 3, "nearest_neighbor")] - 0.50) <= 0.1

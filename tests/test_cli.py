@@ -332,6 +332,14 @@ class TestNonFiniteResult:
         [line] = capsys.readouterr().err.splitlines()
         assert "non-finite gradient of pde_constrained at epoch 0" in line
 
+    def test_converge_names_the_non_finite_step(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = ["converge", "--lr", "1e308", "--physics-weight", "10", "--epochs", "3"]
+        assert main([*argv, "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert "non-finite step of pde_constrained at epoch 1" in line
+        assert not out.exists()
+
     def test_make_table_rejects_non_finite_floats(self):
         for bad in (float("nan"), float("inf"), np.float64("-inf")):
             with pytest.raises(ArithmeticError):

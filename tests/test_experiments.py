@@ -25,18 +25,18 @@ from plateaulab.experiments import (
 class TestVarianceSweeps:
     def test_qubit_sweep_covers_grid(self):
         result = sweep_qubits(ns=(4, 6, 8), layers=3, n_samples=3, seed=0)
-        assert len(result.rows) == 12
-        cells = {(r.n, r.config_name) for r in result.rows}
+        assert len(result) == 12
+        cells = {(r.n, r.config_name) for r in result}
         assert len(cells) == 12
-        for row in result.rows:
+        for row in result:
             assert row.layers == 3
             assert row.per_param_variance.shape == (2 * row.n * 3,)
             assert row.mean_variance >= 0
 
     def test_depth_sweep_covers_grid(self):
         result = sweep_depth(depths=(1, 2, 3, 4, 5), n=4, n_samples=3, seed=0)
-        assert len(result.rows) == 20
-        assert {(r.layers, r.config_name) for r in result.rows} == {
+        assert len(result) == 20
+        assert {(r.layers, r.config_name) for r in result} == {
             (L, c)
             for L in (1, 2, 3, 4, 5)
             for c in ("global_cost", "local_cost", "pde_constrained", "pde_structured")
@@ -44,20 +44,20 @@ class TestVarianceSweeps:
 
     def test_pde_sweep_rows(self):
         result = sweep_pde(n=4, layers=2, n_samples=3, seed=0)
-        names = [r.pde_name for r in result.rows]
+        names = [r.pde_name for r in result]
         assert names == ["heat", "burgers", "saint_venant"]
-        assert all(r.config_name == "pde_constrained" for r in result.rows)
+        assert all(r.config_name == "pde_constrained" for r in result)
 
     def test_sweeps_deterministic(self):
         a = sweep_qubits(ns=(4,), layers=2, n_samples=4, seed=5)
         b = sweep_qubits(ns=(4,), layers=2, n_samples=4, seed=5)
-        for ra, rb in zip(a.rows, b.rows):
+        for ra, rb in zip(a, b):
             assert ra.mean_variance == rb.mean_variance
             np.testing.assert_array_equal(ra.per_param_variance, rb.per_param_variance)
 
     def test_stderr_column_definition(self):
         result = sweep_qubits(ns=(4,), layers=1, n_samples=4, seed=1)
-        row = result.rows[0]
+        row = result[0]
         want = np.std(row.per_param_variance, ddof=1) / np.sqrt(
             row.per_param_variance.size
         )
@@ -67,8 +67,8 @@ class TestVarianceSweeps:
 class TestEntanglementSweep:
     def test_grid_and_bounds(self):
         result = entanglement_sweep(ns=(4, 6), depths=(1, 3), n_samples=4, seed=0)
-        assert len(result.rows) == 8
-        for row in result.rows:
+        assert len(result) == 8
+        for row in result:
             assert 0.0 <= row.ratio_to_max <= 1.0 + 1e-9
             assert row.mean_entropy_bits == pytest.approx(
                 row.ratio_to_max * row.n / 2, rel=1e-12
@@ -77,7 +77,7 @@ class TestEntanglementSweep:
     def test_deterministic(self):
         a = entanglement_sweep(ns=(4,), depths=(1,), n_samples=3, seed=2)
         b = entanglement_sweep(ns=(4,), depths=(1,), n_samples=3, seed=2)
-        assert a.rows[0].mean_entropy_bits == b.rows[0].mean_entropy_bits
+        assert a[0].mean_entropy_bits == b[0].mean_entropy_bits
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -167,8 +167,8 @@ class TestScalingFit:
 class TestPerParamDistribution:
     def test_vectors_complete_and_nonnegative(self):
         result = per_param_distribution(n=8, layers=3, n_samples=3, seed=0)
-        assert len(result.rows) == 4
-        for row in result.rows:
+        assert len(result) == 4
+        for row in result:
             assert row.per_param_variance.shape == (48,)
             assert np.all(row.per_param_variance >= 0)
 
@@ -177,7 +177,7 @@ class TestPerParamDistribution:
         # supported on few qubits, so most parameters cannot move it; the
         # physics-informed loss touches every output and leaves none dead.
         result = per_param_distribution(n=8, layers=3, n_samples=10, seed=0)
-        by_name = {r.config_name: r.per_param_variance for r in result.rows}
+        by_name = {r.config_name: r.per_param_variance for r in result}
         dead_global = np.sum(by_name["global_cost"] < 1e-20)
         dead_pde = np.sum(by_name["pde_constrained"] < 1e-20)
         assert dead_global > 24

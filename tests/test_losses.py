@@ -160,10 +160,6 @@ class TestPdeResiduals:
         with pytest.raises(ArithmeticError):
             pde_residual(np.full(4, -3.0), SaintVenant(), disc)
 
-    def test_nonpositive_floor_rejected(self):
-        with pytest.raises(ValueError):
-            SaintVenant(epsilon_floor=0.0)
-
     @pytest.mark.parametrize("pde", ALL_PDES, ids=lambda p: p.name)
     def test_residual_locality(self, pde):
         """Perturbing f_m only moves residuals in {m-1, m, m+1} mod n."""
@@ -307,6 +303,15 @@ class TestOutputLossGradient:
                 - loss_from_outputs(config, down, disc)
             ) / (2 * h)
             assert abs(got[m] - numeric) < 1e-7
+
+    def test_zero_weight_still_checks_the_residual(self):
+        """Value and gradient both reject a profile whose residual is undefined."""
+        config = LossConfig(LossKind.PDE_CONSTRAINED, pde=SaintVenant(), physics_weight=0.0)
+        f, disc = np.full(4, -3.0), Discretization(4)
+        with pytest.raises(ArithmeticError):
+            loss_from_outputs(config, f, disc)
+        with pytest.raises(ArithmeticError):
+            d_loss_d_outputs(config, f, disc)
 
 
 def test_default_target_is_unit_sine():

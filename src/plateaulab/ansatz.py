@@ -87,6 +87,13 @@ def _check_params(spec: CircuitSpec, params) -> np.ndarray:
     return angles
 
 
+def _gate_coefficients(angles_batch: np.ndarray) -> tuple[np.ndarray, ...]:
+    # cos(a/2), sin(a/2) and exp(-i a/2) of every angle, shaped (p, B, 1, 1)
+    # so entry j broadcasts over the (B, hi, lo) kernel views.
+    half = angles_batch.T[:, :, None, None] / 2.0
+    return np.cos(half), np.sin(half), np.exp(-1j * half)
+
+
 def run_circuit(spec: CircuitSpec, params) -> StateVector:
     """Apply the full layered circuit to the all-zeros state."""
     angles = _check_params(spec, params)
@@ -110,10 +117,7 @@ def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray
     n = spec.n_qubits
     amps = np.zeros((angles_batch.shape[0], 2**n), dtype=np.complex128)
     amps[:, 0] = 1.0
-    # Gate coefficients of every angle, shaped (p, B, 1, 1) so entry j
-    # broadcasts over the (B, hi, lo) kernel views.
-    half = angles_batch.T[:, :, None, None] / 2.0
-    cos_half, sin_half, phase = np.cos(half), np.sin(half), np.exp(-1j * half)
+    cos_half, sin_half, phase = _gate_coefficients(angles_batch)
     for kind, a, b in circuit_gates(spec):
         if kind == "ry":
             sv._apply_ry_inplace(amps, n, a, cos_half[b], sin_half[b])

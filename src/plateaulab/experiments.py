@@ -183,8 +183,9 @@ def entanglement_sweep(
 ) -> list[EntropyRow]:
     """Mean half-cut entanglement entropy over random initializations.
 
-    The cut keeps the first floor(n/2) qubits; the ratio divides by the
-    n/2-bit maximum. Both topologies of a cell reuse the same angle draws.
+    The cut keeps the first floor(n/2) qubits; the ratio divides by their
+    floor(n/2)-bit maximum. Both topologies of a cell reuse the same angle
+    draws.
     """
     if n_samples < 1:
         raise ValueError("need at least 1 sample")
@@ -209,7 +210,7 @@ def entanglement_sweep(
                         layers=layers,
                         topology=topology.value,
                         mean_entropy_bits=mean_bits,
-                        ratio_to_max=mean_bits / (n / 2.0),
+                        ratio_to_max=mean_bits / half,
                     )
                 )
     return rows

@@ -1,18 +1,30 @@
 """Exact gradients and the gradient-variance estimation protocol.
 
-Expectation values of this gate set are trigonometric in each angle, so the
-pi/2 parameter-shift rule gives exact derivatives. Every loss is a function
-of the outputs f, the expectations of its ``observables``, so its gradient is
-J^T * dL/df with J the parameter-shift Jacobian of the outputs and dL/df
-analytic; shifting a nonlinear composite loss directly would be wrong. One
-forward batch (the 2p shifted rows plus the unshifted one) depends only on
-the circuit and the angles; each loss value and gradient contracts it.
+Every loss is a function of the outputs f, the expectations of its
+``observables``, so its gradient is J^T * dL/df with dL/df analytic. Two
+exact engines compute it.
+
+Single points (``loss_and_gradient``, ``jacobian_outputs``, training) use
+the pi/2 parameter-shift rule: expectations of this gate set are
+trigonometric in each angle, so one forward batch of the 2p shifted rows
+plus the unshifted one gives the Jacobian J; shifting a nonlinear composite
+loss directly would be wrong. Parameter shift is also the oracle the
+adjoint engine is tested against.
+
+Variance cells (``gradient_variance``) use the adjoint method. At a fixed
+point the gradient of L equals that of <O> with the diagonal observable
+O = sum_k dL/df_k Z_k, so one forward sweep gives the states phi and
+lambda = O phi, and one backward sweep undoes every gate on both, reading
+dL/dtheta = Im<lambda|P|phi> at each rotation with generator P (Y_q or
+Z_q). Draws run as rows of one batch per topology, and every per-row
+contraction is row-wise, so a draw's gradient has the same bits whatever
+block it runs in.
 
 All randomness flows through ``draw_params``: sample i of a run is drawn from
 a generator seeded by (seed, n_qubits, layers, i), so draws are independent
 of evaluation order and shared across loss configurations of the same shape,
 making cross-configuration comparisons paired; configurations of one
-topology also share each draw's forward batch.
+topology also share each block's forward and backward sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +34,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ansatz import CircuitSpec, _check_params, run_circuit_batch
+from . import statevector as sv
+from .ansatz import (
+    CircuitSpec,
+    _check_params,
+    _gate_coefficients,
+    circuit_gates,
+    run_circuit_batch,
+)
 from .losses import (
     Discretization,
     LossConfig,
@@ -73,15 +92,6 @@ def jacobian_outputs(spec: CircuitSpec, params) -> np.ndarray:
     return _shift_jacobian(probs @ z_signs(spec.n_qubits).T, spec.param_count).T
 
 
-def _value_and_gradient(config: LossConfig, probs: np.ndarray,
-                        disc: Discretization) -> tuple[float, np.ndarray]:
-    obs = observables(config, disc.n_points)
-    f_batch = probs @ obs.T
-    jac = _shift_jacobian(f_batch, len(probs) // 2)
-    value = loss_from_outputs(config, obs @ probs[-1], disc)
-    return value, jac @ d_loss_d_outputs(config, f_batch[-1], disc)
-
-
 def loss_and_gradient(
     config: LossConfig, spec: CircuitSpec, params, disc: Discretization
 ) -> tuple[float, np.ndarray]:
@@ -94,7 +104,11 @@ def loss_and_gradient(
     """
     check_pairing(config, spec, disc)
     probs = _shift_probs(spec, params)
-    return _value_and_gradient(config, probs, disc)
+    obs = observables(config, disc.n_points)
+    f_batch = probs @ obs.T
+    jac = _shift_jacobian(f_batch, spec.param_count)
+    value = loss_from_outputs(config, obs @ probs[-1], disc)
+    return value, jac @ d_loss_d_outputs(config, f_batch[-1], disc)
 
 
 def loss_gradient(
@@ -130,28 +144,96 @@ def draw_params(seed: int, n_qubits: int, layers: int, index: int) -> np.ndarray
     return rng.uniform(0.0, 2.0 * np.pi, 2 * n_qubits * layers)
 
 
+# Signs that turn a float view of phi, reversed along one axis, into -i P phi
+# for the rotation generator P. Axes: (bit of the qubit, lo, re/im).
+# -iY maps (phi_0, phi_1) to (-phi_1, phi_0); reverse the bit axis.
+_MINUS_I_Y_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+# -iZ maps phi_0 to -i phi_0 and phi_1 to i phi_1, and -i(x + iy) = y - ix;
+# reverse the re/im axis.
+_MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
+
+
+def _adjoint_gradients(
+    configs: Sequence[LossConfig], spec: CircuitSpec, angles: np.ndarray,
+    disc: Discretization,
+) -> np.ndarray:
+    """Gradients of every config at every row of ``angles``, shape (C, B, p).
+
+    One forward batch gives the states phi. Each (config, draw) gets the row
+    lambda = (sum_k dL/df_k Z_k) phi, and one array of [phi; lambda] rows is
+    walked back through the gates: at each rotation dL/dtheta =
+    Im<lambda|P|phi> is read, then the gate is undone on every row.
+    """
+    for config in configs:
+        check_pairing(config, spec, disc)
+    n, n_configs, n_draws = spec.n_qubits, len(configs), len(angles)
+    rows = np.empty(((n_configs + 1) * n_draws, 2**n), dtype=np.complex128)
+    rows[:n_draws] = run_circuit_batch(spec, angles)
+    probs = probabilities(rows[:n_draws])
+    flat = rows.view(np.float64).reshape(n_configs + 1, n_draws, 2**n, 2)
+    # Row-wise einsum, not @: BLAS sums depend on the row count, and a
+    # draw's bits must not depend on its block.
+    for c, config in enumerate(configs):
+        obs = observables(config, n)
+        f = np.einsum("bi,mi->bm", probs, obs)
+        dl_df = np.stack([d_loss_d_outputs(config, f_row, disc) for f_row in f])
+        weights = np.einsum("bm,mi->bi", dl_df, obs)
+        np.multiply(flat[0], weights[:, :, None], out=flat[c + 1])
+    del probs
+    grads = np.empty((n_configs, n_draws, spec.param_count))
+    chi = np.empty((n_draws, 2 ** (n + 1)))
+    products = np.empty((n_configs, n_draws, 2 ** (n + 1)))
+    lam = flat[1:].reshape(products.shape)
+    cos_half, sin_half, phase = _gate_coefficients(np.tile(angles, (n_configs + 1, 1)))
+    for kind, a, b in reversed(list(circuit_gates(spec))):
+        if kind == "cnot":
+            sv._apply_cnot_inplace(rows, n, a, b)
+            continue
+        # dL/dtheta = Im<lam|P|phi> = Re<lam|chi> with chi = -i P phi. Every
+        # row sums over a contiguous buffer, so its bits do not depend on
+        # the number of configs or draws.
+        phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
+        if kind == "ry":
+            np.multiply(phi[:, :, ::-1], _MINUS_I_Y_SIGNS, out=chi.reshape(phi.shape))
+        else:
+            np.multiply(phi[..., ::-1], _MINUS_I_Z_SIGNS, out=chi.reshape(phi.shape))
+        np.multiply(lam, chi, out=products)
+        grads[:, :, b] = products.sum(axis=2)
+        if kind == "ry":
+            sv._apply_ry_inplace(rows, n, a, cos_half[b], -sin_half[b])
+        else:
+            sv._apply_rz_inplace(rows, n, a, np.conj(phase[b]))
+    return grads
+
+
 def gradient_variance(
     configs: Sequence[LossConfig], n_qubits: int, layers: int, n_samples: int, seed: int
 ) -> list[VarianceReport]:
     """Sample gradients at random initializations and report their variances.
 
     One report per config, in order. Each of the ``n_samples`` draws is shared
-    by every config and runs one forward batch per topology. Variances use the
-    unbiased K-1 divisor; the mean is their plain mean over parameters.
+    by every config; per topology the draws run in blocks, each one adjoint
+    forward and backward sweep for all of that topology's configs. Variances
+    use the unbiased K-1 divisor; the mean is their plain mean over
+    parameters.
     """
     if n_samples < MIN_VARIANCE_SAMPLES:
         raise ValueError(f"need at least {MIN_VARIANCE_SAMPLES} samples, got {n_samples}")
-    specs = [CircuitSpec(n_qubits, layers, c.required_topology()) for c in configs]
     disc = Discretization(n_qubits)
-    grads: list[list[np.ndarray]] = [[] for _ in configs]
-    draws = [draw_params(seed, n_qubits, layers, k) for k in range(n_samples)]
-    # Topology-major, one live batch: interleaving or holding them raised peak RSS.
-    for spec in dict.fromkeys(specs):
-        for angles in draws:
-            probs = _shift_probs(spec, angles)
-            for config, config_spec, config_grads in zip(configs, specs, grads):
-                if config_spec == spec:
-                    config_grads.append(_value_and_gradient(config, probs, disc)[1])
-            del probs
-    per_params = [np.stack(g).var(axis=0, ddof=1) for g in grads]
+    draws = np.stack([draw_params(seed, n_qubits, layers, k) for k in range(n_samples)])
+    grads: list = [None] * len(configs)
+    for topology in dict.fromkeys(c.required_topology() for c in configs):
+        spec = CircuitSpec(n_qubits, layers, topology)
+        members = [i for i, c in enumerate(configs) if c.required_topology() is topology]
+        # (C+1) live rows per draw: a block holds no more amplitudes than
+        # half of one 2p+1-row parameter-shift batch.
+        block = max(1, (2 * spec.param_count + 1) // (2 * (len(members) + 1)))
+        stacks = np.concatenate([
+            _adjoint_gradients([configs[i] for i in members], spec,
+                               draws[start:start + block], disc)
+            for start in range(0, n_samples, block)
+        ], axis=1)
+        for i, stack in zip(members, stacks):
+            grads[i] = stack
+    per_params = [g.var(axis=0, ddof=1) for g in grads]
     return [VarianceReport(v, float(np.mean(v))) for v in per_params]

@@ -74,6 +74,14 @@ class TestEntanglementSweep:
                 row.ratio_to_max * row.n / 2, rel=1e-12
             )
 
+    def test_odd_n_ratio_divides_by_the_kept_qubits(self):
+        # The half cut keeps floor(n/2) qubits, so that is the entropy's maximum.
+        result = entanglement_sweep(ns=(3, 5), depths=(1, 5), n_samples=4, seed=0)
+        assert len(result) == 8
+        for row in result:
+            assert row.ratio_to_max == row.mean_entropy_bits / (row.n // 2)
+            assert 0.0 <= row.ratio_to_max <= 1.0 + 1e-9
+
     def test_deterministic(self):
         a = entanglement_sweep(ns=(4,), depths=(1,), n_samples=3, seed=2)
         b = entanglement_sweep(ns=(4,), depths=(1,), n_samples=3, seed=2)

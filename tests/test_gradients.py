@@ -1,4 +1,4 @@
-"""Parameter-shift, chain-rule and variance-protocol checks."""
+"""Parameter-shift, adjoint, chain-rule and variance-protocol checks."""
 
 import numpy as np
 import pytest
@@ -26,6 +26,11 @@ from plateaulab.losses import (
 )
 
 ATA = Topology.ALL_TO_ALL
+
+# The four standard configs plus the residual loss of every PDE kind.
+ORACLE_CONFIGS = all_configs() + [
+    LossConfig(LossKind.PDE_CONSTRAINED, pde=pde) for pde in (Heat(), Burgers(), SaintVenant())
+]
 
 
 def spec_for(config, n, layers):
@@ -203,7 +208,7 @@ class TestGradientVariance:
         with pytest.raises(ValueError):
             gradient_variance([cfg], 4, 1, 1, 0)
 
-    def test_one_forward_batch_per_draw_and_topology(self, monkeypatch):
+    def test_one_forward_batch_per_topology_and_block(self, monkeypatch):
         original = gradients.run_circuit_batch
         batches = []
 
@@ -213,23 +218,90 @@ class TestGradientVariance:
 
         monkeypatch.setattr(gradients, "run_circuit_batch", counting)
         gradient_variance(all_configs(), 4, 2, 3, 0)
-        # Three configs share the all-to-all circuit, one uses the chain.
-        assert len(batches) == 2 * 3
+        # Three configs share the all-to-all circuit, one uses the chain, and
+        # each topology's three draws fit in one block.
+        assert len(batches) == 2
         assert set(batches) == {ATA, Topology.NEAREST_NEIGHBOR}
 
     def test_reports_equal_per_config_gradient_stacks(self):
         configs = all_configs()
         reports = gradient_variance(configs, 4, 2, 3, 0)
         assert len(reports) == len(configs)
+        draws = np.stack([draw_params(0, 4, 2, k) for k in range(3)])
         for config, report in zip(configs, reports):
-            grads = np.stack([
-                loss_gradient(config, spec_for(config, 4, 2), draw_params(0, 4, 2, k),
-                              Discretization(4))
-                for k in range(3)
-            ])
-            expected = grads.var(axis=0, ddof=1)
+            spec = spec_for(config, 4, 2)
+            adjoint = gradients._adjoint_gradients([config], spec, draws, Discretization(4))[0]
+            expected = adjoint.var(axis=0, ddof=1)
             np.testing.assert_array_equal(report.per_param_variance, expected)
             assert report.mean_variance == float(np.mean(expected))
+            shift = np.stack([loss_gradient(config, spec, d, Discretization(4)) for d in draws])
+            np.testing.assert_allclose(report.per_param_variance, shift.var(axis=0, ddof=1),
+                                       rtol=0, atol=1e-12)
+
+    def test_first_draws_have_the_same_bits_whatever_k(self, monkeypatch):
+        # At n=4, L=2 the all-to-all blocks hold 4 draws, so K=5 splits the
+        # first three draws' block differently from K=3.
+        original = gradients._adjoint_gradients
+        stacks = []
+
+        def recording(configs, spec, angles, disc):
+            stacks.append((spec.topology, original(configs, spec, angles, disc)))
+            return stacks[-1][1]
+
+        monkeypatch.setattr(gradients, "_adjoint_gradients", recording)
+        runs = []
+        for k in (3, 5):
+            stacks.clear()
+            gradient_variance(all_configs(), 4, 2, k, 0)
+            runs.append({t: np.concatenate([g for u, g in stacks if u is t], axis=1)
+                         for t in Topology})
+        for topology in Topology:
+            np.testing.assert_array_equal(runs[1][topology][:, :3], runs[0][topology])
+
+    @pytest.mark.parametrize("n,layers", [(4, 1), (4, 2), (5, 3)])
+    def test_last_layer_rz_variances_vanish(self, n, layers):
+        # Only CNOT permutations follow the last layer's RZ angles, so no
+        # diagonal observable depends on them.
+        reports = gradient_variance(ORACLE_CONFIGS, n, layers, 5, 1)
+        dead = slice(2 * n * (layers - 1) + n, 2 * n * layers)
+        for report in reports:
+            assert np.all(report.per_param_variance[dead] < 1e-28)
+
+
+class TestAdjointGradients:
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_parameter_shift(self, n, layers):
+        # n = 2 is where the centered first difference degenerates to zero.
+        disc = Discretization(n)
+        draws = np.stack([draw_params(5, n, layers, k) for k in range(3)])
+        for topology in Topology:
+            configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
+            spec = CircuitSpec(n, layers, topology)
+            stacks = gradients._adjoint_gradients(configs, spec, draws, disc)
+            assert stacks.shape == (len(configs), 3, spec.param_count)
+            for config, stack in zip(configs, stacks):
+                expected = np.stack([loss_gradient(config, spec, d, disc) for d in draws])
+                np.testing.assert_allclose(stack, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 6, 9, 12])
+    def test_draw_bits_do_not_depend_on_the_block(self, n):
+        configs = all_configs()[:3]  # the all-to-all configs
+        spec = CircuitSpec(n, 2, ATA)
+        disc = Discretization(n)
+        draws = np.stack([draw_params(2, n, 2, k) for k in range(4)])
+        together = gradients._adjoint_gradients(configs, spec, draws, disc)
+        for k in range(4):
+            alone = gradients._adjoint_gradients(configs, spec, draws[k:k + 1], disc)
+            np.testing.assert_array_equal(alone[:, 0], together[:, k])
+            one_config = gradients._adjoint_gradients(configs[1:2], spec, draws[k:k + 1], disc)
+            np.testing.assert_array_equal(one_config[0, 0], together[1, k])
+
+    def test_mismatched_topology_rejected(self):
+        spec = CircuitSpec(4, 1, Topology.NEAREST_NEIGHBOR)
+        with pytest.raises(ValueError):
+            gradients._adjoint_gradients([LossConfig(LossKind.GLOBAL_COST)], spec,
+                                         draw_params(0, 4, 1, 0)[None], Discretization(4))
 
 
 class TestOneForwardPass:

@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 
 from plateaulab.ansatz import CircuitSpec, Topology, run_circuit
 from plateaulab.experiments import DEFAULT_PDES
-from plateaulab.gradients import finite_difference_gradient, loss_gradient
+from plateaulab.gradients import (
+    _adjoint_gradients,
+    finite_difference_gradient,
+    loss_gradient,
+)
 from plateaulab.losses import (
     Discretization,
     all_configs,
@@ -65,6 +69,19 @@ def test_loss_gradient_matches_finite_differences(config, data):
     fd = finite_difference_gradient(
         lambda q: total_loss(config, spec, q, disc), angles, 1e-5)
     np.testing.assert_allclose(loss_gradient(config, spec, angles, disc), fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("config", all_configs(), ids=lambda c: c.name)
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_adjoint_gradient_matches_finite_differences(config, data):
+    # Same step and tolerance as acceptance criterion 1.
+    spec, angles = data.draw(circuits(config.required_topology()))
+    disc = Discretization(spec.n_qubits)
+    fd = finite_difference_gradient(
+        lambda q: total_loss(config, spec, q, disc), angles, 1e-5)
+    got = _adjoint_gradients([config], spec, angles[None], disc)[0, 0]
+    np.testing.assert_allclose(got, fd, atol=1e-6)
 
 
 @PROPERTY

@@ -9,8 +9,7 @@ Run:  python3 demos/07_convergence.py
 from plateaulab import all_configs, train
 
 EPOCHS = 50
-traces = [train(config, n=4, layers=3, epochs=EPOCHS, learning_rate=0.01, seed=1)
-          for config in all_configs()]
+traces = train(all_configs(), n=4, layers=3, epochs=EPOCHS, learning_rate=0.01, seed=1)
 
 print(f"training for {EPOCHS} epochs, lr = 0.01, shared seed")
 print(f"{'configuration':<18} {'initial':>9} {'final':>9} {'final |grad|':>13}")

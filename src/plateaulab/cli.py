@@ -312,10 +312,8 @@ def run_experiment(run: RunConfig) -> Table:
                  r.ratio_to_max, run.n_samples, run.seed) for r in sweep]
         return make_table(label, ENTROPY_COLUMNS, rows, run.as_dict())
     if run.experiment == "converge":
-        traces = [
-            xp.train(cfg, n, layers, run.epochs, run.learning_rate, run.seed)
-            for cfg in all_configs(run.physics_weight)
-        ]
+        traces = xp.train(all_configs(run.physics_weight), n, layers, run.epochs,
+                          run.learning_rate, run.seed)
         rows = [(label, n, layers, t.config_name, e.epoch_index, e.loss_value,
                  e.gradient_norm, run.seed) for t in traces for e in t.epochs]
         return make_table(label, TRACE_COLUMNS, rows, run.as_dict())

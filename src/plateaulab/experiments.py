@@ -5,7 +5,7 @@ Every sweep is a deterministic function of its seed. Sample i of cell (n, L)
 always uses the draw from (seed, n, L, i) regardless of configuration, so
 rows of the same cell are paired and directly comparable.
 
-A sweep returns a list of rows and a training run a trace; both hold only
+A sweep returns a list of rows and training a list of traces; both hold only
 computed values. The sample count K and the seed are the caller's arguments,
 so a row does not repeat them.
 """
@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import gradients
 from .ansatz import CircuitSpec, Topology, run_circuit
-from .gradients import draw_params, gradient_variance, loss_and_gradient
+from .gradients import draw_params, gradient_variance
 from .losses import (
     DEFAULT_PHYSICS_WEIGHT,
     Burgers,
@@ -30,8 +31,10 @@ from .losses import (
     PdeKind,
     SaintVenant,
     all_configs,
+    loss_from_outputs,
+    observables,
 )
-from .statevector import reduced_density_matrix, von_neumann_entropy
+from .statevector import probabilities, reduced_density_matrix, von_neumann_entropy
 
 # Unused here, kept as bindings that bench/tracer.py wraps.
 from .gradients import loss_gradient  # noqa: F401
@@ -217,38 +220,64 @@ def entanglement_sweep(
 
 
 def train(
-    config: LossConfig,
+    configs: Sequence[LossConfig],
     n: int = TRAIN_QUBITS,
     layers: int = DEFAULT_LAYERS,
     epochs: int = DEFAULT_EPOCHS,
     learning_rate: float = DEFAULT_LEARNING_RATE,
     seed: int = DEFAULT_SEED,
-) -> TrainTrace:
-    """Plain gradient descent, recording loss and gradient norm per epoch.
+) -> list[TrainTrace]:
+    """Plain gradient descent of every config in lockstep, one trace each.
 
-    Epoch 0 is the seeded starting point before any update; the trace
-    therefore holds epochs + 1 entries and the final row is the state after
-    the last update. The starting draw depends only on (seed, n, layers), so
-    configurations of the same shape start from identical angles.
+    Epoch 0 is the seeded starting point before any update; a trace
+    therefore holds epochs + 1 entries and its final row is the state after
+    the last update. Every config starts from the one draw of (seed, n,
+    layers). Each epoch, every config takes its step; then each topology
+    runs one forward batch with its configs' angles as rows and one adjoint
+    backward sweep, and config k of a topology reads its gradient at its
+    own row. A trace has the same bits as training its config alone. A
+    non-finite step or gradient raises ArithmeticError naming the first
+    failing epoch; within it, steps are checked before gradients, each in
+    config order.
     """
+    if not configs:
+        raise ValueError("need at least one config")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    spec = CircuitSpec(n, layers, config.required_topology())
+    if not np.isfinite(learning_rate):
+        raise ValueError(f"learning_rate must be finite, got {learning_rate}")
     disc = Discretization(n)
-    params = draw_params(seed, n, layers, 0)
-    trace = TrainTrace(config_name=config.name, epochs=[])
+    groups = [(CircuitSpec(n, layers, topology), members)
+              for topology, members in gradients._members_by_topology(configs).items()]
+    obs = [observables(c, n) for c in configs]
+    params = np.tile(draw_params(seed, n, layers, 0), (len(configs), 1))
+    grads = np.empty_like(params)
+    values = [0.0] * len(configs)
+    traces = [TrainTrace(config_name=c.name, epochs=[]) for c in configs]
     for epoch in range(epochs + 1):
         if epoch:
-            params = params - learning_rate * grad
-            if not np.all(np.isfinite(params)):
-                raise ArithmeticError(f"non-finite step of {config.name} "
-                                      f"at epoch {epoch}")
-        value, grad = loss_and_gradient(config, spec, params, disc)
-        if not np.all(np.isfinite(grad)):
-            raise ArithmeticError(f"non-finite gradient of {config.name} "
-                                  f"at epoch {epoch}")
-        trace.epochs.append(TrainEpoch(epoch, value, float(np.linalg.norm(grad))))
-    return trace
+            params -= learning_rate * grads
+            _check_finite(params, configs, "step", epoch)
+        for spec, members in groups:
+            angles = params[members]
+            states = gradients.run_circuit_batch(spec, angles)
+            probs = probabilities(states)
+            stacks = gradients._adjoint_gradients([configs[i] for i in members], spec,
+                                                  angles, states, disc)
+            for k, i in enumerate(members):
+                grads[i] = stacks[k, k]
+                values[i] = loss_from_outputs(configs[i], obs[i] @ probs[k], disc)
+        _check_finite(grads, configs, "gradient", epoch)
+        for trace, value, grad in zip(traces, values, grads):
+            trace.epochs.append(TrainEpoch(epoch, value, float(np.linalg.norm(grad))))
+    return traces
+
+
+def _check_finite(rows: np.ndarray, configs: Sequence[LossConfig], what: str,
+                  epoch: int) -> None:
+    for config, row in zip(configs, rows):
+        if not np.all(np.isfinite(row)):
+            raise ArithmeticError(f"non-finite {what} of {config.name} at epoch {epoch}")
 
 
 def fit_scaling(points: Sequence[tuple], model: ScalingModel) -> ScalingFit:

@@ -4,21 +4,22 @@ Every loss is a function of the outputs f, the expectations of its
 ``observables``, so its gradient is J^T * dL/df with dL/df analytic. Two
 exact engines compute it.
 
-Single points (``loss_and_gradient``, ``jacobian_outputs``, training) use
-the pi/2 parameter-shift rule: expectations of this gate set are
-trigonometric in each angle, so one forward batch of the 2p shifted rows
-plus the unshifted one gives the Jacobian J; shifting a nonlinear composite
-loss directly would be wrong. Parameter shift is also the oracle the
-adjoint engine is tested against.
+Variance cells (``gradient_variance``) and training
+(``experiments.train``) use the adjoint method. At a fixed point the
+gradient of L equals that of <O> with the diagonal observable
+O = sum_k dL/df_k Z_k, so the caller's forward sweep gives the states phi
+and lambda = O phi, and one backward sweep undoes every gate on both,
+reading dL/dtheta = Im<lambda|P|phi> at each rotation with generator P
+(Y_q or Z_q). Draws, or one topology's configs in training, run as rows of
+one batch per topology, and every per-row contraction is row-wise, so a
+row's gradient has the same bits whatever batch it runs in.
 
-Variance cells (``gradient_variance``) use the adjoint method. At a fixed
-point the gradient of L equals that of <O> with the diagonal observable
-O = sum_k dL/df_k Z_k, so one forward sweep gives the states phi and
-lambda = O phi, and one backward sweep undoes every gate on both, reading
-dL/dtheta = Im<lambda|P|phi> at each rotation with generator P (Y_q or
-Z_q). Draws run as rows of one batch per topology, and every per-row
-contraction is row-wise, so a draw's gradient has the same bits whatever
-block it runs in.
+Single points (``loss_and_gradient``, ``jacobian_outputs``) use the pi/2
+parameter-shift rule: expectations of this gate set are trigonometric in
+each angle, so one forward batch of the 2p shifted rows plus the unshifted
+one gives the Jacobian J; shifting a nonlinear composite loss directly
+would be wrong. Parameter shift is also the oracle the adjoint engine is
+tested against.
 
 All randomness flows through ``draw_params``: sample i of a run is drawn from
 a generator seeded by (seed, n_qubits, layers, i), so draws are independent
@@ -155,11 +156,13 @@ _MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
 
 def _adjoint_gradients(
     configs: Sequence[LossConfig], spec: CircuitSpec, angles: np.ndarray,
-    disc: Discretization,
+    states: np.ndarray, disc: Discretization,
 ) -> np.ndarray:
     """Gradients of every config at every row of ``angles``, shape (C, B, p).
 
-    One forward batch gives the states phi. Each (config, draw) gets the row
+    ``states`` holds the caller's forward batch phi,
+    ``run_circuit_batch(spec, angles)``; it is copied, so a temporary passed
+    in is freed before the backward sweep. Each (config, row) gets the row
     lambda = (sum_k dL/df_k Z_k) phi, and one array of [phi; lambda] rows is
     walked back through the gates: at each rotation dL/dtheta =
     Im<lambda|P|phi> is read, then the gate is undone on every row.
@@ -168,7 +171,8 @@ def _adjoint_gradients(
         check_pairing(config, spec, disc)
     n, n_configs, n_draws = spec.n_qubits, len(configs), len(angles)
     rows = np.empty(((n_configs + 1) * n_draws, 2**n), dtype=np.complex128)
-    rows[:n_draws] = run_circuit_batch(spec, angles)
+    rows[:n_draws] = states
+    del states
     probs = probabilities(rows[:n_draws])
     flat = rows.view(np.float64).reshape(n_configs + 1, n_draws, 2**n, 2)
     # Row-wise einsum, not @: BLAS sums depend on the row count, and a
@@ -206,6 +210,14 @@ def _adjoint_gradients(
     return grads
 
 
+def _members_by_topology(configs: Sequence[LossConfig]) -> dict:
+    """Indices of each topology's configs, topologies in order of first use."""
+    groups: dict = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(config.required_topology(), []).append(i)
+    return groups
+
+
 def gradient_variance(
     configs: Sequence[LossConfig], n_qubits: int, layers: int, n_samples: int, seed: int
 ) -> list[VarianceReport]:
@@ -222,16 +234,15 @@ def gradient_variance(
     disc = Discretization(n_qubits)
     draws = np.stack([draw_params(seed, n_qubits, layers, k) for k in range(n_samples)])
     grads: list = [None] * len(configs)
-    for topology in dict.fromkeys(c.required_topology() for c in configs):
+    for topology, members in _members_by_topology(configs).items():
         spec = CircuitSpec(n_qubits, layers, topology)
-        members = [i for i, c in enumerate(configs) if c.required_topology() is topology]
         # (C+1) live rows per draw: a block holds no more amplitudes than
         # half of one 2p+1-row parameter-shift batch.
         block = max(1, (2 * spec.param_count + 1) // (2 * (len(members) + 1)))
         stacks = np.concatenate([
-            _adjoint_gradients([configs[i] for i in members], spec,
-                               draws[start:start + block], disc)
-            for start in range(0, n_samples, block)
+            _adjoint_gradients([configs[i] for i in members], spec, angles,
+                               run_circuit_batch(spec, angles), disc)
+            for angles in np.split(draws, range(block, n_samples, block))
         ], axis=1)
         for i, stack in zip(members, stacks):
             grads[i] = stack

@@ -308,9 +308,9 @@ def test_criterion_12_training_convergence():
         wins = 0
         for seed in (1, 2, 3):
             norms = {}
-            for config in all_configs():
-                trace = train(config, n=4, layers=3, epochs=50,
-                              learning_rate=0.01, seed=seed)
+            traces = train(all_configs(), n=4, layers=3, epochs=50,
+                           learning_rate=0.01, seed=seed)
+            for config, trace in zip(all_configs(), traces):
                 assert len(trace.epochs) == 51
                 assert np.isfinite(trace.final_loss)
                 assert trace.final_loss <= trace.epochs[0].loss_value, (

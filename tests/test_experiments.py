@@ -7,9 +7,17 @@ trend assertions at protocol sample sizes live in test_acceptance.py.
 import numpy as np
 import pytest
 
+from plateaulab import gradients
 from plateaulab.ansatz import CircuitSpec
 from plateaulab.gradients import draw_params, loss_gradient
-from plateaulab.losses import Discretization, LossConfig, LossKind, total_loss
+from plateaulab.losses import (
+    Discretization,
+    Heat,
+    LossConfig,
+    LossKind,
+    all_configs,
+    total_loss,
+)
 from plateaulab.experiments import (
     ScalingModel,
     entanglement_sweep,
@@ -92,10 +100,22 @@ class TestEntanglementSweep:
             entanglement_sweep(ns=(4,), depths=(1,), n_samples=0, seed=0)
 
 
+def _count_forward_batches(monkeypatch):
+    calls = []
+    original = gradients.run_circuit_batch
+
+    def counting(spec, angles_batch):
+        calls.append(len(angles_batch))
+        return original(spec, angles_batch)
+
+    monkeypatch.setattr(gradients, "run_circuit_batch", counting)
+    return calls
+
+
 class TestTrain:
     def test_trace_shape_and_final_fields(self):
         cfg = LossConfig(LossKind.GLOBAL_COST)
-        trace = train(cfg, n=4, layers=2, epochs=5, learning_rate=0.05, seed=1)
+        [trace] = train([cfg], n=4, layers=2, epochs=5, learning_rate=0.05, seed=1)
         assert len(trace.epochs) == 6
         assert [e.epoch_index for e in trace.epochs] == list(range(6))
         assert trace.final_loss == trace.epochs[-1].loss_value
@@ -103,31 +123,54 @@ class TestTrain:
         assert all(np.isfinite(e.loss_value) for e in trace.epochs)
 
     def test_recorded_norms_match_replayed_gradients(self):
-        """Replay the descent and recompute every recorded quantity."""
-        cfg = LossConfig(LossKind.PDE_CONSTRAINED)
-        n, layers, lr = 4, 2, 0.02
-        trace = train(cfg, n=n, layers=layers, epochs=3, learning_rate=lr, seed=4)
-        spec = CircuitSpec(n, layers, cfg.required_topology())
-        disc = Discretization(n)
-        params = draw_params(4, n, layers, 0)
-        for entry in trace.epochs:
-            grad = loss_gradient(cfg, spec, params, disc)
-            assert entry.gradient_norm == pytest.approx(
-                float(np.linalg.norm(grad)), abs=1e-12
-            )
-            assert entry.loss_value == pytest.approx(
-                total_loss(cfg, spec, params, disc), abs=1e-12
-            )
-            params = params - lr * grad
+        """Replay every descent and recompute every recorded quantity.
+
+        The replay steps with the adjoint engine's gradient, as training
+        does, so it visits the trained angles; at each of them the recorded
+        norm is checked against parameter shift and the loss against a
+        fresh forward run.
+        """
+        configs = all_configs() + [LossConfig(LossKind.PDE_CONSTRAINED, pde=Heat())]
+        layers, lr = 2, 0.02
+        for n in (2, 4, 5):
+            traces = train(configs, n=n, layers=layers, epochs=3, learning_rate=lr, seed=4)
+            disc = Discretization(n)
+            for cfg, trace in zip(configs, traces):
+                spec = CircuitSpec(n, layers, cfg.required_topology())
+                params = draw_params(4, n, layers, 0)
+                for entry in trace.epochs:
+                    grad = loss_gradient(cfg, spec, params, disc)
+                    assert entry.gradient_norm == pytest.approx(
+                        float(np.linalg.norm(grad)), abs=1e-12
+                    )
+                    assert entry.loss_value == total_loss(cfg, spec, params, disc)
+                    states = gradients.run_circuit_batch(spec, params[None])
+                    adjoint = gradients._adjoint_gradients([cfg], spec, params[None],
+                                                           states, disc)
+                    params = params - lr * adjoint[0, 0]
+
+    def test_lockstep_traces_equal_training_alone(self):
+        together = train(all_configs(), n=4, layers=2, epochs=4, learning_rate=0.05, seed=2)
+        alone = [train([c], n=4, layers=2, epochs=4, learning_rate=0.05, seed=2)[0]
+                 for c in all_configs()]
+        assert together == alone
+
+    def test_one_forward_batch_per_topology_and_epoch(self, monkeypatch):
+        calls = _count_forward_batches(monkeypatch)
+        epochs = 3
+        train(all_configs(), n=4, layers=2, epochs=epochs, seed=0)
+        # Three all-to-all configs share one batch, the chain config has its own.
+        assert len(calls) == 2 * (epochs + 1)
+        assert sorted(set(calls)) == [1, 3]
 
     def test_descent_reduces_loss(self):
-        for kind in (LossKind.GLOBAL_COST, LossKind.PDE_STRUCTURED):
-            trace = train(LossConfig(kind), n=4, layers=3, epochs=20, seed=3)
+        kinds = (LossKind.GLOBAL_COST, LossKind.PDE_STRUCTURED)
+        for trace in train([LossConfig(k) for k in kinds], n=4, layers=3, epochs=20, seed=3):
             assert trace.final_loss <= trace.epochs[0].loss_value
 
     def test_shared_start_across_configs(self):
-        a = train(LossConfig(LossKind.GLOBAL_COST), n=4, layers=2, epochs=1, seed=9)
-        b = train(LossConfig(LossKind.LOCAL_COST), n=4, layers=2, epochs=1, seed=9)
+        a, b = train([LossConfig(LossKind.GLOBAL_COST), LossConfig(LossKind.LOCAL_COST)],
+                     n=4, layers=2, epochs=1, seed=9)
         # Identical initial angles: epoch-0 global cost vs local cost evaluated
         # at the same point as a direct recomputation.
         spec = CircuitSpec(4, 2, LossConfig(LossKind.GLOBAL_COST).required_topology())
@@ -142,7 +185,20 @@ class TestTrain:
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
-            train(LossConfig(LossKind.GLOBAL_COST), epochs=0)
+            train([LossConfig(LossKind.GLOBAL_COST)], epochs=0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_learning_rate_rejected_before_any_circuit(self, lr, monkeypatch):
+        calls = _count_forward_batches(monkeypatch)
+        with pytest.raises(ValueError, match="learning_rate"):
+            train(all_configs(), learning_rate=lr)
+        assert calls == []
+
+    def test_no_configs_rejected_before_any_circuit(self, monkeypatch):
+        calls = _count_forward_batches(monkeypatch)
+        with pytest.raises(ValueError, match="config"):
+            train([])
+        assert calls == []
 
 
 class TestScalingFit:

@@ -37,6 +37,12 @@ def spec_for(config, n, layers):
     return CircuitSpec(n, layers, config.required_topology())
 
 
+def run_adjoint(configs, spec, angles, disc):
+    """The adjoint engine after its caller's forward batch."""
+    states = gradients.run_circuit_batch(spec, angles)
+    return gradients._adjoint_gradients(configs, spec, angles, states, disc)
+
+
 class TestJacobian:
     def test_zero_angles_stationary(self):
         spec = CircuitSpec(2, 1, ATA)
@@ -230,7 +236,7 @@ class TestGradientVariance:
         draws = np.stack([draw_params(0, 4, 2, k) for k in range(3)])
         for config, report in zip(configs, reports):
             spec = spec_for(config, 4, 2)
-            adjoint = gradients._adjoint_gradients([config], spec, draws, Discretization(4))[0]
+            adjoint = run_adjoint([config], spec, draws, Discretization(4))[0]
             expected = adjoint.var(axis=0, ddof=1)
             np.testing.assert_array_equal(report.per_param_variance, expected)
             assert report.mean_variance == float(np.mean(expected))
@@ -244,8 +250,8 @@ class TestGradientVariance:
         original = gradients._adjoint_gradients
         stacks = []
 
-        def recording(configs, spec, angles, disc):
-            stacks.append((spec.topology, original(configs, spec, angles, disc)))
+        def recording(configs, spec, angles, states, disc):
+            stacks.append((spec.topology, original(configs, spec, angles, states, disc)))
             return stacks[-1][1]
 
         monkeypatch.setattr(gradients, "_adjoint_gradients", recording)
@@ -278,7 +284,7 @@ class TestAdjointGradients:
         for topology in Topology:
             configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
             spec = CircuitSpec(n, layers, topology)
-            stacks = gradients._adjoint_gradients(configs, spec, draws, disc)
+            stacks = run_adjoint(configs, spec, draws, disc)
             assert stacks.shape == (len(configs), 3, spec.param_count)
             for config, stack in zip(configs, stacks):
                 expected = np.stack([loss_gradient(config, spec, d, disc) for d in draws])
@@ -290,18 +296,18 @@ class TestAdjointGradients:
         spec = CircuitSpec(n, 2, ATA)
         disc = Discretization(n)
         draws = np.stack([draw_params(2, n, 2, k) for k in range(4)])
-        together = gradients._adjoint_gradients(configs, spec, draws, disc)
+        together = run_adjoint(configs, spec, draws, disc)
         for k in range(4):
-            alone = gradients._adjoint_gradients(configs, spec, draws[k:k + 1], disc)
+            alone = run_adjoint(configs, spec, draws[k:k + 1], disc)
             np.testing.assert_array_equal(alone[:, 0], together[:, k])
-            one_config = gradients._adjoint_gradients(configs[1:2], spec, draws[k:k + 1], disc)
+            one_config = run_adjoint(configs[1:2], spec, draws[k:k + 1], disc)
             np.testing.assert_array_equal(one_config[0, 0], together[1, k])
 
     def test_mismatched_topology_rejected(self):
         spec = CircuitSpec(4, 1, Topology.NEAREST_NEIGHBOR)
         with pytest.raises(ValueError):
-            gradients._adjoint_gradients([LossConfig(LossKind.GLOBAL_COST)], spec,
-                                         draw_params(0, 4, 1, 0)[None], Discretization(4))
+            run_adjoint([LossConfig(LossKind.GLOBAL_COST)], spec,
+                        draw_params(0, 4, 1, 0)[None], Discretization(4))
 
 
 class TestOneForwardPass:

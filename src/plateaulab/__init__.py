@@ -40,7 +40,6 @@ from .losses import (
     output_vector,
     pde_loss,
     pde_residual,
-    physics_loss_gradient_penalty,
     total_loss,
 )
 from .gradients import (

@@ -33,6 +33,7 @@ from .losses import (
     all_configs,
     loss_from_outputs,
     observables,
+    outputs,
 )
 from .statevector import probabilities, reduced_density_matrix, von_neumann_entropy
 
@@ -266,7 +267,7 @@ def train(
                                                   angles, states, disc)
             for k, i in enumerate(members):
                 grads[i] = stacks[k, k]
-                values[i] = loss_from_outputs(configs[i], obs[i] @ probs[k], disc)
+                values[i] = loss_from_outputs(configs[i], outputs(obs[i], probs[k]), disc)
         _check_finite(grads, configs, "gradient", epoch)
         for trace, value, grad in zip(traces, values, grads):
             trace.epochs.append(TrainEpoch(epoch, value, float(np.linalg.norm(grad))))

@@ -4,15 +4,15 @@ Every loss is a function of the outputs f, the expectations of its
 ``observables``, so its gradient is J^T * dL/df with dL/df analytic. Two
 exact engines compute it.
 
-Variance cells (``gradient_variance``) and training
-(``experiments.train``) use the adjoint method. At a fixed point the
-gradient of L equals that of <O> with the diagonal observable
-O = sum_k dL/df_k Z_k, so the caller's forward sweep gives the states phi
-and lambda = O phi, and one backward sweep undoes every gate on both,
-reading dL/dtheta = Im<lambda|P|phi> at each rotation with generator P
-(Y_q or Z_q). Draws, or one topology's configs in training, run as rows of
-one batch per topology, and every per-row contraction is row-wise, so a
-row's gradient has the same bits whatever batch it runs in.
+Variance cells (``gradient_variance``) and training (``experiments.train``)
+use the adjoint method. At a fixed point the gradient of L equals that of <O>
+with the diagonal observable O = sum_k dL/df_k Z_k. The caller's forward sweep
+gives the states phi, one ``d_loss_d_outputs`` call per config gives dL/df at
+every row and so lambda = O phi, and one backward sweep undoes every gate on
+both, reading dL/dtheta = Im<lambda|P|phi> at each rotation with generator P
+(Y_q or Z_q). Draws, or one topology's configs in training, run as rows of one
+batch per topology, and every per-row contraction is row-wise, so a row's
+gradient has the same bits whatever batch it runs in.
 
 Single points (``loss_and_gradient``, ``jacobian_outputs``) use the pi/2
 parameter-shift rule: expectations of this gate set are trigonometric in
@@ -50,6 +50,7 @@ from .losses import (
     d_loss_d_outputs,
     loss_from_outputs,
     observables,
+    outputs,
 )
 from .statevector import probabilities, z_signs
 
@@ -90,7 +91,7 @@ def _shift_probs(spec: CircuitSpec, params) -> np.ndarray:
 def jacobian_outputs(spec: CircuitSpec, params) -> np.ndarray:
     """Parameter-shift Jacobian of the outputs: entry (k, j) = df_k/dphi_j."""
     probs = _shift_probs(spec, params)
-    return _shift_jacobian(probs @ z_signs(spec.n_qubits).T, spec.param_count).T
+    return _shift_jacobian(outputs(z_signs(spec.n_qubits), probs), spec.param_count).T
 
 
 def loss_and_gradient(
@@ -99,16 +100,13 @@ def loss_and_gradient(
     """Loss value and its exact gradient with respect to all angles.
 
     One forward batch holds the 2p shifted rows and the unshifted row. Its
-    outputs f give the Jacobian J and the point where dL/df is taken, so the
-    gradient is J^T * dL/df. The value contracts the unshifted row on its
-    own, as ``total_loss`` does, so the two agree bit for bit.
+    outputs f give the Jacobian J; the last row gives the value (with the bits
+    of ``total_loss``) and dL/df, and the gradient is J^T * dL/df.
     """
     check_pairing(config, spec, disc)
-    probs = _shift_probs(spec, params)
-    obs = observables(config, disc.n_points)
-    f_batch = probs @ obs.T
+    f_batch = outputs(observables(config, disc.n_points), _shift_probs(spec, params))
     jac = _shift_jacobian(f_batch, spec.param_count)
-    value = loss_from_outputs(config, obs @ probs[-1], disc)
+    value = loss_from_outputs(config, f_batch[-1], disc)
     return value, jac @ d_loss_d_outputs(config, f_batch[-1], disc)
 
 
@@ -175,12 +173,10 @@ def _adjoint_gradients(
     del states
     probs = probabilities(rows[:n_draws])
     flat = rows.view(np.float64).reshape(n_configs + 1, n_draws, 2**n, 2)
-    # Row-wise einsum, not @: BLAS sums depend on the row count, and a
-    # draw's bits must not depend on its block.
+    # Row-wise einsum, not @, for the reason given in ``outputs``.
     for c, config in enumerate(configs):
         obs = observables(config, n)
-        f = np.einsum("bi,mi->bm", probs, obs)
-        dl_df = np.stack([d_loss_d_outputs(config, f_row, disc) for f_row in f])
+        dl_df = d_loss_d_outputs(config, outputs(obs, probs), disc)
         weights = np.einsum("bm,mi->bi", dl_df, obs)
         np.multiply(flat[0], weights[:, :, None], out=flat[c + 1])
     del probs

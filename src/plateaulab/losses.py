@@ -14,7 +14,9 @@ nonlinearities contribute diagonal factors.
 
 Outputs live on a periodic unit-length grid with one collocation point per
 qubit, so dx = 1/n. Residuals are steady-state: time derivatives are zero and
-only the spatial operator is tested.
+only the spatial operator is tested. ``outputs`` is the one contraction of
+probabilities with observables; every function of its profiles takes a
+``(..., n)`` block along the last axis, each row with the bits of its 1-D call.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def observables(config: LossConfig, n: int) -> np.ndarray:
     """Diagonals, shape (m, 2^n), whose expectations are the loss outputs f.
 
     The global cost reads the parity row, the local cost the Z_0 row and the
-    composite losses every Z_k, so f = observables(config, n) @ probs.
+    composite losses every Z_k, so f = outputs(observables(config, n), probs).
     """
     signs = z_signs(n)
     if config.kind is LossKind.GLOBAL_COST:
@@ -229,14 +231,20 @@ def observables(config: LossConfig, n: int) -> np.ndarray:
     return signs
 
 
+def outputs(obs: np.ndarray, probs) -> np.ndarray:
+    """Outputs f = O p of every row of ``probs``, shape (..., m) for (m, 2^n) O."""
+    # Row-wise einsum, not @: BLAS sums depend on the row count; a row's bits must not.
+    return np.einsum("...i,mi->...m", probs, obs)
+
+
 def output_vector(state: StateVector) -> np.ndarray:
     """Per-qubit Pauli-Z expectations, component k = <Z_k>."""
-    return z_signs(state.n_qubits) @ probabilities(state.amplitudes)
+    return outputs(z_signs(state.n_qubits), probabilities(state.amplitudes))
 
 
 def _check_profile(f, disc: Discretization) -> np.ndarray:
     arr = np.asarray(f, dtype=np.float64)
-    if arr.shape != (disc.n_points,):
+    if arr.shape[-1:] != (disc.n_points,):
         raise ValueError(f"expected {disc.n_points} grid values, got shape {arr.shape}")
     return arr
 
@@ -244,13 +252,13 @@ def _check_profile(f, disc: Discretization) -> np.ndarray:
 def centered_d1(f, disc: Discretization) -> np.ndarray:
     """Periodic centered first difference (f_{k+1} - f_{k-1}) / (2 dx)."""
     arr = _check_profile(f, disc)
-    return (np.roll(arr, -1) - np.roll(arr, 1)) / (2.0 * disc.dx)
+    return (np.roll(arr, -1, axis=-1) - np.roll(arr, 1, axis=-1)) / (2.0 * disc.dx)
 
 
 def centered_d2(f, disc: Discretization) -> np.ndarray:
     """Periodic centered second difference (f_{k+1} - 2 f_k + f_{k-1}) / dx^2."""
     arr = _check_profile(f, disc)
-    return (np.roll(arr, -1) - 2.0 * arr + np.roll(arr, 1)) / disc.dx**2
+    return (np.roll(arr, -1, axis=-1) - 2.0 * arr + np.roll(arr, 1, axis=-1)) / disc.dx**2
 
 
 def pde_residual(f, pde: PdeKind, disc: Discretization) -> np.ndarray:
@@ -261,36 +269,31 @@ def pde_residual(f, pde: PdeKind, disc: Discretization) -> np.ndarray:
     return res
 
 
-def pde_loss(f, pde: PdeKind, disc: Discretization) -> float:
-    """Mean squared residual over the collocation points."""
+def pde_loss(f, pde: PdeKind, disc: Discretization) -> float | np.ndarray:
+    """Mean squared residual over the collocation points, one per row."""
     res = pde_residual(f, pde, disc)
-    return float(np.mean(res**2))
+    return np.mean(res**2, axis=-1)
 
 
-def physics_loss_gradient_penalty(f, disc: Discretization) -> float:
-    """Mean squared centered first difference of the profile."""
-    return pde_loss(f, _GRADIENT_PENALTY, disc)
-
-
-def data_loss(f, target) -> float:
-    """Mean squared error between profile and target."""
+def data_loss(f, target) -> float | np.ndarray:
+    """Mean squared error between each profile and the one target."""
     arr = np.asarray(f, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
-    if arr.shape != tgt.shape:
+    if arr.shape[-1:] != tgt.shape:
         raise ValueError(f"length mismatch: {arr.shape} vs {tgt.shape}")
-    return float(np.mean((arr - tgt) ** 2))
+    return np.mean((arr - tgt) ** 2, axis=-1)
 
 
-def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float:
-    """Loss evaluated on the outputs f of ``observables(config, n)``.
+def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float | np.ndarray:
+    """Loss of each row of outputs f of ``observables(config, n)``.
 
     A cost is its single output itself; a composite loss is data MSE plus
     the weighted physics penalty of the output profile.
     """
     arr = np.asarray(f, dtype=np.float64)
     if config.kind in _COST_KINDS:
-        return float(arr[0])
-    target = config.target(arr.size)
+        return arr[..., 0][()]
+    target = config.target(disc.n_points)
     physics = pde_loss(arr, config.physics, disc)
     return data_loss(arr, target) + config.physics_weight * physics
 
@@ -299,13 +302,12 @@ def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
     """Analytic gradient of the composite loss with respect to the outputs.
 
     Data MSE plus the weighted physics term's ``d_loss_d_f``. A cost's single
-    output is the loss, so its derivative is ones(1).
+    output is the loss, so its derivative is ones shaped like f.
     """
     if config.kind in _COST_KINDS:
-        return np.ones(1)
+        return np.ones(np.shape(f))
     arr = _check_profile(f, disc)
-    n = arr.size
-    grad = (2.0 / n) * (arr - config.target(n))
+    grad = (2.0 / disc.n_points) * (arr - config.target(disc.n_points))
     physics = config.physics
     res = pde_residual(arr, physics, disc)
     return grad + config.physics_weight * physics.d_loss_d_f(arr, res, disc)
@@ -315,7 +317,8 @@ def total_loss(config: LossConfig, spec: CircuitSpec, params, disc: Discretizati
     """Run the circuit and evaluate the configured loss."""
     check_pairing(config, spec, disc)
     probs = probabilities(run_circuit(spec, params).amplitudes)
-    return loss_from_outputs(config, observables(config, spec.n_qubits) @ probs, disc)
+    f = outputs(observables(config, spec.n_qubits), probs)
+    return loss_from_outputs(config, f, disc)
 
 
 def check_pairing(config: LossConfig, spec: CircuitSpec, disc: Discretization) -> None:

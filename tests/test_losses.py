@@ -5,6 +5,7 @@ import pytest
 
 from plateaulab.ansatz import CircuitSpec, Topology, run_circuit
 from plateaulab.losses import (
+    DEFAULT_PHYSICS_WEIGHT,
     Burgers,
     Discretization,
     Heat,
@@ -18,10 +19,11 @@ from plateaulab.losses import (
     data_loss,
     default_target,
     loss_from_outputs,
+    observables,
     output_vector,
+    outputs,
     pde_loss,
     pde_residual,
-    physics_loss_gradient_penalty,
     total_loss,
 )
 from plateaulab.statevector import apply_ry, init_zero
@@ -107,13 +109,16 @@ class TestStencils:
             Discretization(1)
 
 
+GRADIENT_PENALTY = LossConfig(LossKind.PDE_CONSTRAINED).physics
+
+
 class TestGradientPenalty:
     def test_constant_is_zero(self):
-        assert physics_loss_gradient_penalty(np.full(4, 0.3), Discretization(4)) == 0.0
+        assert pde_loss(np.full(4, 0.3), GRADIENT_PENALTY, Discretization(4)) == 0.0
 
     def test_alternating_profile_invisible_to_stencil(self):
         disc = Discretization(4)
-        assert physics_loss_gradient_penalty([1, -1, 1, -1], disc) == 0.0
+        assert pde_loss([1, -1, 1, -1], GRADIENT_PENALTY, disc) == 0.0
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(23)
@@ -121,7 +126,7 @@ class TestGradientPenalty:
         f = rng.uniform(-1, 1, 8)
         d1 = stencil_d1_oracle(f, disc.dx)
         want = sum(v**2 for v in d1) / 8
-        assert abs(physics_loss_gradient_penalty(f, disc) - want) < 1e-12
+        assert abs(pde_loss(f, GRADIENT_PENALTY, disc) - want) < 1e-12
 
 
 class TestPdeResiduals:
@@ -350,3 +355,87 @@ class TestPhysicsTerms:
             down[m] -= h
             numeric = (pde_loss(up, term, disc) - pde_loss(down, term, disc)) / (2 * h)
             assert abs(got[m] - numeric) < 1e-7 * max(1.0, abs(numeric))
+
+
+# Every standard config and every PDE, at the default physics weight and at 0.
+BLOCK_CONFIGS = list(dict.fromkeys(
+    config
+    for weight in (DEFAULT_PHYSICS_WEIGHT, 0.0)
+    for config in [*all_configs(weight),
+                   *(LossConfig(LossKind.PDE_CONSTRAINED, pde=p, physics_weight=weight)
+                     for p in ALL_PDES)]
+))
+
+
+def _blocks(rng, m):
+    """A (B, m) block and a (2, 3, m) block of profiles."""
+    return [rng.uniform(-0.9, 0.9, (5, m)), rng.uniform(-0.9, 0.9, (2, 3, m))]
+
+
+def _assert_rows_match_1d(fn, block):
+    """Each row of fn(block) has the bytes of fn on that row alone."""
+    got = fn(block)
+    for idx in np.ndindex(block.shape[:-1]):
+        assert np.asarray(got[idx]).tobytes() == np.asarray(fn(block[idx])).tobytes()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize(
+        "config", BLOCK_CONFIGS, ids=lambda c: f"{c.name}-{c.pde_name}-{c.physics_weight}"
+    )
+    def test_outputs_and_losses_are_row_wise(self, config, n):
+        rng = np.random.default_rng(n)
+        disc = Discretization(n)
+        obs = observables(config, n)
+        for probs in _blocks(rng, 2**n):
+            _assert_rows_match_1d(lambda p: outputs(obs, p), probs)
+        for f in _blocks(rng, len(obs)):
+            _assert_rows_match_1d(lambda g: loss_from_outputs(config, g, disc), f)
+            _assert_rows_match_1d(lambda g: d_loss_d_outputs(config, g, disc), f)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_stencils_and_terms_are_row_wise(self, n):
+        disc = Discretization(n)
+        for f in _blocks(np.random.default_rng(n), n):
+            _assert_rows_match_1d(lambda g: centered_d1(g, disc), f)
+            _assert_rows_match_1d(lambda g: centered_d2(g, disc), f)
+            for term in (GRADIENT_PENALTY, *ALL_PDES):
+                _assert_rows_match_1d(lambda g: term.residual(g, disc), f)
+                _assert_rows_match_1d(
+                    lambda g: term.d_loss_d_f(g, term.residual(g, disc), disc), f)
+
+
+class TestOneProfile:
+    """The CLI formats and checks values only when they are float instances."""
+
+    @pytest.mark.parametrize(
+        "config", BLOCK_CONFIGS, ids=lambda c: f"{c.name}-{c.pde_name}-{c.physics_weight}"
+    )
+    def test_loss_of_one_profile_is_a_float(self, config):
+        f = np.linspace(-0.5, 0.5, len(observables(config, 4)))
+        assert isinstance(loss_from_outputs(config, f, Discretization(4)), float)
+
+    def test_term_and_data_losses_of_one_profile_are_floats(self):
+        f, disc = np.linspace(-0.5, 0.5, 4), Discretization(4)
+        for term in (GRADIENT_PENALTY, *ALL_PDES):
+            assert isinstance(pde_loss(f, term, disc), float)
+        assert isinstance(data_loss(f, default_target(4)), float)
+
+    def test_malformed_profiles_rejected(self):
+        disc = Discretization(4)
+        config = LossConfig(LossKind.PDE_CONSTRAINED, pde=Burgers())
+        calls = [
+            lambda g: centered_d1(g, disc),
+            lambda g: centered_d2(g, disc),
+            lambda g: pde_loss(g, Heat(), disc),
+            lambda g: data_loss(g, default_target(4)),
+            lambda g: loss_from_outputs(config, g, disc),
+            lambda g: d_loss_d_outputs(config, g, disc),
+        ]
+        for bad in (np.float64(0.3), np.zeros((3, 5))):
+            for call in calls:
+                with pytest.raises(ValueError):
+                    call(bad)
+        with pytest.raises(ValueError):
+            data_loss(np.zeros((3, 4)), np.zeros(5))

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gradients
-from .ansatz import CircuitSpec, Topology, run_circuit
+from .ansatz import CircuitSpec, Topology
 from .gradients import draw_params, gradient_variance
 from .losses import (
     DEFAULT_PHYSICS_WEIGHT,
@@ -31,13 +31,11 @@ from .losses import (
     PdeKind,
     SaintVenant,
     all_configs,
-    loss_from_outputs,
-    observables,
-    outputs,
 )
-from .statevector import probabilities, reduced_density_matrix, von_neumann_entropy
+from .statevector import StateVector, reduced_density_matrix, von_neumann_entropy
 
 # Unused here, kept as bindings that bench/tracer.py wraps.
+from .ansatz import run_circuit  # noqa: F401
 from .gradients import loss_gradient  # noqa: F401
 from .losses import total_loss  # noqa: F401
 
@@ -189,7 +187,8 @@ def entanglement_sweep(
 
     The cut keeps the first floor(n/2) qubits; the ratio divides by their
     floor(n/2)-bit maximum. Both topologies of a cell reuse the same angle
-    draws.
+    draws; they run as rows of batches of at most p draws, and each batch
+    takes one partial-trace and one entropy call.
     """
     if n_samples < 1:
         raise ValueError("need at least 1 sample")
@@ -199,24 +198,20 @@ def entanglement_sweep(
         half = n // 2
         for layers in depths:
             layers = int(layers)
-            draws = [draw_params(seed, n, layers, k) for k in range(n_samples)]
+            draws = np.stack([draw_params(seed, n, layers, k) for k in range(n_samples)])
             for topology in (Topology.NEAREST_NEIGHBOR, Topology.ALL_TO_ALL):
                 spec = CircuitSpec(n, layers, topology)
-                entropies = []
-                for angles in draws:
-                    state = run_circuit(spec, angles)
-                    rho = reduced_density_matrix(state, range(half))
-                    entropies.append(von_neumann_entropy(rho))
+                p = spec.param_count
+                # p draws: gradient_variance's bound with one live row per draw.
+                # gradients.run_circuit_batch is the binding bench/tracer.py counts.
+                entropies = np.concatenate([
+                    von_neumann_entropy(reduced_density_matrix(StateVector(
+                        n, gradients.run_circuit_batch(spec, angles)), range(half)))
+                    for angles in np.split(draws, range(p, n_samples, p))])
                 mean_bits = float(np.mean(entropies))
-                rows.append(
-                    EntropyRow(
-                        n=n,
-                        layers=layers,
-                        topology=topology.value,
-                        mean_entropy_bits=mean_bits,
-                        ratio_to_max=mean_bits / half,
-                    )
-                )
+                rows.append(EntropyRow(n=n, layers=layers, topology=topology.value,
+                                       mean_entropy_bits=mean_bits,
+                                       ratio_to_max=mean_bits / half))
     return rows
 
 
@@ -234,9 +229,9 @@ def train(
     therefore holds epochs + 1 entries and its final row is the state after
     the last update. Every config starts from the one draw of (seed, n,
     layers). Each epoch, every config takes its step; then each topology
-    runs one forward batch with its configs' angles as rows and one adjoint
-    backward sweep, and config k of a topology reads its gradient at its
-    own row. A trace has the same bits as training its config alone. A
+    runs one adjoint forward and backward sweep with its configs' angles as
+    rows, and config k of a topology reads its loss and gradient at its own
+    row. A trace has the same bits as training its config alone. A
     non-finite step or gradient raises ArithmeticError naming the first
     failing epoch; within it, steps are checked before gradients, each in
     config order.
@@ -250,7 +245,6 @@ def train(
     disc = Discretization(n)
     groups = [(CircuitSpec(n, layers, topology), members)
               for topology, members in gradients._members_by_topology(configs).items()]
-    obs = [observables(c, n) for c in configs]
     params = np.tile(draw_params(seed, n, layers, 0), (len(configs), 1))
     grads = np.empty_like(params)
     values = [0.0] * len(configs)
@@ -260,14 +254,10 @@ def train(
             params -= learning_rate * grads
             _check_finite(params, configs, "step", epoch)
         for spec, members in groups:
-            angles = params[members]
-            states = gradients.run_circuit_batch(spec, angles)
-            probs = probabilities(states)
-            stacks = gradients._adjoint_gradients([configs[i] for i in members], spec,
-                                                  angles, states, disc)
+            losses, stacks = gradients._adjoint_gradients(
+                [configs[i] for i in members], spec, params[members], disc)
             for k, i in enumerate(members):
-                grads[i] = stacks[k, k]
-                values[i] = loss_from_outputs(configs[i], outputs(obs[i], probs[k]), disc)
+                values[i], grads[i] = losses[k, k], stacks[k, k]
         _check_finite(grads, configs, "gradient", epoch)
         for trace, value, grad in zip(traces, values, grads):
             trace.epochs.append(TrainEpoch(epoch, value, float(np.linalg.norm(grad))))

@@ -6,13 +6,14 @@ exact engines compute it.
 
 Variance cells (``gradient_variance``) and training (``experiments.train``)
 use the adjoint method. At a fixed point the gradient of L equals that of <O>
-with the diagonal observable O = sum_k dL/df_k Z_k. The caller's forward sweep
-gives the states phi, one ``d_loss_d_outputs`` call per config gives dL/df at
-every row and so lambda = O phi, and one backward sweep undoes every gate on
-both, reading dL/dtheta = Im<lambda|P|phi> at each rotation with generator P
-(Y_q or Z_q). Draws, or one topology's configs in training, run as rows of one
-batch per topology, and every per-row contraction is row-wise, so a row's
-gradient has the same bits whatever batch it runs in.
+with the diagonal observable O = sum_k dL/df_k Z_k. The engine's forward sweep
+gives the states phi and their outputs f, which give each config's loss and,
+through one ``d_loss_d_outputs`` call per config, dL/df at every row and so
+lambda = O phi; one backward sweep undoes every gate on both, reading
+dL/dtheta = Im<lambda|P|phi> at each rotation with generator P (Y_q or Z_q).
+Draws, or one topology's configs in training, run as rows of one batch per
+topology, and every per-row contraction is row-wise, so a row's loss and
+gradient have the same bits whatever batch they run in.
 
 Single points (``loss_and_gradient``, ``jacobian_outputs``) use the pi/2
 parameter-shift rule: expectations of this gate set are trigonometric in
@@ -154,13 +155,13 @@ _MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
 
 def _adjoint_gradients(
     configs: Sequence[LossConfig], spec: CircuitSpec, angles: np.ndarray,
-    states: np.ndarray, disc: Discretization,
-) -> np.ndarray:
-    """Gradients of every config at every row of ``angles``, shape (C, B, p).
+    disc: Discretization,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Losses (C, B) and gradients (C, B, p) of every config at every row.
 
-    ``states`` holds the caller's forward batch phi,
-    ``run_circuit_batch(spec, angles)``; it is copied, so a temporary passed
-    in is freed before the backward sweep. Each (config, row) gets the row
+    The forward sweep ``run_circuit_batch(spec, angles)`` gives the states
+    phi; their outputs f give each config's loss, with the bits of
+    ``total_loss``, and dL/df. Each (config, row) gets the row
     lambda = (sum_k dL/df_k Z_k) phi, and one array of [phi; lambda] rows is
     walked back through the gates: at each rotation dL/dtheta =
     Im<lambda|P|phi> is read, then the gate is undone on every row.
@@ -169,15 +170,16 @@ def _adjoint_gradients(
         check_pairing(config, spec, disc)
     n, n_configs, n_draws = spec.n_qubits, len(configs), len(angles)
     rows = np.empty(((n_configs + 1) * n_draws, 2**n), dtype=np.complex128)
-    rows[:n_draws] = states
-    del states
+    rows[:n_draws] = run_circuit_batch(spec, angles)
     probs = probabilities(rows[:n_draws])
     flat = rows.view(np.float64).reshape(n_configs + 1, n_draws, 2**n, 2)
+    losses = np.empty((n_configs, n_draws))
     # Row-wise einsum, not @, for the reason given in ``outputs``.
     for c, config in enumerate(configs):
         obs = observables(config, n)
-        dl_df = d_loss_d_outputs(config, outputs(obs, probs), disc)
-        weights = np.einsum("bm,mi->bi", dl_df, obs)
+        f = outputs(obs, probs)
+        losses[c] = loss_from_outputs(config, f, disc)
+        weights = np.einsum("bm,mi->bi", d_loss_d_outputs(config, f, disc), obs)
         np.multiply(flat[0], weights[:, :, None], out=flat[c + 1])
     del probs
     grads = np.empty((n_configs, n_draws, spec.param_count))
@@ -203,7 +205,7 @@ def _adjoint_gradients(
             sv._apply_ry_inplace(rows, n, a, cos_half[b], -sin_half[b])
         else:
             sv._apply_rz_inplace(rows, n, a, np.conj(phase[b]))
-    return grads
+    return losses, grads
 
 
 def _members_by_topology(configs: Sequence[LossConfig]) -> dict:
@@ -236,8 +238,7 @@ def gradient_variance(
         # half of one 2p+1-row parameter-shift batch.
         block = max(1, (2 * spec.param_count + 1) // (2 * (len(members) + 1)))
         stacks = np.concatenate([
-            _adjoint_gradients([configs[i] for i in members], spec, angles,
-                               run_circuit_batch(spec, angles), disc)
+            _adjoint_gradients([configs[i] for i in members], spec, angles, disc)[1]
             for angles in np.split(draws, range(block, n_samples, block))
         ], axis=1)
         for i, stack in zip(members, stacks):

@@ -242,28 +242,28 @@ def output_vector(state: StateVector) -> np.ndarray:
     return outputs(z_signs(state.n_qubits), probabilities(state.amplitudes))
 
 
-def _check_profile(f, disc: Discretization) -> np.ndarray:
+def _check_profile(f, length: int) -> np.ndarray:
     arr = np.asarray(f, dtype=np.float64)
-    if arr.shape[-1:] != (disc.n_points,):
-        raise ValueError(f"expected {disc.n_points} grid values, got shape {arr.shape}")
+    if arr.shape[-1:] != (length,):
+        raise ValueError(f"expected {length} values on the last axis, got shape {arr.shape}")
     return arr
 
 
 def centered_d1(f, disc: Discretization) -> np.ndarray:
     """Periodic centered first difference (f_{k+1} - f_{k-1}) / (2 dx)."""
-    arr = _check_profile(f, disc)
+    arr = _check_profile(f, disc.n_points)
     return (np.roll(arr, -1, axis=-1) - np.roll(arr, 1, axis=-1)) / (2.0 * disc.dx)
 
 
 def centered_d2(f, disc: Discretization) -> np.ndarray:
     """Periodic centered second difference (f_{k+1} - 2 f_k + f_{k-1}) / dx^2."""
-    arr = _check_profile(f, disc)
+    arr = _check_profile(f, disc.n_points)
     return (np.roll(arr, -1, axis=-1) - 2.0 * arr + np.roll(arr, 1, axis=-1)) / disc.dx**2
 
 
 def pde_residual(f, pde: PdeKind, disc: Discretization) -> np.ndarray:
     """Steady spatial residual of the given PDE on the periodic grid."""
-    res = pde.residual(_check_profile(f, disc), disc)
+    res = pde.residual(_check_profile(f, disc.n_points), disc)
     if not np.all(np.isfinite(res)):
         raise ArithmeticError("non-finite PDE residual")
     return res
@@ -288,11 +288,12 @@ def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float | np
     """Loss of each row of outputs f of ``observables(config, n)``.
 
     A cost is its single output itself; a composite loss is data MSE plus
-    the weighted physics penalty of the output profile.
+    the weighted physics penalty of the output profile. The last axis of f
+    must hold the m outputs: 1 for a cost, n for a composite.
     """
-    arr = np.asarray(f, dtype=np.float64)
     if config.kind in _COST_KINDS:
-        return arr[..., 0][()]
+        return _check_profile(f, 1)[..., 0][()]
+    arr = _check_profile(f, disc.n_points)
     target = config.target(disc.n_points)
     physics = pde_loss(arr, config.physics, disc)
     return data_loss(arr, target) + config.physics_weight * physics
@@ -305,8 +306,8 @@ def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
     output is the loss, so its derivative is ones shaped like f.
     """
     if config.kind in _COST_KINDS:
-        return np.ones(np.shape(f))
-    arr = _check_profile(f, disc)
+        return np.ones(_check_profile(f, 1).shape)
+    arr = _check_profile(f, disc.n_points)
     grad = (2.0 / disc.n_points) * (arr - config.target(disc.n_points))
     physics = config.physics
     res = pde_residual(arr, physics, disc)

@@ -28,7 +28,7 @@ _EIG_FLOOR = 1e-12  # eigenvalues below this count as exactly 0 in entropy sums
 
 @dataclass
 class StateVector:
-    """Normalized complex amplitudes of an n-qubit register."""
+    """Normalized amplitudes (..., 2^n) of an n-qubit register: a state or a block."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -39,7 +39,7 @@ class StateVector:
 
 @dataclass
 class DensityMatrix:
-    """Hermitian, unit-trace matrix on a 2^k-dimensional subsystem."""
+    """Hermitian, unit-trace matrices (..., dim, dim) on a 2^k-dimensional subsystem."""
 
     dim: int
     entries: np.ndarray
@@ -159,10 +159,11 @@ def expect_z_string(state: StateVector, qubits) -> float:
 
 
 def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:
-    """Partial trace onto the ``keep`` qubits.
+    """Partial trace onto the ``keep`` qubits of every state of a block.
 
     Row/column index bit i of the result is the value of the i-th smallest
-    kept qubit, matching the global least-significant-bit convention.
+    kept qubit, matching the global least-significant-bit convention. Each
+    matrix of the one stacked product has the bits of its single-state call.
     """
     n = state.n_qubits
     keep = sorted(set(keep))
@@ -171,23 +172,27 @@ def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:
     for q in keep:
         _check_qubit(n, q)
     rest = [q for q in range(n) if q not in keep]
-    # Axis j of the reshaped tensor is qubit n-1-j; order kept axes so the
+    lead = state.amplitudes.shape[:-1]
+    # Past the leading axes, axis j is qubit n-1-j; order kept axes so the
     # largest kept qubit is the most significant bit of the row index.
-    perm = [n - 1 - q for q in reversed(keep)] + [n - 1 - q for q in reversed(rest)]
-    tensor = state.amplitudes.reshape([2] * n).transpose(perm)
-    mat = tensor.reshape(2 ** len(keep), 2 ** len(rest))
-    rho = mat @ mat.conj().T
+    perm = [len(lead) + n - 1 - q for q in [*reversed(keep), *reversed(rest)]]
+    tensor = state.amplitudes.reshape(lead + (2,) * n).transpose([*range(len(lead)), *perm])
+    mat = tensor.reshape(lead + (2 ** len(keep), 2 ** len(rest)))
+    rho = mat @ np.swapaxes(mat.conj(), -1, -2)
     return DensityMatrix(dim=2 ** len(keep), entries=rho)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy -sum(lam * log2(lam)) of the eigenvalues, in bits."""
+def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
+    """Entropy -sum(lam * log2(lam)) of the eigenvalues in bits, one per matrix.
+
+    A single matrix gives a float; a pure state gives +0.0.
+    """
     entries = rho.entries
-    if not np.allclose(entries, entries.conj().T, atol=1e-10):
+    if not np.allclose(entries, np.swapaxes(entries.conj(), -1, -2), atol=1e-10):
         raise ArithmeticError("density matrix is not Hermitian within tolerance")
-    eigs = np.linalg.eigvalsh(entries)
-    eigs = np.clip(eigs.real, 0.0, 1.0)
-    eigs = eigs[eigs > _EIG_FLOOR]
-    if eigs.size == 0:
-        return 0.0
-    return float(-np.sum(eigs * np.log2(eigs)))
+    eigs = np.clip(np.linalg.eigvalsh(entries), 0.0, 1.0)
+    # Each row is filtered on its own: zeros left in its sum would regroup
+    # the terms and move the last bit. 0.0 - s is -s, but +0.0 for s = 0.
+    kept = (row[row > _EIG_FLOOR] for row in eigs.reshape(-1, eigs.shape[-1]))
+    bits = np.array([0.0 - np.sum(lam * np.log2(lam)) for lam in kept])
+    return float(bits[0]) if eigs.ndim == 1 else bits.reshape(eigs.shape[:-1])

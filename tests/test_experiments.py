@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from plateaulab import gradients
-from plateaulab.ansatz import CircuitSpec
+from plateaulab.ansatz import CircuitSpec, Topology, run_circuit
 from plateaulab.gradients import draw_params, loss_gradient
 from plateaulab.losses import (
     Discretization,
@@ -28,6 +28,7 @@ from plateaulab.experiments import (
     sweep_qubits,
     train,
 )
+from plateaulab.statevector import reduced_density_matrix, von_neumann_entropy
 
 
 class TestVarianceSweeps:
@@ -99,6 +100,23 @@ class TestEntanglementSweep:
         with pytest.raises(ValueError):
             entanglement_sweep(ns=(4,), depths=(1,), n_samples=0, seed=0)
 
+    def test_means_equal_single_state_entropies(self):
+        # At n = 3, L = 1 a block holds p = 6 draws, so 14 draws run in three.
+        rows = entanglement_sweep(ns=(3, 4), depths=(1, 2), n_samples=14, seed=6)
+        for row in rows:
+            spec = CircuitSpec(row.n, row.layers, Topology(row.topology))
+            entropies = [
+                von_neumann_entropy(reduced_density_matrix(
+                    run_circuit(spec, draw_params(6, row.n, row.layers, k)), range(row.n // 2)))
+                for k in range(14)
+            ]
+            assert row.mean_entropy_bits == float(np.mean(entropies))
+
+    def test_draws_run_in_blocks_of_p(self, monkeypatch):
+        calls = _count_forward_batches(monkeypatch)
+        entanglement_sweep(ns=(3,), depths=(1,), n_samples=14, seed=0)
+        assert calls == [6, 6, 2] * 2
+
 
 def _count_forward_batches(monkeypatch):
     calls = []
@@ -144,9 +162,7 @@ class TestTrain:
                         float(np.linalg.norm(grad)), abs=1e-12
                     )
                     assert entry.loss_value == total_loss(cfg, spec, params, disc)
-                    states = gradients.run_circuit_batch(spec, params[None])
-                    adjoint = gradients._adjoint_gradients([cfg], spec, params[None],
-                                                           states, disc)
+                    _, adjoint = gradients._adjoint_gradients([cfg], spec, params[None], disc)
                     params = params - lr * adjoint[0, 0]
 
     def test_lockstep_traces_equal_training_alone(self):

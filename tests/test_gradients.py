@@ -38,9 +38,8 @@ def spec_for(config, n, layers):
 
 
 def run_adjoint(configs, spec, angles, disc):
-    """The adjoint engine after its caller's forward batch."""
-    states = gradients.run_circuit_batch(spec, angles)
-    return gradients._adjoint_gradients(configs, spec, angles, states, disc)
+    """The adjoint engine's gradients, shape (C, B, p)."""
+    return gradients._adjoint_gradients(configs, spec, angles, disc)[1]
 
 
 class TestJacobian:
@@ -250,9 +249,10 @@ class TestGradientVariance:
         original = gradients._adjoint_gradients
         stacks = []
 
-        def recording(configs, spec, angles, states, disc):
-            stacks.append((spec.topology, original(configs, spec, angles, states, disc)))
-            return stacks[-1][1]
+        def recording(configs, spec, angles, disc):
+            losses, grads = original(configs, spec, angles, disc)
+            stacks.append((spec.topology, grads))
+            return losses, grads
 
         monkeypatch.setattr(gradients, "_adjoint_gradients", recording)
         runs = []
@@ -302,6 +302,19 @@ class TestAdjointGradients:
             np.testing.assert_array_equal(alone[:, 0], together[:, k])
             one_config = run_adjoint(configs[1:2], spec, draws[k:k + 1], disc)
             np.testing.assert_array_equal(one_config[0, 0], together[1, k])
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_losses_equal_total_loss(self, n):
+        disc = Discretization(n)
+        draws = np.stack([draw_params(8, n, 2, k) for k in range(3)])
+        for topology in Topology:
+            configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
+            spec = CircuitSpec(n, 2, topology)
+            losses, _ = gradients._adjoint_gradients(configs, spec, draws, disc)
+            assert losses.shape == (len(configs), 3)
+            for c, config in enumerate(configs):
+                for b, angles in enumerate(draws):
+                    assert losses[c, b] == total_loss(config, spec, angles, disc)
 
     def test_mismatched_topology_rejected(self):
         spec = CircuitSpec(4, 1, Topology.NEAREST_NEIGHBOR)

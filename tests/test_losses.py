@@ -439,3 +439,15 @@ class TestOneProfile:
                     call(bad)
         with pytest.raises(ValueError):
             data_loss(np.zeros((3, 4)), np.zeros(5))
+
+    @pytest.mark.parametrize("kind", [LossKind.GLOBAL_COST, LossKind.LOCAL_COST])
+    def test_cost_takes_exactly_one_output(self, kind):
+        config, disc = LossConfig(kind), Discretization(4)
+        for bad in ([0.3, 0.5, 0.7, 0.9, 1.1], np.zeros(4), np.float64(0.3), np.zeros((3, 2))):
+            for call in (loss_from_outputs, d_loss_d_outputs):
+                with pytest.raises(ValueError):
+                    call(config, bad, disc)
+        assert loss_from_outputs(config, [0.3], disc) == 0.3
+        np.testing.assert_array_equal(loss_from_outputs(config, [[0.3], [0.5]], disc), [0.3, 0.5])
+        np.testing.assert_array_equal(d_loss_d_outputs(config, np.zeros((3, 1)), disc),
+                                      np.ones((3, 1)))

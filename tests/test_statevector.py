@@ -5,6 +5,7 @@ import pytest
 
 from plateaulab.statevector import (
     DensityMatrix,
+    StateVector,
     apply_cnot,
     apply_ry,
     apply_rz,
@@ -253,6 +254,45 @@ class TestEntropy:
             for keep in ([0], [0, 1], [1, 3, 5]):
                 s = von_neumann_entropy(reduced_density_matrix(state, keep))
                 assert 0.0 <= s <= min(len(keep), 6 - len(keep)) + 1e-9
+
+
+class TestBlocks:
+    """A block of states gives, row by row, the bits of each single-state call."""
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rows_equal_single_state_calls(self, n, lead):
+        rng = np.random.default_rng(30 + n)
+        amps = rng.normal(size=lead + (2**n,)) + 1j * rng.normal(size=lead + (2**n,))
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        first = (0,) * len(lead)
+        amps[first] = init_zero(n).amplitudes  # a product state
+        block = StateVector(n, amps)
+        keeps = [range(n // 2), range(n // 2, n)] + ([{0, n - 1}] if n > 2 else [])
+        for keep in keeps:
+            rho = reduced_density_matrix(block, keep)
+            entropies = von_neumann_entropy(rho)
+            assert rho.entries.shape == lead + (rho.dim, rho.dim)
+            assert entropies.shape == lead
+            for idx in np.ndindex(*lead):
+                single = reduced_density_matrix(StateVector(n, amps[idx]), keep)
+                assert rho.entries[idx].tobytes() == single.entries.tobytes()
+                assert entropies[idx].tobytes() == np.float64(von_neumann_entropy(single)).tobytes()
+                # The floor drops small eigenvalues from the sum, not its terms.
+                lam = np.clip(np.linalg.eigvalsh(single.entries), 0.0, 1.0)
+                lam = lam[lam > 1e-12]
+                assert entropies[idx] == -np.sum(lam * np.log2(lam))
+            assert entropies[first] == 0.0 and not np.signbit(entropies[first])
+
+    def test_single_state_gives_a_float(self):
+        bell = apply_cnot(apply_ry(init_zero(2), 0, np.pi / 2), 0, 1)
+        assert type(von_neumann_entropy(reduced_density_matrix(bell, {0}))) is float
+        assert type(von_neumann_entropy(reduced_density_matrix(init_zero(3), {0}))) is float
+
+    def test_one_non_hermitian_row_rejected(self):
+        entries = np.stack([np.eye(2) / 2, [[0.5, 0.3], [0.0, 0.5]], np.eye(2) / 2])
+        with pytest.raises(ArithmeticError):
+            von_neumann_entropy(DensityMatrix(2, entries))
 
 
 class TestNormPreservation:

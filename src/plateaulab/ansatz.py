@@ -88,10 +88,11 @@ def _check_params(spec: CircuitSpec, params) -> np.ndarray:
 
 
 def _gate_coefficients(angles_batch: np.ndarray) -> tuple[np.ndarray, ...]:
-    # cos(a/2), sin(a/2) and exp(-i a/2) of every angle, shaped (p, B, 1, 1)
-    # so entry j broadcasts over the (B, hi, lo) kernel views.
-    half = angles_batch.T[:, :, None, None] / 2.0
-    return np.cos(half), np.sin(half), np.exp(-1j * half)
+    # cos(a/2), sin(a/2) (p, B, 1, 1, 1) and the RZ pair [exp(-i a/2), conj]
+    # (p, B, 1, 2, 1) of every angle: entry j broadcasts over the kernel views.
+    half = angles_batch.T[:, :, None, None, None] / 2.0
+    phase = np.exp(-1j * half)
+    return np.cos(half), np.sin(half), np.concatenate([phase, np.conj(phase)], axis=-2)
 
 
 def run_circuit(spec: CircuitSpec, params) -> StateVector:
@@ -117,12 +118,12 @@ def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray
     n = spec.n_qubits
     amps = np.zeros((angles_batch.shape[0], 2**n), dtype=np.complex128)
     amps[:, 0] = 1.0
-    cos_half, sin_half, phase = _gate_coefficients(angles_batch)
+    cos_half, sin_half, phases = _gate_coefficients(angles_batch)
     for kind, a, b in circuit_gates(spec):
         if kind == "ry":
             sv._apply_ry_inplace(amps, n, a, cos_half[b], sin_half[b])
         elif kind == "rz":
-            sv._apply_rz_inplace(amps, n, a, phase[b])
+            sv._apply_rz_inplace(amps, n, a, phases[b])
         else:
             sv._apply_cnot_inplace(amps, n, a, b)
     norms = np.sum(sv.probabilities(amps), axis=1)

@@ -186,7 +186,7 @@ def _adjoint_gradients(
     chi = np.empty((n_draws, 2 ** (n + 1)))
     products = np.empty((n_configs, n_draws, 2 ** (n + 1)))
     lam = flat[1:].reshape(products.shape)
-    cos_half, sin_half, phase = _gate_coefficients(np.tile(angles, (n_configs + 1, 1)))
+    cos_half, sin_half, phases = _gate_coefficients(np.tile(angles, (n_configs + 1, 1)))
     for kind, a, b in reversed(list(circuit_gates(spec))):
         if kind == "cnot":
             sv._apply_cnot_inplace(rows, n, a, b)
@@ -204,7 +204,7 @@ def _adjoint_gradients(
         if kind == "ry":
             sv._apply_ry_inplace(rows, n, a, cos_half[b], -sin_half[b])
         else:
-            sv._apply_rz_inplace(rows, n, a, np.conj(phase[b]))
+            sv._apply_rz_inplace(rows, n, a, np.conj(phases[b]))
     return losses, grads
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -249,16 +250,30 @@ def _check_profile(f, length: int) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=None)
+def _neighbours(n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only periodic indices (k+1 mod n, k-1 mod n) of every grid point k."""
+    k = np.arange(n_points)
+    pair = ((k + 1) % n_points, (k - 1) % n_points)
+    for idx in pair:
+        idx.flags.writeable = False
+    return pair
+
+
+# np.take, not arr[..., idx]: the fancy index returns a block that is not
+# C-contiguous, and a row's bits downstream depend on its layout.
 def centered_d1(f, disc: Discretization) -> np.ndarray:
     """Periodic centered first difference (f_{k+1} - f_{k-1}) / (2 dx)."""
     arr = _check_profile(f, disc.n_points)
-    return (np.roll(arr, -1, axis=-1) - np.roll(arr, 1, axis=-1)) / (2.0 * disc.dx)
+    up, down = _neighbours(disc.n_points)
+    return (np.take(arr, up, axis=-1) - np.take(arr, down, axis=-1)) / (2.0 * disc.dx)
 
 
 def centered_d2(f, disc: Discretization) -> np.ndarray:
     """Periodic centered second difference (f_{k+1} - 2 f_k + f_{k-1}) / dx^2."""
     arr = _check_profile(f, disc.n_points)
-    return (np.roll(arr, -1, axis=-1) - 2.0 * arr + np.roll(arr, 1, axis=-1)) / disc.dx**2
+    up, down = _neighbours(disc.n_points)
+    return (np.take(arr, up, axis=-1) - 2.0 * arr + np.take(arr, down, axis=-1)) / disc.dx**2
 
 
 def pde_residual(f, pde: PdeKind, disc: Discretization) -> np.ndarray:

@@ -8,9 +8,10 @@ and tests all agree bit-for-bit.
 
 The gate kernels act in place on a (B, 2^n) batch of amplitude rows (no
 2^n x 2^n matrix is ever built), which is O(B 2^n) per gate and entirely
-adequate for n <= 12. A single state is a batch of one. Their coefficients
-come precomputed (cos and sin of a/2 for RY, exp(-i a/2) for RZ), one per
-row, so a caller evaluating many gates computes them once.
+adequate for n <= 12. A single state is a batch of one. Each rotation
+updates the whole (row, hi, bit, lo) view of its qubit (RY in three ufunc
+calls, RZ in one) with coefficients precomputed once per row: cos and sin of
+a/2 for RY, the pair [exp(-i a/2), exp(+i a/2)] along the bit axis for RZ.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ MIN_QUBITS = 2
 MAX_QUBITS = 12
 
 _EIG_FLOOR = 1e-12  # eigenvalues below this count as exactly 0 in entropy sums
+_RY_SIGNS = np.array([[-1.0], [1.0]])  # RY's off-diagonal on the bit-swapped view
 
 
 @dataclass
@@ -67,20 +69,15 @@ def _apply_ry_inplace(
     # Axes of the view: (row, hi, bit of ``qubit``, lo) with
     # index = hi*2^(q+1) + bit*2^q + lo; coefficients broadcast per row.
     view = amps.reshape(-1, 2 ** (n_qubits - 1 - qubit), 2, 2**qubit)
-    a0 = view[:, :, 0, :]
-    a1 = view[:, :, 1, :]
-    new0 = cos_half * a0 - sin_half * a1
-    # The bit-1 half is updated in place: one full-size temporary fewer.
-    a1 *= cos_half
-    a1 += sin_half * a0
-    view[:, :, 0, :] = new0
+    swapped = view[:, :, ::-1, :] * (sin_half * _RY_SIGNS)
+    view *= cos_half
+    view += swapped
 
 
-def _apply_rz_inplace(amps: np.ndarray, n_qubits: int, qubit: int, phase) -> None:
-    # ``phase`` is exp(-i a/2); the bit-1 half gets its conjugate.
+def _apply_rz_inplace(amps: np.ndarray, n_qubits: int, qubit: int, phases) -> None:
+    # ``phases`` is the (..., 2, 1) pair [exp(-i a/2), exp(+i a/2)] over the bit axis.
     view = amps.reshape(-1, 2 ** (n_qubits - 1 - qubit), 2, 2**qubit)
-    view[:, :, 0, :] *= phase
-    view[:, :, 1, :] *= np.conj(phase)
+    view *= phases
 
 
 def _apply_cnot_inplace(amps: np.ndarray, n_qubits: int, control: int, target: int) -> None:
@@ -113,7 +110,9 @@ def apply_rz(state: StateVector, qubit: int, angle: float) -> StateVector:
     """Rotate ``qubit`` about Z: diag(exp(-i a/2), exp(+i a/2))."""
     _check_qubit(state.n_qubits, qubit)
     out = state.copy()
-    _apply_rz_inplace(out.amplitudes, out.n_qubits, qubit, np.exp(-1j * angle / 2.0))
+    phase = np.exp(-1j * angle / 2.0)
+    phases = np.array([[phase], [np.conj(phase)]])
+    _apply_rz_inplace(out.amplitudes, out.n_qubits, qubit, phases)
     return out
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from plateaulab import statevector as sv
+from plateaulab.ansatz import _gate_coefficients
 from plateaulab.statevector import (
     DensityMatrix,
     StateVector,
@@ -293,6 +295,76 @@ class TestBlocks:
         entries = np.stack([np.eye(2) / 2, [[0.5, 0.3], [0.0, 0.5]], np.eye(2) / 2])
         with pytest.raises(ArithmeticError):
             von_neumann_entropy(DensityMatrix(2, entries))
+
+
+def rotate(kind, amps, qubit, angles, inverse=False):
+    """Run the in-place RY or RZ kernel on a (B, 2^n) block, one angle per row.
+
+    ``inverse`` passes (cos, -sin) or the conjugate phases, as the adjoint
+    backward sweep does to undo the gate.
+    """
+    n = amps.shape[-1].bit_length() - 1
+    cos_half, sin_half, phases = (c[0] for c in _gate_coefficients(angles[:, None]))
+    if kind == "ry":
+        sv._apply_ry_inplace(amps, n, qubit, cos_half, -sin_half if inverse else sin_half)
+    else:
+        sv._apply_rz_inplace(amps, n, qubit, np.conj(phases) if inverse else phases)
+
+
+def dense_rotation(kind, n, qubit, angle):
+    """The 2^n x 2^n matrix of the rotation on ``qubit`` (bit ``qubit`` of the index)."""
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    if kind == "ry":
+        gate = [[c, -s], [s, c]]
+    else:
+        gate = np.diag(np.exp([-0.5j * angle, 0.5j * angle]))
+    return np.kron(np.kron(np.eye(2 ** (n - 1 - qubit)), gate), np.eye(2**qubit))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("kind", ["ry", "rz"])
+class TestRotationKernels:
+    """The RY/RZ kernels on random (5, 2^n) blocks, at every qubit."""
+
+    @staticmethod
+    def block(n):
+        rng = np.random.default_rng(40 + n)
+        amps = rng.normal(size=(5, 2**n)) + 1j * rng.normal(size=(5, 2**n))
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        return amps, rng.uniform(0.0, 2 * np.pi, 5)
+
+    def test_matches_reference(self, kind, n):
+        # A dense np.kron matrix up to n = 8, the single-state apply_* above.
+        amps, angles = self.block(n)
+        single = apply_ry if kind == "ry" else apply_rz
+        for qubit in range(n):
+            out = amps.copy()
+            rotate(kind, out, qubit, angles)
+            for row, angle in enumerate(angles):
+                if n <= 8:
+                    expected = dense_rotation(kind, n, qubit, angle) @ amps[row]
+                else:
+                    expected = single(StateVector(n, amps[row]), qubit, angle).amplitudes
+                assert np.max(np.abs(out[row] - expected)) <= 1e-14
+
+    def test_rows_have_bits_of_single_row_calls(self, kind, n):
+        # The adjoint engine relies on a row's bits not depending on its batch.
+        amps, angles = self.block(n)
+        for qubit in range(n):
+            out = amps.copy()
+            rotate(kind, out, qubit, angles)
+            for row in range(5):
+                alone = amps[row : row + 1].copy()
+                rotate(kind, alone, qubit, angles[row : row + 1])
+                assert alone[0].tobytes() == out[row].tobytes()
+
+    def test_inverse_coefficients_undo_the_gate(self, kind, n):
+        amps, angles = self.block(n)
+        for qubit in range(n):
+            out = amps.copy()
+            rotate(kind, out, qubit, angles)
+            rotate(kind, out, qubit, angles, inverse=True)
+            assert np.max(np.abs(out - amps)) <= 1e-15
 
 
 class TestNormPreservation:

@@ -2,8 +2,6 @@
 on variational quantum circuits with physics-informed loss functions."""
 
 from .statevector import (
-    DensityMatrix,
-    StateVector,
     apply_cnot,
     apply_ry,
     apply_rz,
@@ -11,6 +9,7 @@ from .statevector import (
     expect_z_string,
     init_zero,
     probabilities,
+    qubit_count,
     reduced_density_matrix,
     von_neumann_entropy,
     z_signs,
@@ -43,7 +42,6 @@ from .losses import (
     total_loss,
 )
 from .gradients import (
-    VarianceReport,
     draw_params,
     finite_difference_gradient,
     gradient_variance,

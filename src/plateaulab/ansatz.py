@@ -15,7 +15,6 @@ from typing import Iterator
 import numpy as np
 
 from . import statevector as sv
-from .statevector import StateVector
 
 _NORM_TOL = 1e-10
 
@@ -55,10 +54,7 @@ def entangler_pairs(spec: CircuitSpec) -> list[tuple[int, int]]:
 
 def gate_count(spec: CircuitSpec) -> int:
     """Total gates: 2n rotations per layer plus the entangler CNOTs."""
-    n, L = spec.n_qubits, spec.layers
-    if spec.topology is Topology.NEAREST_NEIGHBOR:
-        return L * (3 * n - 1)
-    return L * (n * (n - 1) // 2 + 2 * n)
+    return spec.layers * (2 * spec.n_qubits + len(entangler_pairs(spec)))
 
 
 def circuit_gates(spec: CircuitSpec) -> Iterator[tuple]:
@@ -87,18 +83,10 @@ def _check_params(spec: CircuitSpec, params) -> np.ndarray:
     return angles
 
 
-def _gate_coefficients(angles_batch: np.ndarray) -> tuple[np.ndarray, ...]:
-    # cos(a/2), sin(a/2) (p, B, 1, 1, 1) and the RZ pair [exp(-i a/2), conj]
-    # (p, B, 1, 2, 1) of every angle: entry j broadcasts over the kernel views.
-    half = angles_batch.T[:, :, None, None, None] / 2.0
-    phase = np.exp(-1j * half)
-    return np.cos(half), np.sin(half), np.concatenate([phase, np.conj(phase)], axis=-2)
-
-
-def run_circuit(spec: CircuitSpec, params) -> StateVector:
-    """Apply the full layered circuit to the all-zeros state."""
+def run_circuit(spec: CircuitSpec, params) -> np.ndarray:
+    """Apply the full layered circuit to the all-zeros state: 2^n amplitudes."""
     angles = _check_params(spec, params)
-    return StateVector(spec.n_qubits, run_circuit_batch(spec, angles[None])[0])
+    return run_circuit_batch(spec, angles[None])[0]
 
 
 def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray:
@@ -115,17 +103,16 @@ def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray
             f"expected batch of shape (B, {spec.param_count}), "
             f"got {angles_batch.shape}"
         )
-    n = spec.n_qubits
-    amps = np.zeros((angles_batch.shape[0], 2**n), dtype=np.complex128)
+    amps = np.zeros((angles_batch.shape[0], 2**spec.n_qubits), dtype=np.complex128)
     amps[:, 0] = 1.0
-    cos_half, sin_half, phases = _gate_coefficients(angles_batch)
+    cos_half, sin_half, phases = sv._gate_coefficients(angles_batch)
     for kind, a, b in circuit_gates(spec):
         if kind == "ry":
-            sv._apply_ry_inplace(amps, n, a, cos_half[b], sin_half[b])
+            sv._apply_ry_inplace(amps, a, cos_half[b], sin_half[b])
         elif kind == "rz":
-            sv._apply_rz_inplace(amps, n, a, phases[b])
+            sv._apply_rz_inplace(amps, a, phases[b])
         else:
-            sv._apply_cnot_inplace(amps, n, a, b)
+            sv._apply_cnot_inplace(amps, a, b)
     norms = np.sum(sv.probabilities(amps), axis=1)
     if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):  # a NaN norm fails too
         raise ArithmeticError("statevector norm drifted in batch evaluation")

@@ -314,8 +314,9 @@ def run_experiment(run: RunConfig) -> Table:
     if run.experiment == "converge":
         traces = xp.train(all_configs(run.physics_weight), n, layers, run.epochs,
                           run.learning_rate, run.seed)
-        rows = [(label, n, layers, t.config_name, e.epoch_index, e.loss_value,
-                 e.gradient_norm, run.seed) for t in traces for e in t.epochs]
+        rows = [(label, n, layers, t.config_name, epoch, e.loss_value,
+                 e.gradient_norm, run.seed)
+                for t in traces for epoch, e in enumerate(t.epochs)]
         return make_table(label, TRACE_COLUMNS, rows, run.as_dict())
     if run.experiment == "per-param":
         sweep = xp.per_param_distribution(n, layers, run.n_samples, run.seed,

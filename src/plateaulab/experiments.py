@@ -32,7 +32,7 @@ from .losses import (
     SaintVenant,
     all_configs,
 )
-from .statevector import StateVector, reduced_density_matrix, von_neumann_entropy
+from .statevector import reduced_density_matrix, von_neumann_entropy
 
 # Unused here, kept as bindings that bench/tracer.py wraps.
 from .ansatz import run_circuit  # noqa: F401
@@ -61,8 +61,12 @@ class SweepRow:
     layers: int
     config_name: str
     pde_name: Optional[str]
-    mean_variance: float
     per_param_variance: np.ndarray
+
+    @property
+    def mean_variance(self) -> float:
+        """Plain mean of the per-parameter variances."""
+        return float(np.mean(self.per_param_variance))
 
     @property
     def stderr_of_mean(self) -> float:
@@ -77,12 +81,17 @@ class EntropyRow:
     layers: int
     topology: str
     mean_entropy_bits: float
-    ratio_to_max: float
+
+    @property
+    def ratio_to_max(self) -> float:
+        """Mean entropy over its floor(n/2)-bit maximum for the half cut."""
+        return self.mean_entropy_bits / (self.n // 2)
 
 
 @dataclass(frozen=True)
 class TrainEpoch:
-    epoch_index: int
+    """One entry of a trace; its epoch number is its position in the list."""
+
     loss_value: float
     gradient_norm: float
 
@@ -121,10 +130,9 @@ def _variance_sweep(
     rows = []
     for n, layers in cells:
         n, layers = int(n), int(layers)
-        reports = gradient_variance(configs, n, layers, n_samples, seed)
-        for config, report in zip(configs, reports):
-            rows.append(SweepRow(n, layers, config.name, config.pde_name,
-                                 report.mean_variance, report.per_param_variance))
+        variances = gradient_variance(configs, n, layers, n_samples, seed)
+        for config, variance in zip(configs, variances):
+            rows.append(SweepRow(n, layers, config.name, config.pde_name, variance))
     return rows
 
 
@@ -202,16 +210,15 @@ def entanglement_sweep(
             for topology in (Topology.NEAREST_NEIGHBOR, Topology.ALL_TO_ALL):
                 spec = CircuitSpec(n, layers, topology)
                 p = spec.param_count
-                # p draws: gradient_variance's bound with one live row per draw.
-                # gradients.run_circuit_batch is the binding bench/tracer.py counts.
+                # One live row per draw: at most p live rows per block, the
+                # rule of gradient_variance. gradients.run_circuit_batch is
+                # the binding bench/tracer.py counts.
                 entropies = np.concatenate([
-                    von_neumann_entropy(reduced_density_matrix(StateVector(
-                        n, gradients.run_circuit_batch(spec, angles)), range(half)))
+                    von_neumann_entropy(reduced_density_matrix(
+                        gradients.run_circuit_batch(spec, angles), range(half)))
                     for angles in np.split(draws, range(p, n_samples, p))])
-                mean_bits = float(np.mean(entropies))
                 rows.append(EntropyRow(n=n, layers=layers, topology=topology.value,
-                                       mean_entropy_bits=mean_bits,
-                                       ratio_to_max=mean_bits / half))
+                                       mean_entropy_bits=float(np.mean(entropies))))
     return rows
 
 
@@ -260,7 +267,7 @@ def train(
                 values[i], grads[i] = losses[k, k], stacks[k, k]
         _check_finite(grads, configs, "gradient", epoch)
         for trace, value, grad in zip(traces, values, grads):
-            trace.epochs.append(TrainEpoch(epoch, value, float(np.linalg.norm(grad))))
+            trace.epochs.append(TrainEpoch(value, float(np.linalg.norm(grad))))
     return traces
 
 
@@ -276,13 +283,16 @@ def fit_scaling(points: Sequence[tuple], model: ScalingModel) -> ScalingFit:
 
     EXP_IN_QUBITS fits log2(var) against n (var ~ 2^(-b n), exponent b);
     POWER_IN_QUBITS fits log(var) against log(n) (var ~ n^(-a), exponent a).
+    Fewer than 2 distinct n raise ValueError; a variance that is not finite
+    and positive raises ArithmeticError.
     """
-    if len(points) < 2:
-        raise ValueError("need at least 2 points to fit")
+    # A set, not np.unique: that one imports numpy.ma on first use (about 1 MB RSS).
+    if len({p[0] for p in points}) < 2:
+        raise ValueError("need points at 2 or more distinct qubit counts to fit")
     ns = np.array([p[0] for p in points], dtype=np.float64)
     variances = np.array([p[1] for p in points], dtype=np.float64)
-    if np.any(variances <= 0):
-        raise ArithmeticError("all variances must be positive for a log fit")
+    if not np.all(np.isfinite(variances) & (variances > 0)):
+        raise ArithmeticError("all variances must be finite and positive for a log fit")
     if model is ScalingModel.EXP_IN_QUBITS:
         x, y = ns, np.log2(variances)
     else:

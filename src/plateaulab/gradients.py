@@ -31,19 +31,12 @@ topology also share each block's forward and backward sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import statevector as sv
-from .ansatz import (
-    CircuitSpec,
-    _check_params,
-    _gate_coefficients,
-    circuit_gates,
-    run_circuit_batch,
-)
+from .ansatz import CircuitSpec, _check_params, circuit_gates, run_circuit_batch
 from .losses import (
     Discretization,
     LossConfig,
@@ -58,14 +51,6 @@ from .statevector import probabilities, z_signs
 SHIFT = np.pi / 2.0
 
 MIN_VARIANCE_SAMPLES = 2  # the unbiased K-1 divisor needs K >= 2
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    """Per-parameter and mean gradient variances for one configuration."""
-
-    per_param_variance: np.ndarray
-    mean_variance: float
 
 
 def _shift_batch(angles: np.ndarray) -> np.ndarray:
@@ -186,10 +171,10 @@ def _adjoint_gradients(
     chi = np.empty((n_draws, 2 ** (n + 1)))
     products = np.empty((n_configs, n_draws, 2 ** (n + 1)))
     lam = flat[1:].reshape(products.shape)
-    cos_half, sin_half, phases = _gate_coefficients(np.tile(angles, (n_configs + 1, 1)))
+    cos_half, sin_half, phases = sv._gate_coefficients(np.tile(angles, (n_configs + 1, 1)))
     for kind, a, b in reversed(list(circuit_gates(spec))):
         if kind == "cnot":
-            sv._apply_cnot_inplace(rows, n, a, b)
+            sv._apply_cnot_inplace(rows, a, b)
             continue
         # dL/dtheta = Im<lam|P|phi> = Re<lam|chi> with chi = -i P phi. Every
         # row sums over a contiguous buffer, so its bits do not depend on
@@ -202,9 +187,9 @@ def _adjoint_gradients(
         np.multiply(lam, chi, out=products)
         grads[:, :, b] = products.sum(axis=2)
         if kind == "ry":
-            sv._apply_ry_inplace(rows, n, a, cos_half[b], -sin_half[b])
+            sv._apply_ry_inplace(rows, a, cos_half[b], -sin_half[b])
         else:
-            sv._apply_rz_inplace(rows, n, a, np.conj(phases[b]))
+            sv._apply_rz_inplace(rows, a, np.conj(phases[b]))
     return losses, grads
 
 
@@ -218,14 +203,13 @@ def _members_by_topology(configs: Sequence[LossConfig]) -> dict:
 
 def gradient_variance(
     configs: Sequence[LossConfig], n_qubits: int, layers: int, n_samples: int, seed: int
-) -> list[VarianceReport]:
-    """Sample gradients at random initializations and report their variances.
+) -> list[np.ndarray]:
+    """Per-parameter gradient variances (p,) at random initializations.
 
-    One report per config, in order. Each of the ``n_samples`` draws is shared
+    One array per config, in order. Each of the ``n_samples`` draws is shared
     by every config; per topology the draws run in blocks, each one adjoint
     forward and backward sweep for all of that topology's configs. Variances
-    use the unbiased K-1 divisor; the mean is their plain mean over
-    parameters.
+    use the unbiased K-1 divisor.
     """
     if n_samples < MIN_VARIANCE_SAMPLES:
         raise ValueError(f"need at least {MIN_VARIANCE_SAMPLES} samples, got {n_samples}")
@@ -234,14 +218,12 @@ def gradient_variance(
     grads: list = [None] * len(configs)
     for topology, members in _members_by_topology(configs).items():
         spec = CircuitSpec(n_qubits, layers, topology)
-        # (C+1) live rows per draw: a block holds no more amplitudes than
-        # half of one 2p+1-row parameter-shift batch.
-        block = max(1, (2 * spec.param_count + 1) // (2 * (len(members) + 1)))
+        # (C+1) live rows per draw: at most p live rows per block.
+        block = max(1, spec.param_count // (len(members) + 1))
         stacks = np.concatenate([
             _adjoint_gradients([configs[i] for i in members], spec, angles, disc)[1]
             for angles in np.split(draws, range(block, n_samples, block))
         ], axis=1)
         for i, stack in zip(members, stacks):
             grads[i] = stack
-    per_params = [g.var(axis=0, ddof=1) for g in grads]
-    return [VarianceReport(v, float(np.mean(v))) for v in per_params]
+    return [g.var(axis=0, ddof=1) for g in grads]

@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .ansatz import CircuitSpec, Topology, run_circuit
-from .statevector import StateVector, probabilities, z_signs
+from .statevector import probabilities, qubit_count, z_signs
 # Unused here, kept as bindings that bench/tracer.py wraps.
 from .statevector import expect_z, expect_z_string  # noqa: F401
 
@@ -238,9 +238,10 @@ def outputs(obs: np.ndarray, probs) -> np.ndarray:
     return np.einsum("...i,mi->...m", probs, obs)
 
 
-def output_vector(state: StateVector) -> np.ndarray:
-    """Per-qubit Pauli-Z expectations, component k = <Z_k>."""
-    return outputs(z_signs(state.n_qubits), probabilities(state.amplitudes))
+def output_vector(amps) -> np.ndarray:
+    """Per-qubit Pauli-Z expectations of a state (or block), component k = <Z_k>."""
+    amps = np.asarray(amps)
+    return outputs(z_signs(qubit_count(amps)), probabilities(amps))
 
 
 def _check_profile(f, length: int) -> np.ndarray:
@@ -332,7 +333,7 @@ def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
 def total_loss(config: LossConfig, spec: CircuitSpec, params, disc: Discretization) -> float:
     """Run the circuit and evaluate the configured loss."""
     check_pairing(config, spec, disc)
-    probs = probabilities(run_circuit(spec, params).amplitudes)
+    probs = probabilities(run_circuit(spec, params))
     f = outputs(observables(config, spec.n_qubits), probs)
     return loss_from_outputs(config, f, disc)
 

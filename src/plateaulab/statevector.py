@@ -6,9 +6,11 @@ are diagonal in the computational basis, so any consistent convention gives
 the same physics; this one is fixed so that states, reduced density matrices
 and tests all agree bit-for-bit.
 
-The gate kernels act in place on a (B, 2^n) batch of amplitude rows (no
-2^n x 2^n matrix is ever built), which is O(B 2^n) per gate and entirely
-adequate for n <= 12. A single state is a batch of one. Each rotation
+A state is a plain complex array of 2^n amplitudes on its last axis, and a
+block of states stacks them along leading axes; ``qubit_count`` reads n from
+that axis. The gate kernels act in place on a (B, 2^n) batch of amplitude
+rows (no 2^n x 2^n matrix is ever built), which is O(B 2^n) per gate and
+entirely adequate for n <= 12. A single state is a batch of one. Each rotation
 updates the whole (row, hi, bit, lo) view of its qubit (RY in three ufunc
 calls, RZ in one) with coefficients precomputed once per row: cos and sin of
 a/2 for RY, the pair [exp(-i a/2), exp(+i a/2)] along the bit axis for RZ.
@@ -16,7 +18,6 @@ a/2 for RY, the pair [exp(-i a/2), exp(+i a/2)] along the bit axis for RZ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,26 +29,21 @@ _EIG_FLOOR = 1e-12  # eigenvalues below this count as exactly 0 in entropy sums
 _RY_SIGNS = np.array([[-1.0], [1.0]])  # RY's off-diagonal on the bit-swapped view
 
 
-@dataclass
-class StateVector:
-    """Normalized amplitudes (..., 2^n) of an n-qubit register: a state or a block."""
+def qubit_count(amps) -> int:
+    """Register size n of amplitudes (..., 2^n): the one place n is read.
 
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
-
-@dataclass
-class DensityMatrix:
-    """Hermitian, unit-trace matrices (..., dim, dim) on a 2^k-dimensional subsystem."""
-
-    dim: int
-    entries: np.ndarray
+    Raises ValueError unless the last axis holds 2^n amplitudes with n in
+    [MIN_QUBITS, MAX_QUBITS].
+    """
+    size = np.shape(amps)[-1] if np.ndim(amps) else 0
+    n = size.bit_length() - 1
+    if not MIN_QUBITS <= n <= MAX_QUBITS or size != 2**n:
+        raise ValueError(f"expected 2^n amplitudes with n in [{MIN_QUBITS}, "
+                         f"{MAX_QUBITS}] on the last axis, got {size}")
+    return n
 
 
-def init_zero(n_qubits: int) -> StateVector:
+def init_zero(n_qubits: int) -> np.ndarray:
     """All-zeros computational basis state on ``n_qubits`` qubits."""
     if not MIN_QUBITS <= n_qubits <= MAX_QUBITS:
         raise ValueError(
@@ -55,7 +51,7 @@ def init_zero(n_qubits: int) -> StateVector:
         )
     amps = np.zeros(2**n_qubits, dtype=np.complex128)
     amps[0] = 1.0
-    return StateVector(n_qubits, amps)
+    return amps
 
 
 def _check_qubit(n_qubits: int, qubit: int) -> None:
@@ -63,27 +59,34 @@ def _check_qubit(n_qubits: int, qubit: int) -> None:
         raise IndexError(f"qubit {qubit} out of range for {n_qubits} qubits")
 
 
-def _apply_ry_inplace(
-    amps: np.ndarray, n_qubits: int, qubit: int, cos_half, sin_half
-) -> None:
+def _gate_coefficients(angles_batch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """cos(a/2), sin(a/2) (p, B, 1, 1, 1) and the RZ pair [exp(-i a/2), conj]
+    (p, B, 1, 2, 1) of every angle of a (B, p) batch: entry j broadcasts over
+    the (row, hi, bit, lo) kernel views."""
+    half = angles_batch.T[:, :, None, None, None] / 2.0
+    phase = np.exp(-1j * half)
+    return np.cos(half), np.sin(half), np.concatenate([phase, np.conj(phase)], axis=-2)
+
+
+def _apply_ry_inplace(amps: np.ndarray, qubit: int, cos_half, sin_half) -> None:
     # Axes of the view: (row, hi, bit of ``qubit``, lo) with
     # index = hi*2^(q+1) + bit*2^q + lo; coefficients broadcast per row.
-    view = amps.reshape(-1, 2 ** (n_qubits - 1 - qubit), 2, 2**qubit)
+    view = amps.reshape(-1, amps.shape[-1] >> (qubit + 1), 2, 2**qubit)
     swapped = view[:, :, ::-1, :] * (sin_half * _RY_SIGNS)
     view *= cos_half
     view += swapped
 
 
-def _apply_rz_inplace(amps: np.ndarray, n_qubits: int, qubit: int, phases) -> None:
+def _apply_rz_inplace(amps: np.ndarray, qubit: int, phases) -> None:
     # ``phases`` is the (..., 2, 1) pair [exp(-i a/2), exp(+i a/2)] over the bit axis.
-    view = amps.reshape(-1, 2 ** (n_qubits - 1 - qubit), 2, 2**qubit)
+    view = amps.reshape(-1, amps.shape[-1] >> (qubit + 1), 2, 2**qubit)
     view *= phases
 
 
-def _apply_cnot_inplace(amps: np.ndarray, n_qubits: int, control: int, target: int) -> None:
+def _apply_cnot_inplace(amps: np.ndarray, control: int, target: int) -> None:
     q_hi, q_lo = max(control, target), min(control, target)
     view = amps.reshape(
-        -1, 2 ** (n_qubits - 1 - q_hi), 2, 2 ** (q_hi - q_lo - 1), 2, 2**q_lo
+        -1, amps.shape[-1] >> (q_hi + 1), 2, 2 ** (q_hi - q_lo - 1), 2, 2**q_lo
     )
     # Swap the two target-bit slices within the control=1 block.
     if control == q_hi:
@@ -97,33 +100,36 @@ def _apply_cnot_inplace(amps: np.ndarray, n_qubits: int, control: int, target: i
         view[:, :, 1, :, 1, :] = tmp
 
 
-def apply_ry(state: StateVector, qubit: int, angle: float) -> StateVector:
+def _checked_copy(amps, *qubits: int) -> np.ndarray:
+    """A complex copy of the state(s) ``amps``, after checking n and each qubit."""
+    out = np.array(amps, dtype=np.complex128)
+    n = qubit_count(out)
+    for q in qubits:
+        _check_qubit(n, q)
+    return out
+
+
+def apply_ry(amps, qubit: int, angle: float) -> np.ndarray:
     """Rotate ``qubit`` about Y: [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]]."""
-    _check_qubit(state.n_qubits, qubit)
-    out = state.copy()
-    half = angle / 2.0
-    _apply_ry_inplace(out.amplitudes, out.n_qubits, qubit, np.cos(half), np.sin(half))
+    out = _checked_copy(amps, qubit)
+    cos_half, sin_half, _ = _gate_coefficients(np.reshape(angle, (1, 1)))
+    _apply_ry_inplace(out, qubit, cos_half[0], sin_half[0])
     return out
 
 
-def apply_rz(state: StateVector, qubit: int, angle: float) -> StateVector:
+def apply_rz(amps, qubit: int, angle: float) -> np.ndarray:
     """Rotate ``qubit`` about Z: diag(exp(-i a/2), exp(+i a/2))."""
-    _check_qubit(state.n_qubits, qubit)
-    out = state.copy()
-    phase = np.exp(-1j * angle / 2.0)
-    phases = np.array([[phase], [np.conj(phase)]])
-    _apply_rz_inplace(out.amplitudes, out.n_qubits, qubit, phases)
+    out = _checked_copy(amps, qubit)
+    _apply_rz_inplace(out, qubit, _gate_coefficients(np.reshape(angle, (1, 1)))[2][0])
     return out
 
 
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
+def apply_cnot(amps, control: int, target: int) -> np.ndarray:
     """Flip ``target`` where ``control`` is 1."""
-    _check_qubit(state.n_qubits, control)
-    _check_qubit(state.n_qubits, target)
+    out = _checked_copy(amps, control, target)
     if control == target:
         raise ValueError("control and target must differ")
-    out = state.copy()
-    _apply_cnot_inplace(out.amplitudes, out.n_qubits, control, target)
+    _apply_cnot_inplace(out, control, target)
     return out
 
 
@@ -141,55 +147,57 @@ def probabilities(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes.real**2 + amplitudes.imag**2
 
 
-def expect_z(state: StateVector, qubit: int) -> float:
+def expect_z(amps, qubit: int) -> float:
     """Expectation of Pauli-Z on one qubit; +1 weight where its bit is 0."""
-    return expect_z_string(state, {qubit})
+    return expect_z_string(amps, {qubit})
 
 
-def expect_z_string(state: StateVector, qubits) -> float:
-    """Parity expectation of the Z string over ``qubits``."""
+def expect_z_string(amps, qubits) -> float:
+    """Parity expectation of the Z string over ``qubits`` in one state."""
     qubits = sorted(set(qubits))
     if not qubits:
         raise ValueError("qubits must be a nonempty set")
+    n = qubit_count(amps)
     for q in qubits:
-        _check_qubit(state.n_qubits, q)
-    signs = np.prod(z_signs(state.n_qubits)[qubits], axis=0)
-    return float(np.dot(signs, probabilities(state.amplitudes)))
+        _check_qubit(n, q)
+    signs = np.prod(z_signs(n)[qubits], axis=0)
+    return float(np.dot(signs, probabilities(np.asarray(amps))))
 
 
-def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:
+def reduced_density_matrix(amps, keep) -> np.ndarray:
     """Partial trace onto the ``keep`` qubits of every state of a block.
 
-    Row/column index bit i of the result is the value of the i-th smallest
-    kept qubit, matching the global least-significant-bit convention. Each
-    matrix of the one stacked product has the bits of its single-state call.
+    Returns (..., 2^k, 2^k) matrices for k kept qubits. Row/column index bit
+    i is the value of the i-th smallest kept qubit, matching the global
+    least-significant-bit convention. Each matrix of the one stacked product
+    has the bits of its single-state call.
     """
-    n = state.n_qubits
+    amps = np.asarray(amps)
+    n = qubit_count(amps)
     keep = sorted(set(keep))
     if not keep or len(keep) >= n:
         raise ValueError("keep must be a proper nonempty subset of the qubits")
     for q in keep:
         _check_qubit(n, q)
     rest = [q for q in range(n) if q not in keep]
-    lead = state.amplitudes.shape[:-1]
+    lead = amps.shape[:-1]
     # Past the leading axes, axis j is qubit n-1-j; order kept axes so the
     # largest kept qubit is the most significant bit of the row index.
     perm = [len(lead) + n - 1 - q for q in [*reversed(keep), *reversed(rest)]]
-    tensor = state.amplitudes.reshape(lead + (2,) * n).transpose([*range(len(lead)), *perm])
+    tensor = amps.reshape(lead + (2,) * n).transpose([*range(len(lead)), *perm])
     mat = tensor.reshape(lead + (2 ** len(keep), 2 ** len(rest)))
-    rho = mat @ np.swapaxes(mat.conj(), -1, -2)
-    return DensityMatrix(dim=2 ** len(keep), entries=rho)
+    return mat @ np.swapaxes(mat.conj(), -1, -2)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
-    """Entropy -sum(lam * log2(lam)) of the eigenvalues in bits, one per matrix.
+def von_neumann_entropy(rho) -> float | np.ndarray:
+    """Entropy -sum(lam * log2(lam)) in bits of each (..., d, d) density matrix.
 
     A single matrix gives a float; a pure state gives +0.0.
     """
-    entries = rho.entries
-    if not np.allclose(entries, np.swapaxes(entries.conj(), -1, -2), atol=1e-10):
+    rho = np.asarray(rho)
+    if not np.allclose(rho, np.swapaxes(rho.conj(), -1, -2), atol=1e-10):
         raise ArithmeticError("density matrix is not Hermitian within tolerance")
-    eigs = np.clip(np.linalg.eigvalsh(entries), 0.0, 1.0)
+    eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
     # Each row is filtered on its own: zeros left in its sum would regroup
     # the terms and move the last bit. 0.0 - s is -s, but +0.0 for s = 0.
     kept = (row[row > _EIG_FLOOR] for row in eigs.reshape(-1, eigs.shape[-1]))

@@ -118,7 +118,7 @@ def test_criterion_03_norm_preserved_in_every_experiment():
                 spec = CircuitSpec(n, layers, topology)
                 for k in range(5):
                     state = run_circuit(spec, draw_params(TREND_SEED, n, layers, k))
-                    norm_sq = float(np.sum(np.abs(state.amplitudes) ** 2))
+                    norm_sq = float(np.sum(np.abs(state) ** 2))
                     assert abs(norm_sq - 1.0) < 1e-10
 
 

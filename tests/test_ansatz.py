@@ -125,7 +125,7 @@ class TestRunCircuit:
             spec = CircuitSpec(3, 2, topo)
             state = run_circuit(spec, np.zeros(spec.param_count))
             np.testing.assert_allclose(
-                np.abs(state.amplitudes), [1] + [0] * 7, atol=1e-15
+                np.abs(state), [1] + [0] * 7, atol=1e-15
             )
 
     def test_hand_traced_two_qubit_circuit(self):
@@ -135,14 +135,14 @@ class TestRunCircuit:
         assert abs(expect_z(state, 0) + 1.0) < 1e-12
         assert abs(expect_z(state, 1) + 1.0) < 1e-12
         oracle = dense_circuit_state(spec, np.array([np.pi, 0, 0, 0]))
-        np.testing.assert_allclose(state.amplitudes, oracle, atol=1e-12)
+        np.testing.assert_allclose(state, oracle, atol=1e-12)
 
     def test_matches_dense_oracle_on_random_circuits(self):
         rng = np.random.default_rng(11)
         for spec in (CircuitSpec(3, 2, NN), CircuitSpec(3, 2, ATA),
                      CircuitSpec(4, 1, ATA)):
             angles = rng.uniform(0, 2 * np.pi, spec.param_count)
-            got = run_circuit(spec, angles).amplitudes
+            got = run_circuit(spec, angles)
             np.testing.assert_allclose(got, dense_circuit_state(spec, angles), atol=1e-12)
 
     def test_norm_one_for_random_draws(self):
@@ -150,13 +150,13 @@ class TestRunCircuit:
         spec = CircuitSpec(4, 3, ATA)
         for _ in range(100):
             state = run_circuit(spec, rng.uniform(0, 2 * np.pi, spec.param_count))
-            assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
+            assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-10
 
     def test_deterministic(self):
         spec = CircuitSpec(5, 2, NN)
         angles = np.linspace(0, 5, spec.param_count)
-        a = run_circuit(spec, angles).amplitudes
-        b = run_circuit(spec, angles).amplitudes
+        a = run_circuit(spec, angles)
+        b = run_circuit(spec, angles)
         np.testing.assert_array_equal(a, b)
 
     def test_length_mismatch_rejected(self):
@@ -185,7 +185,7 @@ class TestBatchEvaluator:
             batch = rng.uniform(0, 2 * np.pi, (7, spec.param_count))
             amps = run_circuit_batch(spec, batch)
             for i in range(7):
-                single = run_circuit(spec, batch[i]).amplitudes
+                single = run_circuit(spec, batch[i])
                 np.testing.assert_allclose(amps[i], single, atol=1e-14)
 
     def test_bad_shape_rejected(self):
@@ -199,7 +199,7 @@ def test_run_circuit_is_a_batch_of_one():
     for spec in (CircuitSpec(4, 3, NN), CircuitSpec(5, 2, ATA)):
         x = rng.uniform(0, 2 * np.pi, spec.param_count)
         np.testing.assert_array_equal(
-            run_circuit(spec, x).amplitudes, run_circuit_batch(spec, x[None])[0]
+            run_circuit(spec, x), run_circuit_batch(spec, x[None])[0]
         )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from plateaulab import gradients
 from plateaulab.ansatz import CircuitSpec, Topology
+from plateaulab.experiments import SweepRow
 from plateaulab.gradients import (
     draw_params,
     finite_difference_gradient,
@@ -174,39 +175,37 @@ class TestGradientVariance:
         fixed = draw_params(0, 4, 1, 0)
         monkeypatch.setattr(gradients, "draw_params", lambda *args: fixed.copy())
         cfg = LossConfig(LossKind.GLOBAL_COST)
-        report = gradient_variance([cfg], 4, 1, 5, 0)[0]
-        np.testing.assert_allclose(report.per_param_variance, 0.0, atol=1e-30)
-        assert report.mean_variance == 0.0
+        variance = gradient_variance([cfg], 4, 1, 5, 0)[0]
+        np.testing.assert_allclose(variance, 0.0, atol=1e-30)
+        assert np.mean(variance) == 0.0
 
     def test_reference_scale_global_cost(self):
         """Mean variance near 3.17e-2 for the global cost at n=4, L=3."""
         cfg = LossConfig(LossKind.GLOBAL_COST)
-        report = gradient_variance([cfg], 4, 3, 25, 7)[0]
-        assert 0.5 * 3.17e-2 <= report.mean_variance <= 1.5 * 3.17e-2
+        variance = gradient_variance([cfg], 4, 3, 25, 7)[0]
+        assert 0.5 * 3.17e-2 <= np.mean(variance) <= 1.5 * 3.17e-2
 
     def test_estimate_self_consistent_as_samples_grow(self):
         cfg = LossConfig(LossKind.GLOBAL_COST)
         small = gradient_variance([cfg], 4, 3, 25, 7)[0]
         big = gradient_variance([cfg], 4, 3, 400, 7)[0]
-        stderr = np.std(small.per_param_variance, ddof=1) / np.sqrt(
-            small.per_param_variance.size
-        )
-        assert abs(big.mean_variance - small.mean_variance) <= 3 * stderr
+        stderr = np.std(small, ddof=1) / np.sqrt(small.size)
+        assert abs(np.mean(big) - np.mean(small)) <= 3 * stderr
 
     def test_mean_is_exact_mean_of_per_param(self):
         cfg = LossConfig(LossKind.LOCAL_COST)
-        report = gradient_variance([cfg], 4, 2, 10, 3)[0]
-        assert report.mean_variance == pytest.approx(
-            float(np.mean(report.per_param_variance)), abs=1e-12
+        row = SweepRow(4, 2, cfg.name, cfg.pde_name, gradient_variance([cfg], 4, 2, 10, 3)[0])
+        assert row.mean_variance == pytest.approx(
+            float(np.mean(row.per_param_variance)), abs=1e-12
         )
-        assert np.all(report.per_param_variance >= 0)
+        assert np.all(row.per_param_variance >= 0)
 
     def test_deterministic_reports(self):
         cfg = LossConfig(LossKind.PDE_CONSTRAINED)
         a = gradient_variance([cfg], 4, 2, 6, 11)[0]
         b = gradient_variance([cfg], 4, 2, 6, 11)[0]
-        np.testing.assert_array_equal(a.per_param_variance, b.per_param_variance)
-        assert a.mean_variance == b.mean_variance
+        np.testing.assert_array_equal(a, b)
+        assert np.mean(a) == np.mean(b)
 
     def test_too_few_samples_rejected(self):
         cfg = LossConfig(LossKind.GLOBAL_COST)
@@ -228,19 +227,34 @@ class TestGradientVariance:
         assert len(batches) == 2
         assert set(batches) == {ATA, Topology.NEAREST_NEIGHBOR}
 
+    def test_blocks_hold_at_most_p_live_rows(self, monkeypatch):
+        # p = 16 at n = 4, L = 2: the three all-to-all configs run 16 // 4 = 4
+        # draws per block, the one chain config 16 // 2 = 8.
+        original = gradients.run_circuit_batch
+        blocks = []
+
+        def counting(spec, angles_batch):
+            blocks.append((spec.topology, len(angles_batch)))
+            return original(spec, angles_batch)
+
+        monkeypatch.setattr(gradients, "run_circuit_batch", counting)
+        gradient_variance(all_configs(), 4, 2, 9, 0)
+        assert blocks == [(ATA, 4), (ATA, 4), (ATA, 1),
+                          (Topology.NEAREST_NEIGHBOR, 8), (Topology.NEAREST_NEIGHBOR, 1)]
+
     def test_reports_equal_per_config_gradient_stacks(self):
         configs = all_configs()
-        reports = gradient_variance(configs, 4, 2, 3, 0)
-        assert len(reports) == len(configs)
+        variances = gradient_variance(configs, 4, 2, 3, 0)
+        assert len(variances) == len(configs)
         draws = np.stack([draw_params(0, 4, 2, k) for k in range(3)])
-        for config, report in zip(configs, reports):
+        for config, variance in zip(configs, variances):
             spec = spec_for(config, 4, 2)
             adjoint = run_adjoint([config], spec, draws, Discretization(4))[0]
             expected = adjoint.var(axis=0, ddof=1)
-            np.testing.assert_array_equal(report.per_param_variance, expected)
-            assert report.mean_variance == float(np.mean(expected))
+            np.testing.assert_array_equal(variance, expected)
+            assert float(np.mean(variance)) == float(np.mean(expected))
             shift = np.stack([loss_gradient(config, spec, d, Discretization(4)) for d in draws])
-            np.testing.assert_allclose(report.per_param_variance, shift.var(axis=0, ddof=1),
+            np.testing.assert_allclose(variance, shift.var(axis=0, ddof=1),
                                        rtol=0, atol=1e-12)
 
     def test_first_draws_have_the_same_bits_whatever_k(self, monkeypatch):
@@ -268,10 +282,10 @@ class TestGradientVariance:
     def test_last_layer_rz_variances_vanish(self, n, layers):
         # Only CNOT permutations follow the last layer's RZ angles, so no
         # diagonal observable depends on them.
-        reports = gradient_variance(ORACLE_CONFIGS, n, layers, 5, 1)
+        variances = gradient_variance(ORACLE_CONFIGS, n, layers, 5, 1)
         dead = slice(2 * n * (layers - 1) + n, 2 * n * layers)
-        for report in reports:
-            assert np.all(report.per_param_variance[dead] < 1e-28)
+        for variance in variances:
+            assert np.all(variance[dead] < 1e-28)
 
 
 class TestAdjointGradients:

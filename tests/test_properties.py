@@ -45,7 +45,7 @@ def circuits(draw, topology=None):
 @given(circuits())
 def test_run_circuit_preserves_the_norm(circuit):
     state = run_circuit(*circuit)
-    assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
+    assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-10
 
 
 @PROPERTY

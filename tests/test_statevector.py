@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from plateaulab import statevector as sv
-from plateaulab.ansatz import _gate_coefficients
+from plateaulab.losses import output_vector
 from plateaulab.statevector import (
-    DensityMatrix,
-    StateVector,
     apply_cnot,
     apply_ry,
     apply_rz,
@@ -15,6 +13,7 @@ from plateaulab.statevector import (
     expect_z_string,
     init_zero,
     probabilities,
+    qubit_count,
     reduced_density_matrix,
     von_neumann_entropy,
     z_signs,
@@ -24,15 +23,12 @@ from plateaulab.statevector import (
 def random_state(n, rng):
     """Haar-ish random pure state from normalized complex Gaussians."""
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    amps /= np.linalg.norm(amps)
-    state = init_zero(n)
-    state.amplitudes[:] = amps
-    return state
+    return amps / np.linalg.norm(amps)
 
 
 def brute_force_partial_trace(state, keep):
     """Independent partial trace by explicit double sum over the complement."""
-    n = state.n_qubits
+    n = qubit_count(state)
     keep = sorted(keep)
     rest = [q for q in range(n) if q not in keep]
     dim = 2 ** len(keep)
@@ -49,26 +45,23 @@ def brute_force_partial_trace(state, keep):
     for r in range(dim):
         for c in range(dim):
             for e in range(2 ** len(rest)):
-                rho[r, c] += (
-                    state.amplitudes[assemble(r, e)]
-                    * np.conj(state.amplitudes[assemble(c, e)])
-                )
+                rho[r, c] += state[assemble(r, e)] * np.conj(state[assemble(c, e)])
     return rho
 
 
 class TestInitZero:
     def test_two_qubits(self):
-        np.testing.assert_array_equal(init_zero(2).amplitudes, [1, 0, 0, 0])
+        np.testing.assert_array_equal(init_zero(2), [1, 0, 0, 0])
 
     def test_four_qubits(self):
         state = init_zero(4)
-        assert state.amplitudes.shape == (16,)
-        assert state.amplitudes[0] == 1.0
-        assert np.all(state.amplitudes[1:] == 0)
+        assert state.shape == (16,)
+        assert state[0] == 1.0
+        assert np.all(state[1:] == 0)
 
     def test_normalized_for_all_sizes(self):
         for n in range(2, 13):
-            assert np.linalg.norm(init_zero(n).amplitudes) == 1.0
+            assert np.linalg.norm(init_zero(n)) == 1.0
 
     @pytest.mark.parametrize("n", [0, 1, 13, -2])
     def test_out_of_range_rejected(self, n):
@@ -79,36 +72,36 @@ class TestInitZero:
 class TestSingleQubitGates:
     def test_ry_pi_flips_with_plus_sign(self):
         state = apply_ry(init_zero(2), 0, np.pi)
-        np.testing.assert_allclose(state.amplitudes, [0, 1, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(state, [0, 1, 0, 0], atol=1e-15)
 
     def test_ry_zero_is_identity(self):
         rng = np.random.default_rng(1)
         state = random_state(3, rng)
         out = apply_ry(state, 1, 0.0)
-        np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+        np.testing.assert_array_equal(out, state)
 
     def test_ry_half_pi_equal_superposition(self):
         state = apply_ry(init_zero(2), 0, np.pi / 2)
         np.testing.assert_allclose(
-            state.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0], atol=1e-15
+            state, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0], atol=1e-15
         )
 
     def test_rz_on_zero_is_global_phase(self):
         state = apply_rz(init_zero(2), 0, 1.234)
-        assert abs(abs(state.amplitudes[0]) - 1.0) < 1e-15
+        assert abs(abs(state[0]) - 1.0) < 1e-15
         assert abs(expect_z(state, 0) - 1.0) < 1e-12
 
     def test_rz_zero_is_identity(self):
         rng = np.random.default_rng(2)
         state = random_state(3, rng)
         out = apply_rz(state, 2, 0.0)
-        np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+        np.testing.assert_array_equal(out, state)
 
     def test_rz_pi_flips_relative_phase(self):
         plus = apply_ry(init_zero(2), 0, np.pi / 2)
         out = apply_rz(plus, 0, np.pi)
         # (|0> - |1>)/sqrt(2) up to the global phase exp(-i pi/2)
-        ratio = out.amplitudes[1] / out.amplitudes[0]
+        ratio = out[1] / out[0]
         assert abs(ratio + 1.0) < 1e-12
 
     def test_qubit_out_of_range(self):
@@ -119,9 +112,9 @@ class TestSingleQubitGates:
 
     def test_inputs_not_mutated(self):
         state = init_zero(2)
-        before = state.amplitudes.copy()
+        before = state.copy()
         apply_ry(state, 0, 0.7)
-        np.testing.assert_array_equal(state.amplitudes, before)
+        np.testing.assert_array_equal(state, before)
 
 
 class TestCnot:
@@ -129,17 +122,17 @@ class TestCnot:
         # |q1=0, q0=1> --CNOT(0,1)--> |q1=1, q0=1>
         state = apply_ry(init_zero(2), 0, np.pi)
         out = apply_cnot(state, 0, 1)
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
 
     def test_trivial_on_zero_state(self):
         out = apply_cnot(init_zero(2), 0, 1)
-        np.testing.assert_array_equal(out.amplitudes, [1, 0, 0, 0])
+        np.testing.assert_array_equal(out, [1, 0, 0, 0])
 
     def test_involution(self):
         rng = np.random.default_rng(3)
         state = random_state(4, rng)
         out = apply_cnot(apply_cnot(state, 2, 0), 2, 0)
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(out, state, atol=1e-15)
 
     def test_control_equals_target_rejected(self):
         with pytest.raises(ValueError):
@@ -182,26 +175,26 @@ class TestExpectations:
 class TestReducedDensityMatrix:
     def test_product_state(self):
         rho = reduced_density_matrix(init_zero(2), {0})
-        np.testing.assert_allclose(rho.entries, np.diag([1.0, 0.0]), atol=1e-15)
+        np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_bell_state_maximally_mixed(self):
         bell = apply_cnot(apply_ry(init_zero(2), 0, np.pi / 2), 0, 1)
         rho = reduced_density_matrix(bell, {0})
-        np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_trace_one_on_random_states(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             state = random_state(4, rng)
             rho = reduced_density_matrix(state, {1, 3})
-            assert abs(np.trace(rho.entries) - 1.0) < 1e-12
+            assert abs(np.trace(rho) - 1.0) < 1e-12
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(6)
         for n in (3, 4, 5, 6):
             state = random_state(n, rng)
             for keep in ([0], [n - 1], [0, 2], list(range(n // 2))):
-                got = reduced_density_matrix(state, keep).entries
+                got = reduced_density_matrix(state, keep)
                 want = brute_force_partial_trace(state, keep)
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -209,10 +202,10 @@ class TestReducedDensityMatrix:
         rng = np.random.default_rng(7)
         state = random_state(5, rng)
         rho = reduced_density_matrix(state, {0, 1, 4})
-        assert rho.dim == 8
-        np.testing.assert_allclose(rho.entries, rho.entries.conj().T, atol=1e-10)
-        assert abs(np.trace(rho.entries) - 1.0) < 1e-10
-        assert np.linalg.eigvalsh(rho.entries).min() > -1e-9
+        assert rho.shape == (8, 8)
+        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-10)
+        assert abs(np.trace(rho) - 1.0) < 1e-10
+        assert np.linalg.eigvalsh(rho).min() > -1e-9
 
     def test_empty_or_full_keep_rejected(self):
         state = init_zero(3)
@@ -224,19 +217,19 @@ class TestReducedDensityMatrix:
 
 class TestEntropy:
     def test_pure_state_zero_bits(self):
-        assert von_neumann_entropy(DensityMatrix(2, np.diag([1.0, 0.0]))) == 0.0
+        assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
 
     def test_maximally_mixed_qubit_one_bit(self):
-        assert abs(von_neumann_entropy(DensityMatrix(2, np.eye(2) / 2)) - 1.0) < 1e-12
+        assert abs(von_neumann_entropy(np.eye(2) / 2) - 1.0) < 1e-12
 
     def test_maximally_mixed_two_qubits_two_bits(self):
-        rho = DensityMatrix(4, np.diag([0.25] * 4))
+        rho = np.diag([0.25] * 4)
         assert abs(von_neumann_entropy(rho) - 2.0) < 1e-12
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ArithmeticError):
-            von_neumann_entropy(DensityMatrix(2, bad))
+            von_neumann_entropy(bad)
 
     def test_schmidt_symmetry(self):
         """S(A) = S(complement of A) for pure states."""
@@ -268,20 +261,20 @@ class TestBlocks:
         amps = rng.normal(size=lead + (2**n,)) + 1j * rng.normal(size=lead + (2**n,))
         amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
         first = (0,) * len(lead)
-        amps[first] = init_zero(n).amplitudes  # a product state
-        block = StateVector(n, amps)
+        amps[first] = init_zero(n)  # a product state
         keeps = [range(n // 2), range(n // 2, n)] + ([{0, n - 1}] if n > 2 else [])
         for keep in keeps:
-            rho = reduced_density_matrix(block, keep)
+            rho = reduced_density_matrix(amps, keep)
             entropies = von_neumann_entropy(rho)
-            assert rho.entries.shape == lead + (rho.dim, rho.dim)
+            dim = 2 ** len(set(keep))
+            assert rho.shape == lead + (dim, dim)
             assert entropies.shape == lead
             for idx in np.ndindex(*lead):
-                single = reduced_density_matrix(StateVector(n, amps[idx]), keep)
-                assert rho.entries[idx].tobytes() == single.entries.tobytes()
+                single = reduced_density_matrix(amps[idx], keep)
+                assert rho[idx].tobytes() == single.tobytes()
                 assert entropies[idx].tobytes() == np.float64(von_neumann_entropy(single)).tobytes()
                 # The floor drops small eigenvalues from the sum, not its terms.
-                lam = np.clip(np.linalg.eigvalsh(single.entries), 0.0, 1.0)
+                lam = np.clip(np.linalg.eigvalsh(single), 0.0, 1.0)
                 lam = lam[lam > 1e-12]
                 assert entropies[idx] == -np.sum(lam * np.log2(lam))
             assert entropies[first] == 0.0 and not np.signbit(entropies[first])
@@ -294,7 +287,7 @@ class TestBlocks:
     def test_one_non_hermitian_row_rejected(self):
         entries = np.stack([np.eye(2) / 2, [[0.5, 0.3], [0.0, 0.5]], np.eye(2) / 2])
         with pytest.raises(ArithmeticError):
-            von_neumann_entropy(DensityMatrix(2, entries))
+            von_neumann_entropy(entries)
 
 
 def rotate(kind, amps, qubit, angles, inverse=False):
@@ -303,12 +296,11 @@ def rotate(kind, amps, qubit, angles, inverse=False):
     ``inverse`` passes (cos, -sin) or the conjugate phases, as the adjoint
     backward sweep does to undo the gate.
     """
-    n = amps.shape[-1].bit_length() - 1
-    cos_half, sin_half, phases = (c[0] for c in _gate_coefficients(angles[:, None]))
+    cos_half, sin_half, phases = (c[0] for c in sv._gate_coefficients(angles[:, None]))
     if kind == "ry":
-        sv._apply_ry_inplace(amps, n, qubit, cos_half, -sin_half if inverse else sin_half)
+        sv._apply_ry_inplace(amps, qubit, cos_half, -sin_half if inverse else sin_half)
     else:
-        sv._apply_rz_inplace(amps, n, qubit, np.conj(phases) if inverse else phases)
+        sv._apply_rz_inplace(amps, qubit, np.conj(phases) if inverse else phases)
 
 
 def dense_rotation(kind, n, qubit, angle):
@@ -344,7 +336,7 @@ class TestRotationKernels:
                 if n <= 8:
                     expected = dense_rotation(kind, n, qubit, angle) @ amps[row]
                 else:
-                    expected = single(StateVector(n, amps[row]), qubit, angle).amplitudes
+                    expected = single(amps[row], qubit, angle)
                 assert np.max(np.abs(out[row] - expected)) <= 1e-14
 
     def test_rows_have_bits_of_single_row_calls(self, kind, n):
@@ -383,7 +375,7 @@ class TestNormPreservation:
                     t = int(rng.integers(5))
                     if t != q:
                         state = apply_cnot(state, q, t)
-            assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
+            assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-10
 
 
 class TestSignTable:
@@ -403,3 +395,64 @@ class TestSignTable:
     def test_probabilities_are_squared_moduli(self):
         amps = np.array([0.6, 0.8j, -0.3 + 0.4j])
         np.testing.assert_allclose(probabilities(amps), [0.36, 0.64, 0.25], atol=1e-15)
+
+
+# Every public function that reads n from a state's last axis.
+ARRAY_ENTRY_POINTS = {
+    "qubit_count": qubit_count,
+    "apply_ry": lambda amps: apply_ry(amps, 0, 0.3),
+    "apply_rz": lambda amps: apply_rz(amps, 0, 0.3),
+    "apply_cnot": lambda amps: apply_cnot(amps, 0, 1),
+    "expect_z": lambda amps: expect_z(amps, 0),
+    "expect_z_string": lambda amps: expect_z_string(amps, {0, 1}),
+    "reduced_density_matrix": lambda amps: reduced_density_matrix(amps, {0}),
+    "output_vector": output_vector,
+}
+
+
+class TestQubitCount:
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_reads_n_from_the_last_axis(self, n):
+        assert qubit_count(np.zeros(2**n)) == n
+        assert qubit_count(np.zeros((3, 2, 2**n))) == n
+        assert qubit_count([0.0] * 2**n) == n
+
+    @pytest.mark.parametrize("size", [12, 2, 2**13], ids=["12", "2", "2^13"])
+    @pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS.values(), ids=list(ARRAY_ENTRY_POINTS))
+    def test_rejected_at_every_entry_point(self, entry, size):
+        amps = np.zeros(size, dtype=np.complex128)
+        amps[0] = 1.0
+        with pytest.raises(ValueError, match="expected 2\\^n amplitudes"):
+            entry(amps)
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ValueError, match="got 0"):
+            qubit_count(1.0)
+
+
+@pytest.mark.parametrize("gate", [
+    lambda amps: apply_ry(amps, 1, 0.7),
+    lambda amps: apply_rz(amps, 0, 0.7),
+    lambda amps: apply_cnot(amps, 0, 1),
+], ids=["ry", "rz", "cnot"])
+class TestGateInputs:
+    """apply_* take any array-like of amplitudes and return a fresh complex array."""
+
+    def test_list_and_real_array_match_complex_input(self, gate):
+        real = np.array([0.6, 0.0, 0.0, 0.8])
+        want = gate(real.astype(np.complex128))
+        for amps in (real, real.tolist()):
+            got = gate(amps)
+            assert got.dtype == np.complex128
+            assert got.tobytes() == want.tobytes()
+
+    def test_input_never_mutated(self, gate):
+        real = np.array([0.6, 0.0, 0.0, 0.8])
+        block = np.stack([real, real[::-1]]).astype(np.complex128)
+        listed = real.tolist()
+        for amps in (real, block, listed):
+            before = np.array(amps, copy=True)
+            out = gate(amps)
+            assert out is not amps and not np.shares_memory(out, amps)
+            np.testing.assert_array_equal(np.asarray(amps), before)
+        assert listed == [0.6, 0.0, 0.0, 0.8]

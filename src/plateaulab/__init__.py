@@ -46,7 +46,6 @@ from .gradients import (
     finite_difference_gradient,
     gradient_variance,
     jacobian_outputs,
-    loss_and_gradient,
     loss_gradient,
 )
 from .experiments import (
@@ -55,7 +54,6 @@ from .experiments import (
     TrainTrace,
     entanglement_sweep,
     fit_scaling,
-    per_param_distribution,
     sweep_depth,
     sweep_pde,
     sweep_qubits,

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -48,17 +48,15 @@ SUBCOMMANDS = {
                   xp.PER_PARAM_QUBITS, xp.DEFAULT_LAYERS, xp.DEFAULT_VARIANCE_SAMPLES),
 }
 
-EXPERIMENTS = tuple(SUBCOMMANDS)
-
 
 @dataclass
 class RunConfig:
     """Parsed CLI invocation: experiment name plus resolved parameters."""
 
     experiment: str
-    qubit_list: list[int]
-    layer_list: list[int]
-    n_samples: int = xp.DEFAULT_VARIANCE_SAMPLES
+    qubits: list[int]
+    layers: list[int]
+    samples: int = xp.DEFAULT_VARIANCE_SAMPLES
     seed: int = xp.DEFAULT_SEED
     epochs: int = xp.DEFAULT_EPOCHS
     learning_rate: float = xp.DEFAULT_LEARNING_RATE
@@ -67,17 +65,8 @@ class RunConfig:
     format: str = "csv"
 
     def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "qubits": self.qubit_list,
-            "layers": self.layer_list,
-            "samples": self.n_samples,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "physics_weight": self.physics_weight,
-            "format": self.format,
-        }
+        """Every field but ``out``, in field order: the JSON ``config`` block."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
 
 @dataclass
@@ -131,12 +120,10 @@ def build_parser() -> _Parser:
         sub = subs.add_parser(name, help=help_text,
                               formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         # Either way the value is a list: one value, or one or more to sweep.
-        for flag, dest, default, what in (
-                ("--qubits", "qubit_list", qubits, "qubit count"),
-                ("--layers", "layer_list", layers, "circuit depth")):
+        for flag, default, what in (("--qubits", qubits, "qubit count"),
+                                    ("--layers", layers, "circuit depth")):
             sweep = isinstance(default, tuple)
-            sub.add_argument(flag, dest=dest, metavar=flag[2:].upper(), type=int,
-                             nargs="+" if sweep else 1,
+            sub.add_argument(flag, type=int, nargs="+" if sweep else 1,
                              default=list(default) if sweep else [default],
                              help=f"{what}s to sweep" if sweep else what)
         if name == "converge":
@@ -145,8 +132,7 @@ def build_parser() -> _Parser:
             sub.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
                              default=xp.DEFAULT_LEARNING_RATE, help="learning rate")
         if samples is not None:
-            sub.add_argument("--samples", dest="n_samples", metavar="SAMPLES",
-                             type=int, default=samples,
+            sub.add_argument("--samples", type=int, default=samples,
                              help="number of random initializations K")
         if name != "entanglement":
             sub.add_argument("--physics-weight", type=float,
@@ -160,17 +146,17 @@ def _usage_problem(run: RunConfig) -> Optional[str]:
     """Why the run cannot be carried out, or None if every value is in range."""
     if run.seed < 0:
         return f"seed must be >= 0, got {run.seed}"
-    for n in run.qubit_list:
+    for n in run.qubits:
         if not MIN_QUBITS <= n <= MAX_QUBITS:
             return f"--qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n}"
-    if min(run.layer_list) < 1:
-        return f"--layers must be >= 1, got {min(run.layer_list)}"
-    for flag, values in (("--qubits", run.qubit_list), ("--layers", run.layer_list)):
+    if min(run.layers) < 1:
+        return f"--layers must be >= 1, got {min(run.layers)}"
+    for flag, values in (("--qubits", run.qubits), ("--layers", run.layers)):
         if len(set(values)) < len(values):
             return f"{flag} values must be distinct, got {values}"
     min_samples = 1 if run.experiment == "entanglement" else MIN_VARIANCE_SAMPLES
-    if run.n_samples < min_samples:
-        return f"--samples must be >= {min_samples}, got {run.n_samples}"
+    if run.samples < min_samples:
+        return f"--samples must be >= {min_samples}, got {run.samples}"
     if run.epochs < 1:
         return f"--epochs must be >= 1, got {run.epochs}"
     if not math.isfinite(run.learning_rate):
@@ -184,14 +170,14 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Parse and validate CLI arguments into a RunConfig; exits with status 1
     on misuse or an out-of-range value, before any computation."""
     parser = build_parser()
-    fields = vars(parser.parse_args(argv))
-    if fields.pop("run_all"):
-        fields.update(experiment="all", qubit_list=list(xp.QUBIT_GRID),
-                      layer_list=list(xp.DEPTH_GRID))
-    elif fields["experiment"] is None:
+    values = vars(parser.parse_args(argv))
+    if values.pop("run_all"):
+        values.update(experiment="all", qubits=list(xp.QUBIT_GRID),
+                      layers=list(xp.DEPTH_GRID))
+    elif values["experiment"] is None:
         parser.error("an experiment subcommand (or --all) is required")
     # Each flag fills its field; a flag not given leaves the field's default.
-    run = RunConfig(**fields)
+    run = RunConfig(**values)
     problem = _usage_problem(run)
     if problem is not None:
         parser.error(problem)
@@ -304,12 +290,11 @@ def _attach_qubit_sweep_companions(table: Table) -> None:
 def run_experiment(run: RunConfig) -> Table:
     """Execute one experiment and build its table; label, K and seed come from the run."""
     label = _label(run.experiment)
-    n, layers = run.qubit_list[0], run.layer_list[0]
+    n, layers = run.qubits[0], run.layers[0]
     if run.experiment == "entanglement":
-        sweep = xp.entanglement_sweep(run.qubit_list, run.layer_list,
-                                      run.n_samples, run.seed)
+        sweep = xp.entanglement_sweep(run.qubits, run.layers, run.samples, run.seed)
         rows = [(label, r.n, r.layers, r.topology, r.mean_entropy_bits,
-                 r.ratio_to_max, run.n_samples, run.seed) for r in sweep]
+                 r.ratio_to_max, run.samples, run.seed) for r in sweep]
         return make_table(label, ENTROPY_COLUMNS, rows, run.as_dict())
     if run.experiment == "converge":
         traces = xp.train(all_configs(run.physics_weight), n, layers, run.epochs,
@@ -319,25 +304,23 @@ def run_experiment(run: RunConfig) -> Table:
                 for t in traces for epoch, e in enumerate(t.epochs)]
         return make_table(label, TRACE_COLUMNS, rows, run.as_dict())
     if run.experiment == "per-param":
-        sweep = xp.per_param_distribution(n, layers, run.n_samples, run.seed,
-                                          run.physics_weight)
+        sweep = xp.sweep_qubits([n], layers, run.samples, run.seed, run.physics_weight)
         rows = [(label, r.n, r.layers, r.config_name, r.pde_name, j,
-                 float(v), run.n_samples, run.seed)
+                 float(v), run.samples, run.seed)
                 for r in sweep for j, v in enumerate(r.per_param_variance)]
         return make_table(label, PER_PARAM_COLUMNS, rows, run.as_dict())
     if run.experiment == "sweep-qubits":
-        sweep = xp.sweep_qubits(run.qubit_list, layers,
-                                run.n_samples, run.seed, run.physics_weight)
+        sweep = xp.sweep_qubits(run.qubits, layers, run.samples, run.seed,
+                                run.physics_weight)
     elif run.experiment == "sweep-depth":
-        sweep = xp.sweep_depth(run.layer_list, n, run.n_samples, run.seed,
-                               run.physics_weight)
+        sweep = xp.sweep_depth(run.layers, n, run.samples, run.seed, run.physics_weight)
     elif run.experiment == "sweep-pde":
-        sweep = xp.sweep_pde(xp.DEFAULT_PDES, n, layers, run.n_samples,
-                             run.seed, run.physics_weight)
+        sweep = xp.sweep_pde(xp.DEFAULT_PDES, n, layers, run.samples, run.seed,
+                             run.physics_weight)
     else:
         raise ValueError(f"unknown experiment: {run.experiment}")
     rows = [(label, r.n, r.layers, r.config_name, r.pde_name,
-             r.mean_variance, r.stderr_of_mean, run.n_samples, run.seed)
+             r.mean_variance, r.stderr_of_mean, run.samples, run.seed)
             for r in sweep]
     table = make_table(label, VARIANCE_COLUMNS, rows, run.as_dict())
     if run.experiment == "sweep-qubits":
@@ -364,7 +347,7 @@ def _run_all(run: RunConfig) -> list[Path]:
     out_dir = Path(run.out) if run.out else Path(f"plateaulab-{stamp}")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for experiment in EXPERIMENTS:
+    for experiment in SUBCOMMANDS:
         out = out_dir / _default_out(experiment, run.format)
         sub = parse_args([experiment, "--seed", str(run.seed),
                           "--format", run.format, "--out", str(out)])

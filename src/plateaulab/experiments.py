@@ -44,7 +44,7 @@ DEPTH_GRID = (1, 2, 3, 4, 5)
 ENTANGLEMENT_DEPTHS = (1, 3, 5)
 DEFAULT_LAYERS = 3
 DEFAULT_QUBITS = 6  # depth and PDE sweeps
-PER_PARAM_QUBITS = 8
+PER_PARAM_QUBITS = 8  # per-param subcommand
 TRAIN_QUBITS = 4
 DEFAULT_SEED = 0
 DEFAULT_PDES = (Heat(), Burgers(), SaintVenant())
@@ -174,17 +174,6 @@ def sweep_pde(
     return _variance_sweep([(n, layers)], configs, n_samples, seed)
 
 
-def per_param_distribution(
-    n: int = PER_PARAM_QUBITS,
-    layers: int = DEFAULT_LAYERS,
-    n_samples: int = DEFAULT_VARIANCE_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
-) -> list[SweepRow]:
-    """Full per-parameter variance vectors of all four configurations."""
-    return _variance_sweep([(n, layers)], all_configs(physics_weight), n_samples, seed)
-
-
 def entanglement_sweep(
     ns: Sequence[int] = QUBIT_GRID,
     depths: Sequence[int] = ENTANGLEMENT_DEPTHS,
@@ -283,13 +272,16 @@ def fit_scaling(points: Sequence[tuple], model: ScalingModel) -> ScalingFit:
 
     EXP_IN_QUBITS fits log2(var) against n (var ~ 2^(-b n), exponent b);
     POWER_IN_QUBITS fits log(var) against log(n) (var ~ n^(-a), exponent a).
-    Fewer than 2 distinct n raise ValueError; a variance that is not finite
-    and positive raises ArithmeticError.
+    Fewer than 2 distinct n, or an n that is not finite and positive, raise
+    ValueError; a variance that is not finite and positive raises
+    ArithmeticError.
     """
     # A set, not np.unique: that one imports numpy.ma on first use (about 1 MB RSS).
     if len({p[0] for p in points}) < 2:
         raise ValueError("need points at 2 or more distinct qubit counts to fit")
     ns = np.array([p[0] for p in points], dtype=np.float64)
+    if not np.all(np.isfinite(ns) & (ns > 0)):
+        raise ValueError(f"qubit counts must be finite and positive, got {ns.tolist()}")
     variances = np.array([p[1] for p in points], dtype=np.float64)
     if not np.all(np.isfinite(variances) & (variances > 0)):
         raise ArithmeticError("all variances must be finite and positive for a log fit")

@@ -15,7 +15,7 @@ Draws, or one topology's configs in training, run as rows of one batch per
 topology, and every per-row contraction is row-wise, so a row's loss and
 gradient have the same bits whatever batch they run in.
 
-Single points (``loss_and_gradient``, ``jacobian_outputs``) use the pi/2
+The single-point API ``loss_gradient`` and ``jacobian_outputs`` use the pi/2
 parameter-shift rule: expectations of this gate set are trigonometric in
 each angle, so one forward batch of the 2p shifted rows plus the unshifted
 one gives the Jacobian J; shifting a nonlinear composite loss directly
@@ -80,27 +80,19 @@ def jacobian_outputs(spec: CircuitSpec, params) -> np.ndarray:
     return _shift_jacobian(outputs(z_signs(spec.n_qubits), probs), spec.param_count).T
 
 
-def loss_and_gradient(
+def loss_gradient(
     config: LossConfig, spec: CircuitSpec, params, disc: Discretization
-) -> tuple[float, np.ndarray]:
-    """Loss value and its exact gradient with respect to all angles.
+) -> np.ndarray:
+    """Exact gradient of the configured loss with respect to all angles.
 
     One forward batch holds the 2p shifted rows and the unshifted row. Its
-    outputs f give the Jacobian J; the last row gives the value (with the bits
-    of ``total_loss``) and dL/df, and the gradient is J^T * dL/df.
+    outputs f give the Jacobian J, the last row gives dL/df, and the
+    gradient is J^T * dL/df.
     """
     check_pairing(config, spec, disc)
     f_batch = outputs(observables(config, disc.n_points), _shift_probs(spec, params))
     jac = _shift_jacobian(f_batch, spec.param_count)
-    value = loss_from_outputs(config, f_batch[-1], disc)
-    return value, jac @ d_loss_d_outputs(config, f_batch[-1], disc)
-
-
-def loss_gradient(
-    config: LossConfig, spec: CircuitSpec, params, disc: Discretization
-) -> np.ndarray:
-    """Exact gradient of the configured loss with respect to all angles."""
-    return loss_and_gradient(config, spec, params, disc)[1]
+    return jac @ d_loss_d_outputs(config, f_batch[-1], disc)
 
 
 def finite_difference_gradient(

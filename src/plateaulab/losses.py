@@ -159,14 +159,13 @@ class LossConfig:
 
     For the two PDE kinds, ``pde = None`` selects the squared-gradient
     penalty as the physics term while a concrete PdeKind selects that
-    equation's residual loss. ``target_profile = None`` uses the default
-    smooth target sin(2*pi*k/n) at evaluation time.
+    equation's residual loss. The data term of both composite kinds fits
+    ``default_target``, sin(2*pi*k/n).
     """
 
     kind: LossKind
     pde: Optional[PdeKind] = None
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT
-    target_profile: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.kind in _COST_KINDS and self.pde is not None:
@@ -174,9 +173,6 @@ class LossConfig:
         if not (np.isfinite(self.physics_weight) and self.physics_weight >= 0):
             raise ValueError(f"physics_weight must be finite and >= 0, "
                              f"got {self.physics_weight}")
-        if self.target_profile is not None:
-            coerced = tuple(float(x) for x in self.target_profile)
-            object.__setattr__(self, "target_profile", coerced)
 
     @property
     def name(self) -> str:
@@ -193,14 +189,6 @@ class LossConfig:
 
     def required_topology(self) -> Topology:
         return _REQUIRED_TOPOLOGY[self.kind]
-
-    def target(self, n: int) -> np.ndarray:
-        if self.target_profile is not None:
-            t = np.asarray(self.target_profile, dtype=np.float64)
-            if t.shape != (n,):
-                raise ValueError(f"target profile must have length {n}")
-            return t
-        return default_target(n)
 
 
 def default_target(n: int) -> np.ndarray:
@@ -310,9 +298,8 @@ def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float | np
     if config.kind in _COST_KINDS:
         return _check_profile(f, 1)[..., 0][()]
     arr = _check_profile(f, disc.n_points)
-    target = config.target(disc.n_points)
     physics = pde_loss(arr, config.physics, disc)
-    return data_loss(arr, target) + config.physics_weight * physics
+    return data_loss(arr, default_target(disc.n_points)) + config.physics_weight * physics
 
 
 def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
@@ -324,7 +311,7 @@ def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
     if config.kind in _COST_KINDS:
         return np.ones(_check_profile(f, 1).shape)
     arr = _check_profile(f, disc.n_points)
-    grad = (2.0 / disc.n_points) * (arr - config.target(disc.n_points))
+    grad = (2.0 / disc.n_points) * (arr - default_target(disc.n_points))
     physics = config.physics
     res = pde_residual(arr, physics, disc)
     return grad + config.physics_weight * physics.d_loss_d_f(arr, res, disc)

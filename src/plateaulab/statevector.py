@@ -147,21 +147,27 @@ def probabilities(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes.real**2 + amplitudes.imag**2
 
 
-def expect_z(amps, qubit: int) -> float:
+def expect_z(amps, qubit: int) -> float | np.ndarray:
     """Expectation of Pauli-Z on one qubit; +1 weight where its bit is 0."""
     return expect_z_string(amps, {qubit})
 
 
-def expect_z_string(amps, qubits) -> float:
-    """Parity expectation of the Z string over ``qubits`` in one state."""
+def expect_z_string(amps, qubits) -> float | np.ndarray:
+    """Parity expectation of the Z string over ``qubits`` in each state of a block.
+
+    A single state gives a float.
+    """
     qubits = sorted(set(qubits))
     if not qubits:
         raise ValueError("qubits must be a nonempty set")
+    amps = np.asarray(amps)
     n = qubit_count(amps)
     for q in qubits:
         _check_qubit(n, q)
     signs = np.prod(z_signs(n)[qubits], axis=0)
-    return float(np.dot(signs, probabilities(np.asarray(amps))))
+    # Row-wise einsum, not dot: a row's bits must not depend on the block.
+    values = np.einsum("...i,i->...", probabilities(amps), signs)
+    return float(values) if amps.ndim == 1 else values
 
 
 def reduced_density_matrix(amps, keep) -> np.ndarray:

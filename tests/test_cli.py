@@ -25,14 +25,14 @@ def parse_csv(path):
 class TestParseArgs:
     def test_defaults_reproduce_protocol_grids(self):
         run = parse_args(["sweep-qubits"])
-        assert run.qubit_list == [4, 6, 8]
-        assert run.layer_list == [3]
-        assert run.n_samples == 25
+        assert run.qubits == [4, 6, 8]
+        assert run.layers == [3]
+        assert run.samples == 25
         run = parse_args(["entanglement"])
-        assert run.n_samples == 20
-        assert run.layer_list == [1, 3, 5]
+        assert run.samples == 20
+        assert run.layers == [1, 3, 5]
         run = parse_args(["converge"])
-        assert (run.qubit_list, run.layer_list) == ([4], [3])
+        assert (run.qubits, run.layers) == ([4], [3])
         assert run.epochs == 50
         assert run.learning_rate == 0.01
 
@@ -45,7 +45,7 @@ class TestParseArgs:
         assert run.learning_rate == 0.05
 
     def test_pde_sweep_qubit_override(self):
-        assert parse_args(["sweep-pde", "--qubits", "4"]).qubit_list == [4]
+        assert parse_args(["sweep-pde", "--qubits", "4"]).qubits == [4]
 
     def test_seed_env_var_default(self, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
@@ -78,7 +78,7 @@ class TestParseArgs:
             parse_args([])
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    @pytest.mark.parametrize("experiment", cli.SUBCOMMANDS)
     def test_help_lists_flags_with_defaults(self, experiment, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args([experiment, "--help"])
@@ -92,9 +92,9 @@ class TestParseArgs:
 def tiny_run(experiment, **overrides):
     base = dict(
         experiment=experiment,
-        qubit_list=[4],
-        layer_list=[1],
-        n_samples=3,
+        qubits=[4],
+        layers=[1],
+        samples=3,
         seed=0,
         epochs=2,
     )
@@ -104,7 +104,7 @@ def tiny_run(experiment, **overrides):
 
 class TestEmitTable:
     def test_qubit_sweep_row_count(self, tmp_path):
-        run = tiny_run("sweep-qubits", qubit_list=[4, 6, 8], layer_list=[3])
+        run = tiny_run("sweep-qubits", qubits=[4, 6, 8], layers=[3])
         table = run_experiment(run)
         out = tmp_path / "q.csv"
         emit_table(table, "csv", out)
@@ -121,7 +121,7 @@ class TestEmitTable:
             assert got == pytest.approx(record["mean_variance"], rel=1e-8)
 
     def test_json_and_csv_hold_identical_values(self, tmp_path):
-        run = tiny_run("sweep-depth", layer_list=[1, 2], qubit_list=[4])
+        run = tiny_run("sweep-depth", layers=[1, 2], qubits=[4])
         table = run_experiment(run)
         csv_path = tmp_path / "d.csv"
         json_path = tmp_path / "d.json"
@@ -136,7 +136,7 @@ class TestEmitTable:
             assert c["config"] == j["config"]
 
     def test_json_document_structure(self, tmp_path):
-        run = tiny_run("entanglement", layer_list=[1])
+        run = tiny_run("entanglement", layers=[1])
         table = run_experiment(run)
         path = tmp_path / "e.json"
         emit_table(table, "json", path)
@@ -145,13 +145,13 @@ class TestEmitTable:
         assert doc["experiment"] == "entanglement"
 
     def test_rows_sorted_by_cell(self, tmp_path):
-        run = tiny_run("sweep-qubits", qubit_list=[8, 4, 6], layer_list=[2])
+        run = tiny_run("sweep-qubits", qubits=[8, 4, 6], layers=[2])
         table = run_experiment(run)
         keys = [(r["n"], r["layers"], r["config"]) for r in table.records]
         assert keys == sorted(keys)
 
     def test_csv_is_lf_terminated_utf8(self, tmp_path):
-        run = tiny_run("sweep-pde", qubit_list=[4], layer_list=[1])
+        run = tiny_run("sweep-pde", qubits=[4], layers=[1])
         out = tmp_path / "p.csv"
         emit_table(run_experiment(run), "csv", out)
         raw = out.read_bytes()
@@ -166,7 +166,7 @@ class TestEmitTable:
         assert table.columns[:4] == ["experiment", "n", "layers", "config"]
 
     def test_per_param_long_format(self, tmp_path):
-        run = tiny_run("per-param", qubit_list=[4], layer_list=[2])
+        run = tiny_run("per-param", qubits=[4], layers=[2])
         table = run_experiment(run)
         # 4 configs x 16 parameters
         assert len(table.records) == 64
@@ -229,7 +229,7 @@ class TestMainExitCodes:
         code = main(["--all", "--seed", "1", "--out", str(out_dir)])
         assert code == 0
         names = {p.name for p in out_dir.iterdir()}
-        for experiment in cli.EXPERIMENTS:
+        for experiment in cli.SUBCOMMANDS:
             assert f"{experiment.replace('-', '_')}.csv" in names
 
 
@@ -286,10 +286,10 @@ class TestFailFast:
         assert not out.exists()
 
     def test_smallest_valid_values_parse(self):
-        assert parse_args(["entanglement", "--samples", "1"]).n_samples == 1
+        assert parse_args(["entanglement", "--samples", "1"]).samples == 1
         run = parse_args(["sweep-qubits", "--qubits", "2", "12", "--samples", "2",
                           "--physics-weight", "0"])
-        assert (run.qubit_list, run.n_samples, run.physics_weight) == ([2, 12], 2, 0.0)
+        assert (run.qubits, run.samples, run.physics_weight) == ([2, 12], 2, 0.0)
 
     def test_unread_flags_not_offered(self, capsys):
         for experiment, flag in (("converge", "--samples"),

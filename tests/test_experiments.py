@@ -22,7 +22,6 @@ from plateaulab.experiments import (
     ScalingModel,
     entanglement_sweep,
     fit_scaling,
-    per_param_distribution,
     sweep_depth,
     sweep_pde,
     sweep_qubits,
@@ -254,10 +253,19 @@ class TestScalingFit:
         with pytest.raises(ValueError, match="distinct qubit counts"):
             fit_scaling([(4, 0.1), (4, 0.2)], model)
 
+    @pytest.mark.parametrize("bad", [0, -2, np.nan], ids=["0", "-2", "nan"])
+    @pytest.mark.parametrize("model", list(ScalingModel), ids=lambda m: m.value)
+    def test_bad_qubit_count_rejected_before_the_fit(self, bad, model, capfd):
+        # Unchecked, log(n) or a NaN n reaches LAPACK, which prints to stderr
+        # and fails with LinAlgError.
+        with pytest.raises(ValueError, match="qubit counts must be finite and positive"):
+            fit_scaling([(bad, 0.1), (4, 0.2)], model)
+        assert capfd.readouterr().err == ""
+
 
 class TestPerParamDistribution:
     def test_vectors_complete_and_nonnegative(self):
-        result = per_param_distribution(n=8, layers=3, n_samples=3, seed=0)
+        result = sweep_qubits(ns=(8,), layers=3, n_samples=3, seed=0)
         assert len(result) == 4
         for row in result:
             assert row.per_param_variance.shape == (48,)
@@ -267,7 +275,7 @@ class TestPerParamDistribution:
         # The all-qubit parity pulled back through the CNOT cascade is
         # supported on few qubits, so most parameters cannot move it; the
         # physics-informed loss touches every output and leaves none dead.
-        result = per_param_distribution(n=8, layers=3, n_samples=10, seed=0)
+        result = sweep_qubits(ns=(8,), layers=3, n_samples=10, seed=0)
         by_name = {r.config_name: r.per_param_variance for r in result}
         dead_global = np.sum(by_name["global_cost"] < 1e-20)
         dead_pde = np.sum(by_name["pde_constrained"] < 1e-20)

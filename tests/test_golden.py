@@ -47,6 +47,12 @@ CASES = [
     ("sweep_pde.json",
      ["sweep-pde", "--qubits", "4", "--layers", "2", "--samples", "3",
       "--physics-weight", "0.3", "--format", "json"], []),
+    ("sweep_depth.json",
+     ["sweep-depth", "--qubits", "4", "--layers", "1", "2", "--samples", "3",
+      "--seed", "3", "--format", "json"], []),
+    ("per_param.json",
+     ["per-param", "--qubits", "4", "--layers", "2", "--samples", "3",
+      "--format", "json"], []),
 ]
 
 

@@ -11,7 +11,6 @@ from plateaulab.gradients import (
     finite_difference_gradient,
     gradient_variance,
     jacobian_outputs,
-    loss_and_gradient,
     loss_gradient,
 )
 from plateaulab.losses import (
@@ -111,11 +110,12 @@ class TestLossGradient:
             np.testing.assert_allclose(got, fd, atol=1e-6)
 
     def test_zero_gradient_at_stationary_constant_point(self):
-        # At all-zero angles the output is the constant (1,...,1) profile:
-        # the physics terms are at their exact minimum and the MSE term to a
-        # matching constant target vanishes, so the gradient must be zero.
+        # At all-zero angles the state is |0...0>, and moving any one angle
+        # only adds amplitude on other basis states or a phase, so every Z
+        # expectation is stationary: the output Jacobian is 0 and so is the
+        # gradient, whatever dL/df the sine target gives.
         spec = CircuitSpec(4, 1, ATA)
-        cfg = LossConfig(LossKind.PDE_CONSTRAINED, target_profile=(1.0,) * 4)
+        cfg = LossConfig(LossKind.PDE_CONSTRAINED)
         grad = loss_gradient(cfg, spec, np.zeros(spec.param_count), Discretization(4))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -338,17 +338,6 @@ class TestAdjointGradients:
 
 
 class TestOneForwardPass:
-    @pytest.mark.parametrize("config", all_configs(), ids=lambda c: c.name)
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_value_and_gradient_equal_separate_calls(self, config, n):
-        spec = spec_for(config, n, 2)
-        disc = Discretization(n)
-        for k in range(3):
-            params = draw_params(17, n, 2, k)
-            value, grad = loss_and_gradient(config, spec, params, disc)
-            assert value == total_loss(config, spec, params, disc)
-            np.testing.assert_array_equal(grad, loss_gradient(config, spec, params, disc))
-
     def test_observable_rows_per_config(self):
         global_cost, local_cost, constrained, structured = all_configs()
         signs = observables(constrained, 3)

@@ -235,15 +235,18 @@ class TestTotalLoss:
         value = total_loss(cfg, spec, np.zeros(spec.param_count), Discretization(4))
         assert abs(value - 1.0) < 1e-12
 
-    def test_pde_loss_vanishes_when_output_equals_constant_target(self):
-        # Zero angles give f = (1,...,1); a matching constant target zeroes
-        # the data term and constants zero every physics term.
+    @pytest.mark.parametrize(
+        "cfg", [LossConfig(LossKind.PDE_CONSTRAINED, pde=pde) for pde in (None, *ALL_PDES)],
+        ids=lambda c: str(c.pde_name),
+    )
+    def test_pde_loss_at_zero_angles_is_the_data_term(self, cfg):
+        # Zero angles give f = (1,...,1) exactly; a constant profile zeroes
+        # every physics term, so the loss is the data MSE to the sine target.
         spec = CircuitSpec(4, 1, Topology.ALL_TO_ALL)
-        cfg = LossConfig(
-            LossKind.PDE_CONSTRAINED, target_profile=(1.0, 1.0, 1.0, 1.0)
-        )
-        value = total_loss(cfg, spec, np.zeros(spec.param_count), Discretization(4))
-        assert value == 0.0
+        disc = Discretization(4)
+        assert pde_loss(np.ones(4), cfg.physics, disc) == 0.0
+        value = total_loss(cfg, spec, np.zeros(spec.param_count), disc)
+        assert value == data_loss(np.ones(4), default_target(4))
 
     def test_cost_values_bounded(self):
         rng = np.random.default_rng(31)

@@ -171,6 +171,22 @@ class TestExpectations:
         with pytest.raises(ValueError):
             expect_z_string(init_zero(2), set())
 
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_block_rows_equal_single_state_calls(self, n, lead):
+        rng = np.random.default_rng(60 + n)
+        amps = rng.normal(size=lead + (2**n,)) + 1j * rng.normal(size=lead + (2**n,))
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        for qubits in [{0}, {n - 1}, {0, 1}, range(n)]:
+            values = expect_z_string(amps, qubits)
+            assert values.shape == lead
+            for idx in np.ndindex(*lead):
+                single = expect_z_string(amps[idx], qubits)
+                assert type(single) is float
+                assert values[idx].tobytes() == np.float64(single).tobytes()
+        per_qubit = np.stack([expect_z(amps, q) for q in range(n)], axis=-1)
+        np.testing.assert_allclose(per_qubit, output_vector(amps), rtol=0, atol=1e-15)
+
 
 class TestReducedDensityMatrix:
     def test_product_state(self):

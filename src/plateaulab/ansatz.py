@@ -93,9 +93,9 @@ def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray
     """Evaluate the circuit for a whole batch of angle vectors at once.
 
     ``angles_batch`` has shape (B, param_count); returns complex amplitudes
-    of shape (B, 2^n). One vectorized pass over the gate list amortizes the
-    per-gate overhead across the batch, which is what makes parameter-shift
-    sweeps cheap.
+    of shape (B, 2^n). One kernel call per gate amortizes the per-gate
+    overhead across the batch: the adjoint engine's forward sweep runs a
+    variance cell's draws, or one topology's configs in training, as rows.
     """
     angles_batch = np.asarray(angles_batch, dtype=np.float64)
     if angles_batch.ndim != 2 or angles_batch.shape[1] != spec.param_count:
@@ -105,10 +105,10 @@ def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray
         )
     amps = np.zeros((angles_batch.shape[0], 2**spec.n_qubits), dtype=np.complex128)
     amps[:, 0] = 1.0
-    cos_half, sin_half, phases = sv._gate_coefficients(angles_batch)
+    cos_half, sin_pair, phases = sv._gate_coefficients(angles_batch)
     for kind, a, b in circuit_gates(spec):
         if kind == "ry":
-            sv._apply_ry_inplace(amps, a, cos_half[b], sin_half[b])
+            sv._apply_ry_inplace(amps, a, cos_half[b], sin_pair[b])
         elif kind == "rz":
             sv._apply_rz_inplace(amps, a, phases[b])
         else:

@@ -226,11 +226,11 @@ def train(
     the last update. Every config starts from the one draw of (seed, n,
     layers). Each epoch, every config takes its step; then each topology
     runs one adjoint forward and backward sweep with its configs' angles as
-    rows, and config k of a topology reads its loss and gradient at its own
-    row. A trace has the same bits as training its config alone. A
-    non-finite step or gradient raises ArithmeticError naming the first
-    failing epoch; within it, steps are checked before gradients, each in
-    config order.
+    rows and one lambda row per config, so config k of a topology reads its
+    loss and gradient at its own row. A trace has the same bits as training
+    its config alone. A non-finite step or gradient raises ArithmeticError
+    naming the first failing epoch; within it, steps are checked before
+    gradients, each in config order.
     """
     if not configs:
         raise ValueError("need at least one config")
@@ -243,7 +243,7 @@ def train(
               for topology, members in gradients._members_by_topology(configs).items()]
     params = np.tile(draw_params(seed, n, layers, 0), (len(configs), 1))
     grads = np.empty_like(params)
-    values = [0.0] * len(configs)
+    values = np.empty(len(configs))
     traces = [TrainTrace(config_name=c.name, epochs=[]) for c in configs]
     for epoch in range(epochs + 1):
         if epoch:
@@ -251,9 +251,8 @@ def train(
             _check_finite(params, configs, "step", epoch)
         for spec, members in groups:
             losses, stacks = gradients._adjoint_gradients(
-                [configs[i] for i in members], spec, params[members], disc)
-            for k, i in enumerate(members):
-                values[i], grads[i] = losses[k, k], stacks[k, k]
+                [[configs[i] for i in members]], spec, params[members], disc)
+            values[members], grads[members] = losses[0], stacks[0]
         _check_finite(grads, configs, "gradient", epoch)
         for trace, value, grad in zip(traces, values, grads):
             trace.epochs.append(TrainEpoch(value, float(np.linalg.norm(grad))))
@@ -262,9 +261,9 @@ def train(
 
 def _check_finite(rows: np.ndarray, configs: Sequence[LossConfig], what: str,
                   epoch: int) -> None:
-    for config, row in zip(configs, rows):
-        if not np.all(np.isfinite(row)):
-            raise ArithmeticError(f"non-finite {what} of {config.name} at epoch {epoch}")
+    if not np.isfinite(rows).all():
+        bad = next(c for c, row in zip(configs, rows) if not np.isfinite(row).all())
+        raise ArithmeticError(f"non-finite {what} of {bad.name} at epoch {epoch}")
 
 
 def fit_scaling(points: Sequence[tuple], model: ScalingModel) -> ScalingFit:

@@ -7,13 +7,13 @@ exact engines compute it.
 Variance cells (``gradient_variance``) and training (``experiments.train``)
 use the adjoint method. At a fixed point the gradient of L equals that of <O>
 with the diagonal observable O = sum_k dL/df_k Z_k. The engine's forward sweep
-gives the states phi and their outputs f, which give each config's loss and,
-through one ``d_loss_d_outputs`` call per config, dL/df at every row and so
-lambda = O phi; one backward sweep undoes every gate on both, reading
-dL/dtheta = Im<lambda|P|phi> at each rotation with generator P (Y_q or Z_q).
-Draws, or one topology's configs in training, run as rows of one batch per
-topology, and every per-row contraction is row-wise, so a row's loss and
-gradient have the same bits whatever batch they run in.
+gives B states phi, one per angle row. Its lambda rows form a (G, B) grid, row
+(g, b) with its own config: lambda = O phi_b, O from that config's dL/df at
+phi_b. A variance cell's grid has one block of draws per config; training's
+has one block whose row k is config k. One backward sweep undoes every gate
+on phi and lambda, reading dL/dtheta = Im<lambda|P|phi> at each rotation with
+generator P (Y_q or Z_q). Every per-row contraction is row-wise, so a row's
+loss and gradient have the same bits whatever grid it runs in.
 
 The single-point API ``loss_gradient`` and ``jacobian_outputs`` use the pi/2
 parameter-shift rule: expectations of this gate set are trigonometric in
@@ -131,57 +131,61 @@ _MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
 
 
 def _adjoint_gradients(
-    configs: Sequence[LossConfig], spec: CircuitSpec, angles: np.ndarray,
+    grid: Sequence[Sequence[LossConfig]], spec: CircuitSpec, angles: np.ndarray,
     disc: Discretization,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Losses (C, B) and gradients (C, B, p) of every config at every row.
+    """Losses (G, B) and gradients (G, B, p) of a (G, B) grid of configs.
 
-    The forward sweep ``run_circuit_batch(spec, angles)`` gives the states
-    phi; their outputs f give each config's loss, with the bits of
-    ``total_loss``, and dL/df. Each (config, row) gets the row
-    lambda = (sum_k dL/df_k Z_k) phi, and one array of [phi; lambda] rows is
-    walked back through the gates: at each rotation dL/dtheta =
+    Config (g, b) of ``grid`` is read at phi row b: a variance cell passes one
+    block per config, training one block whose row k is config k. The forward
+    sweep ``run_circuit_batch(spec, angles)`` gives phi; their outputs f give
+    each entry's loss, with the bits of ``total_loss``, and its row
+    lambda = (sum_k dL/df_k Z_k) phi. One (G+1, B, 2^n) array of [phi; lambda]
+    rows is walked back through the gates: at each rotation dL/dtheta =
     Im<lambda|P|phi> is read, then the gate is undone on every row.
     """
-    for config in configs:
-        check_pairing(config, spec, disc)
-    n, n_configs, n_draws = spec.n_qubits, len(configs), len(angles)
-    rows = np.empty(((n_configs + 1) * n_draws, 2**n), dtype=np.complex128)
-    rows[:n_draws] = run_circuit_batch(spec, angles)
-    probs = probabilities(rows[:n_draws])
-    flat = rows.view(np.float64).reshape(n_configs + 1, n_draws, 2**n, 2)
-    losses = np.empty((n_configs, n_draws))
+    n_blocks, n_draws, n = len(grid), len(angles), spec.n_qubits
+    rows = np.empty((n_blocks + 1, n_draws, 2**n), dtype=np.complex128)
+    rows[0] = run_circuit_batch(spec, angles)
+    probs = probabilities(rows[0])
+    flat = rows.view(np.float64).reshape(n_blocks + 1, n_draws, 2**n, 2)
+    losses = np.empty((n_blocks, n_draws))
     # Row-wise einsum, not @, for the reason given in ``outputs``.
-    for c, config in enumerate(configs):
-        obs = observables(config, n)
-        f = outputs(obs, probs)
-        losses[c] = loss_from_outputs(config, f, disc)
-        weights = np.einsum("bm,mi->bi", d_loss_d_outputs(config, f, disc), obs)
-        np.multiply(flat[0], weights[:, :, None], out=flat[c + 1])
+    for g, block in enumerate(grid):
+        for config in dict.fromkeys(block):
+            check_pairing(config, spec, disc)
+            cols = [b for c, b in zip(block, range(n_draws), strict=True) if c == config]
+            obs = observables(config, n)
+            f = outputs(obs, probs[cols])
+            losses[g, cols] = loss_from_outputs(config, f, disc)
+            weights = np.einsum("bm,mi->bi", d_loss_d_outputs(config, f, disc), obs)
+            flat[g + 1, cols] = flat[0, cols] * weights[:, :, None]
     del probs
-    grads = np.empty((n_configs, n_draws, spec.param_count))
+    grads = np.empty((n_blocks, n_draws, spec.param_count))
     chi = np.empty((n_draws, 2 ** (n + 1)))
-    products = np.empty((n_configs, n_draws, 2 ** (n + 1)))
+    products = np.empty((n_blocks, n_draws, 2 ** (n + 1)))
     lam = flat[1:].reshape(products.shape)
-    cos_half, sin_half, phases = sv._gate_coefficients(np.tile(angles, (n_configs + 1, 1)))
+    cos_half, sin_pair, phases = sv._gate_coefficients(angles)
+    sin_pair, phases = -sin_pair, phases.conj()  # each gate's inverse
+    reads = {}  # (kind, qubit) -> reversed view of phi, signs of -iP, view of chi
+    for a in range(n):
+        phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
+        reads["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi.reshape(phi.shape))
+        reads["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi.reshape(phi.shape))
     for kind, a, b in reversed(list(circuit_gates(spec))):
         if kind == "cnot":
             sv._apply_cnot_inplace(rows, a, b)
             continue
         # dL/dtheta = Im<lam|P|phi> = Re<lam|chi> with chi = -i P phi. Every
         # row sums over a contiguous buffer, so its bits do not depend on
-        # the number of configs or draws.
-        phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
-        if kind == "ry":
-            np.multiply(phi[:, :, ::-1], _MINUS_I_Y_SIGNS, out=chi.reshape(phi.shape))
-        else:
-            np.multiply(phi[..., ::-1], _MINUS_I_Z_SIGNS, out=chi.reshape(phi.shape))
+        # the grid's size.
+        np.multiply(*reads[kind, a])
         np.multiply(lam, chi, out=products)
         grads[:, :, b] = products.sum(axis=2)
         if kind == "ry":
-            sv._apply_ry_inplace(rows, a, cos_half[b], -sin_half[b])
+            sv._apply_ry_inplace(rows, a, cos_half[b], sin_pair[b])
         else:
-            sv._apply_rz_inplace(rows, a, np.conj(phases[b]))
+            sv._apply_rz_inplace(rows, a, phases[b])
     return losses, grads
 
 
@@ -213,7 +217,8 @@ def gradient_variance(
         # (C+1) live rows per draw: at most p live rows per block.
         block = max(1, spec.param_count // (len(members) + 1))
         stacks = np.concatenate([
-            _adjoint_gradients([configs[i] for i in members], spec, angles, disc)[1]
+            _adjoint_gradients([[configs[i]] * len(angles) for i in members],
+                               spec, angles, disc)[1]
             for angles in np.split(draws, range(block, n_samples, block))
         ], axis=1)
         for i, stack in zip(members, stacks):

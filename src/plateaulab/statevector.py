@@ -8,12 +8,13 @@ and tests all agree bit-for-bit.
 
 A state is a plain complex array of 2^n amplitudes on its last axis, and a
 block of states stacks them along leading axes; ``qubit_count`` reads n from
-that axis. The gate kernels act in place on a (B, 2^n) batch of amplitude
+that axis. The gate kernels act in place on a (..., B, 2^n) block of amplitude
 rows (no 2^n x 2^n matrix is ever built), which is O(B 2^n) per gate and
 entirely adequate for n <= 12. A single state is a batch of one. Each rotation
-updates the whole (row, hi, bit, lo) view of its qubit (RY in three ufunc
-calls, RZ in one) with coefficients precomputed once per row: cos and sin of
-a/2 for RY, the pair [exp(-i a/2), exp(+i a/2)] along the bit axis for RZ.
+updates the whole (..., hi, bit, lo) view of its qubit, RY in three ufunc
+calls and RZ in one, with per-row coefficients broadcast over further leading
+axes: cos(a/2) and the pair [-sin(a/2), sin(a/2)] along the bit axis for RY,
+[exp(-i a/2), exp(+i a/2)] for RZ. CNOT is one assignment.
 """
 
 from __future__ import annotations
@@ -60,44 +61,39 @@ def _check_qubit(n_qubits: int, qubit: int) -> None:
 
 
 def _gate_coefficients(angles_batch: np.ndarray) -> tuple[np.ndarray, ...]:
-    """cos(a/2), sin(a/2) (p, B, 1, 1, 1) and the RZ pair [exp(-i a/2), conj]
-    (p, B, 1, 2, 1) of every angle of a (B, p) batch: entry j broadcasts over
-    the (row, hi, bit, lo) kernel views."""
+    """cos(a/2) (p, B, 1, 1, 1), the signed RY pair [-sin(a/2), sin(a/2)] and
+    the RZ pair [exp(-i a/2), exp(+i a/2)] (p, B, 1, 2, 1) of every angle of a
+    (B, p) batch: entry j broadcasts over the (..., B, hi, bit, lo) kernel views."""
     half = angles_batch.T[:, :, None, None, None] / 2.0
     phase = np.exp(-1j * half)
-    return np.cos(half), np.sin(half), np.concatenate([phase, np.conj(phase)], axis=-2)
+    return (np.cos(half), np.sin(half) * _RY_SIGNS,
+            np.concatenate([phase, np.conj(phase)], axis=-2))
 
 
-def _apply_ry_inplace(amps: np.ndarray, qubit: int, cos_half, sin_half) -> None:
-    # Axes of the view: (row, hi, bit of ``qubit``, lo) with
-    # index = hi*2^(q+1) + bit*2^q + lo; coefficients broadcast per row.
-    view = amps.reshape(-1, amps.shape[-1] >> (qubit + 1), 2, 2**qubit)
-    swapped = view[:, :, ::-1, :] * (sin_half * _RY_SIGNS)
+def _apply_ry_inplace(amps: np.ndarray, qubit: int, cos_half, sin_pair) -> None:
+    # Axes of the view: (..., hi, bit of ``qubit``, lo) with index =
+    # hi*2^(q+1) + bit*2^q + lo; ``sin_pair`` acts on the bit-swapped view.
+    view = amps.reshape(amps.shape[:-1] + (amps.shape[-1] >> (qubit + 1), 2, 2**qubit))
+    swapped = view[..., ::-1, :] * sin_pair
     view *= cos_half
     view += swapped
 
 
 def _apply_rz_inplace(amps: np.ndarray, qubit: int, phases) -> None:
     # ``phases`` is the (..., 2, 1) pair [exp(-i a/2), exp(+i a/2)] over the bit axis.
-    view = amps.reshape(-1, amps.shape[-1] >> (qubit + 1), 2, 2**qubit)
+    view = amps.reshape(amps.shape[:-1] + (amps.shape[-1] >> (qubit + 1), 2, 2**qubit))
     view *= phases
 
 
 def _apply_cnot_inplace(amps: np.ndarray, control: int, target: int) -> None:
     q_hi, q_lo = max(control, target), min(control, target)
-    view = amps.reshape(
-        -1, amps.shape[-1] >> (q_hi + 1), 2, 2 ** (q_hi - q_lo - 1), 2, 2**q_lo
-    )
-    # Swap the two target-bit slices within the control=1 block.
+    view = amps.reshape(amps.shape[:-1] + (
+        amps.shape[-1] >> (q_hi + 1), 2, 2 ** (q_hi - q_lo - 1), 2, 2**q_lo))
+    # The control=1 block takes its own target-reversed view (numpy buffers the overlap).
     if control == q_hi:
-        block = view[:, :, 1, :, :, :]
-        tmp = block[:, :, :, 0, :].copy()
-        block[:, :, :, 0, :] = block[:, :, :, 1, :]
-        block[:, :, :, 1, :] = tmp
+        view[..., 1, :, :, :] = view[..., 1, :, ::-1, :]
     else:
-        tmp = view[:, :, 0, :, 1, :].copy()
-        view[:, :, 0, :, 1, :] = view[:, :, 1, :, 1, :]
-        view[:, :, 1, :, 1, :] = tmp
+        view[..., 1, :] = view[..., ::-1, :, 1, :]
 
 
 def _checked_copy(amps, *qubits: int) -> np.ndarray:
@@ -112,15 +108,15 @@ def _checked_copy(amps, *qubits: int) -> np.ndarray:
 def apply_ry(amps, qubit: int, angle: float) -> np.ndarray:
     """Rotate ``qubit`` about Y: [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]]."""
     out = _checked_copy(amps, qubit)
-    cos_half, sin_half, _ = _gate_coefficients(np.reshape(angle, (1, 1)))
-    _apply_ry_inplace(out, qubit, cos_half[0], sin_half[0])
+    cos_half, sin_pair, _ = _gate_coefficients(np.reshape(angle, (1, 1)))
+    _apply_ry_inplace(out, qubit, cos_half[0, 0], sin_pair[0, 0])
     return out
 
 
 def apply_rz(amps, qubit: int, angle: float) -> np.ndarray:
     """Rotate ``qubit`` about Z: diag(exp(-i a/2), exp(+i a/2))."""
     out = _checked_copy(amps, qubit)
-    _apply_rz_inplace(out, qubit, _gate_coefficients(np.reshape(angle, (1, 1)))[2][0])
+    _apply_rz_inplace(out, qubit, _gate_coefficients(np.reshape(angle, (1, 1)))[2][0, 0])
     return out
 
 

@@ -37,9 +37,14 @@ def spec_for(config, n, layers):
     return CircuitSpec(n, layers, config.required_topology())
 
 
+def config_blocks(configs, angles):
+    """The engine's grid with one block per config, every row of a block alike."""
+    return [[config] * len(angles) for config in configs]
+
+
 def run_adjoint(configs, spec, angles, disc):
     """The adjoint engine's gradients, shape (C, B, p)."""
-    return gradients._adjoint_gradients(configs, spec, angles, disc)[1]
+    return gradients._adjoint_gradients(config_blocks(configs, angles), spec, angles, disc)[1]
 
 
 class TestJacobian:
@@ -263,8 +268,8 @@ class TestGradientVariance:
         original = gradients._adjoint_gradients
         stacks = []
 
-        def recording(configs, spec, angles, disc):
-            losses, grads = original(configs, spec, angles, disc)
+        def recording(grid, spec, angles, disc):
+            losses, grads = original(grid, spec, angles, disc)
             stacks.append((spec.topology, grads))
             return losses, grads
 
@@ -324,11 +329,37 @@ class TestAdjointGradients:
         for topology in Topology:
             configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
             spec = CircuitSpec(n, 2, topology)
-            losses, _ = gradients._adjoint_gradients(configs, spec, draws, disc)
+            losses, _ = gradients._adjoint_gradients(
+                config_blocks(configs, draws), spec, draws, disc)
             assert losses.shape == (len(configs), 3)
             for c, config in enumerate(configs):
                 for b, angles in enumerate(draws):
                     assert losses[c, b] == total_loss(config, spec, angles, disc)
+
+    @pytest.mark.parametrize("n", [4, 7, 12])
+    def test_mixed_block_rows_have_bits_of_one_config_calls(self, n):
+        # Training passes one block whose row k is config k; here configs also
+        # repeat and interleave within the block.
+        disc = Discretization(n)
+        for topology in Topology:
+            configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
+            block = [configs[k % len(configs)] for k in range(len(configs) + 2)]
+            spec = CircuitSpec(n, 2, topology)
+            angles = np.stack([draw_params(3, n, 2, k) for k in range(len(block))])
+            losses, grads = gradients._adjoint_gradients([block], spec, angles, disc)
+            assert losses.shape == (1, len(block))
+            assert grads.shape == (1, len(block), spec.param_count)
+            for k, config in enumerate(block):
+                loss, grad = gradients._adjoint_gradients(
+                    [[config]], spec, angles[k:k + 1], disc)
+                assert losses[0, k].tobytes() == loss[0, 0].tobytes()
+                assert grads[0, k].tobytes() == grad[0, 0].tobytes()
+
+    def test_short_block_rejected(self):
+        spec = CircuitSpec(4, 1, ATA)
+        draws = np.stack([draw_params(0, 4, 1, k) for k in range(3)])
+        with pytest.raises(ValueError):
+            gradients._adjoint_gradients([all_configs()[:2]], spec, draws, Discretization(4))
 
     def test_mismatched_topology_rejected(self):
         spec = CircuitSpec(4, 1, Topology.NEAREST_NEIGHBOR)

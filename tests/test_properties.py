@@ -80,7 +80,7 @@ def test_adjoint_gradient_matches_finite_differences(config, data):
     disc = Discretization(spec.n_qubits)
     fd = finite_difference_gradient(
         lambda q: total_loss(config, spec, q, disc), angles, 1e-5)
-    got = _adjoint_gradients([config], spec, angles[None], disc)[1][0, 0]
+    got = _adjoint_gradients([[config]], spec, angles[None], disc)[1][0, 0]
     np.testing.assert_allclose(got, fd, atol=1e-6)
 
 

@@ -309,12 +309,13 @@ class TestBlocks:
 def rotate(kind, amps, qubit, angles, inverse=False):
     """Run the in-place RY or RZ kernel on a (B, 2^n) block, one angle per row.
 
-    ``inverse`` passes (cos, -sin) or the conjugate phases, as the adjoint
-    backward sweep does to undo the gate.
+    ``amps`` may carry further leading axes, over which the (B,) coefficients
+    broadcast. ``inverse`` passes (cos, -sin pair) or the conjugate phases, as
+    the adjoint backward sweep does to undo the gate.
     """
-    cos_half, sin_half, phases = (c[0] for c in sv._gate_coefficients(angles[:, None]))
+    cos_half, sin_pair, phases = (c[0] for c in sv._gate_coefficients(angles[:, None]))
     if kind == "ry":
-        sv._apply_ry_inplace(amps, qubit, cos_half, -sin_half if inverse else sin_half)
+        sv._apply_ry_inplace(amps, qubit, cos_half, -sin_pair if inverse else sin_pair)
     else:
         sv._apply_rz_inplace(amps, qubit, np.conj(phases) if inverse else phases)
 
@@ -373,6 +374,65 @@ class TestRotationKernels:
             rotate(kind, out, qubit, angles)
             rotate(kind, out, qubit, angles, inverse=True)
             assert np.max(np.abs(out - amps)) <= 1e-15
+
+    def test_stacked_blocks_have_bits_of_block_calls(self, kind, n):
+        # The adjoint engine runs (G+1, B, 2^n) rows with the forward's (B,)
+        # coefficients broadcast over the leading axis.
+        amps, angles = self.block(n)
+        stack = np.stack([amps, amps.conj(), amps[::-1]])
+        for qubit in range(n):
+            out = stack.copy()
+            rotate(kind, out, qubit, angles)
+            for g in range(3):
+                alone = stack[g].copy()
+                rotate(kind, alone, qubit, angles)
+                assert alone.tobytes() == out[g].tobytes()
+
+
+def dense_cnot(n, control, target):
+    """The 2^n x 2^n permutation matrix of CNOT, built index by index."""
+    matrix = np.zeros((2**n, 2**n))
+    for i in range(2**n):
+        matrix[i ^ (((i >> control) & 1) << target), i] = 1.0
+    return matrix
+
+
+class TestCnotKernel:
+    """The CNOT kernel on random blocks, for every ordered (control, target) pair."""
+
+    @staticmethod
+    def block(n, lead):
+        rng = np.random.default_rng(60 + n)
+        return rng.normal(size=lead + (2**n,)) + 1j * rng.normal(size=lead + (2**n,))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_dense_permutation(self, n):
+        # Circuits only reach control < target; apply_cnot reaches both branches.
+        amps = self.block(n, (5,))
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                expected = amps @ dense_cnot(n, control, target).T
+                out = amps.copy()
+                sv._apply_cnot_inplace(out, control, target)
+                np.testing.assert_array_equal(out, expected)
+                np.testing.assert_array_equal(apply_cnot(amps[2], control, target),
+                                              expected[2])
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_stacked_blocks_have_bits_of_block_calls(self, n):
+        stack = self.block(n, (3, 5))
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                out = stack.copy()
+                sv._apply_cnot_inplace(out, control, target)
+                for g in range(3):
+                    alone = stack[g].copy()
+                    sv._apply_cnot_inplace(alone, control, target)
+                    assert alone.tobytes() == out[g].tobytes()
 
 
 class TestNormPreservation:

@@ -9,6 +9,7 @@ angles[2nl+n : 2nl+2n] the RZ angles. Each layer applies its rotations
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,11 +34,9 @@ class CircuitSpec:
     topology: Topology
 
     def __post_init__(self) -> None:
-        if not sv.MIN_QUBITS <= self.n_qubits <= sv.MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [{sv.MIN_QUBITS}, {sv.MAX_QUBITS}], "
-                             f"got {self.n_qubits}")
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
+        sv._check_qubit_count(self.n_qubits)
+        if not isinstance(self.layers, numbers.Integral) or self.layers < 1:
+            raise ValueError(f"layers must be an integer >= 1, got {self.layers}")
 
     @property
     def param_count(self) -> int:

@@ -24,7 +24,6 @@ from .gradients import draw_params, gradient_variance
 from .losses import (
     DEFAULT_PHYSICS_WEIGHT,
     Burgers,
-    Discretization,
     Heat,
     LossConfig,
     LossKind,
@@ -117,7 +116,6 @@ class ScalingModel(enum.Enum):
 
 @dataclass(frozen=True)
 class ScalingFit:
-    model: ScalingModel
     exponent: float
     residual_norm: float
 
@@ -184,8 +182,9 @@ def entanglement_sweep(
 
     The cut keeps the first floor(n/2) qubits; the ratio divides by their
     floor(n/2)-bit maximum. Both topologies of a cell reuse the same angle
-    draws; they run as rows of batches of at most p draws, and each batch
-    takes one partial-trace and one entropy call.
+    draws. They run as rows of the blocks of ``gradients._blocks``, the one
+    block rule, with one live row per draw; each block takes one
+    partial-trace and one entropy call.
     """
     if n_samples < 1:
         raise ValueError("need at least 1 sample")
@@ -196,16 +195,13 @@ def entanglement_sweep(
         for layers in depths:
             layers = int(layers)
             draws = np.stack([draw_params(seed, n, layers, k) for k in range(n_samples)])
-            for topology in (Topology.NEAREST_NEIGHBOR, Topology.ALL_TO_ALL):
+            for topology in Topology:
                 spec = CircuitSpec(n, layers, topology)
-                p = spec.param_count
-                # One live row per draw: at most p live rows per block, the
-                # rule of gradient_variance. gradients.run_circuit_batch is
-                # the binding bench/tracer.py counts.
+                # gradients.run_circuit_batch is the binding bench/tracer.py counts.
                 entropies = np.concatenate([
                     von_neumann_entropy(reduced_density_matrix(
                         gradients.run_circuit_batch(spec, angles), range(half)))
-                    for angles in np.split(draws, range(p, n_samples, p))])
+                    for angles in gradients._blocks(draws, 1)])
                 rows.append(EntropyRow(n=n, layers=layers, topology=topology.value,
                                        mean_entropy_bits=float(np.mean(entropies))))
     return rows
@@ -238,9 +234,7 @@ def train(
         raise ValueError("epochs must be >= 1")
     if not np.isfinite(learning_rate):
         raise ValueError(f"learning_rate must be finite, got {learning_rate}")
-    disc = Discretization(n)
-    groups = [(CircuitSpec(n, layers, topology), members)
-              for topology, members in gradients._members_by_topology(configs).items()]
+    groups = gradients._groups(configs, n, layers)
     params = np.tile(draw_params(seed, n, layers, 0), (len(configs), 1))
     grads = np.empty_like(params)
     values = np.empty(len(configs))
@@ -251,7 +245,7 @@ def train(
             _check_finite(params, configs, "step", epoch)
         for spec, members in groups:
             losses, stacks = gradients._adjoint_gradients(
-                [[configs[i] for i in members]], spec, params[members], disc)
+                [[configs[i] for i in members]], spec, params[members])
             values[members], grads[members] = losses[0], stacks[0]
         _check_finite(grads, configs, "gradient", epoch)
         for trace, value, grad in zip(traces, values, grads):
@@ -290,8 +284,4 @@ def fit_scaling(points: Sequence[tuple], model: ScalingModel) -> ScalingFit:
         x, y = np.log(ns), np.log(variances)
     slope, intercept = np.polyfit(x, y, 1)
     residual = y - (slope * x + intercept)
-    return ScalingFit(
-        model=model,
-        exponent=float(-slope),
-        residual_norm=float(np.linalg.norm(residual)),
-    )
+    return ScalingFit(exponent=float(-slope), residual_norm=float(np.linalg.norm(residual)))

@@ -11,9 +11,10 @@ gives B states phi, one per angle row. Its lambda rows form a (G, B) grid, row
 (g, b) with its own config: lambda = O phi_b, O from that config's dL/df at
 phi_b. A variance cell's grid has one block of draws per config; training's
 has one block whose row k is config k. One backward sweep undoes every gate
-on phi and lambda, reading dL/dtheta = Im<lambda|P|phi> at each rotation with
-generator P (Y_q or Z_q). Every per-row contraction is row-wise, so a row's
-loss and gradient have the same bits whatever grid it runs in.
+(as the gate at -theta) on phi and lambda, reading dL/dtheta = Im<lambda|P|phi>
+at each rotation with generator P (Y_q or Z_q). Every per-row contraction is
+row-wise, so a row's loss and gradient have the same bits whatever grid it
+runs in.
 
 The single-point API ``loss_gradient`` and ``jacobian_outputs`` use the pi/2
 parameter-shift rule: expectations of this gate set are trigonometric in
@@ -25,8 +26,9 @@ tested against.
 All randomness flows through ``draw_params``: sample i of a run is drawn from
 a generator seeded by (seed, n_qubits, layers, i), so draws are independent
 of evaluation order and shared across loss configurations of the same shape,
-making cross-configuration comparisons paired; configurations of one
-topology also share each block's forward and backward sweep.
+making cross-configuration comparisons paired. The configs of one topology
+(``_groups``) share each block's sweeps, and ``_blocks``, the one block rule
+of variance and entropy cells, gives each block at most p live rows.
 """
 
 from __future__ import annotations
@@ -53,25 +55,21 @@ SHIFT = np.pi / 2.0
 MIN_VARIANCE_SAMPLES = 2  # the unbiased K-1 divisor needs K >= 2
 
 
-def _shift_batch(angles: np.ndarray) -> np.ndarray:
-    # Rows 0..p-1 shift angle j by +pi/2, rows p..2p-1 by -pi/2, and the
-    # last row is the unshifted point.
-    p = angles.size
-    shifted = np.tile(angles, (2 * p + 1, 1))
-    j = np.arange(p)
-    shifted[j, j] += SHIFT
-    shifted[p + j, j] -= SHIFT
-    return shifted
-
-
 def _shift_jacobian(f_batch: np.ndarray, p: int) -> np.ndarray:
     # Row j holds df/dphi_j from the +-pi/2 rows of a shift batch's outputs.
     return (f_batch[:p] - f_batch[p : 2 * p]) / 2.0
 
 
 def _shift_probs(spec: CircuitSpec, params) -> np.ndarray:
+    # Rows 0..p-1 shift angle j by +pi/2, rows p..2p-1 by -pi/2, and the
+    # last row is the unshifted point.
     angles = _check_params(spec, params)
-    return probabilities(run_circuit_batch(spec, _shift_batch(angles)))
+    p = angles.size
+    shifted = np.tile(angles, (2 * p + 1, 1))
+    j = np.arange(p)
+    shifted[j, j] += SHIFT
+    shifted[p + j, j] -= SHIFT
+    return probabilities(run_circuit_batch(spec, shifted))
 
 
 def jacobian_outputs(spec: CircuitSpec, params) -> np.ndarray:
@@ -99,8 +97,8 @@ def finite_difference_gradient(
     loss: Callable[[np.ndarray], float], params, h: float
 ) -> np.ndarray:
     """Central finite-difference gradient of an arbitrary scalar function."""
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not 0 < h < np.inf:  # a NaN step fails too
+        raise ValueError(f"step h must be finite and positive, got {h}")
     angles = np.asarray(params, dtype=np.float64)
     grad = np.empty(angles.size)
     for j in range(angles.size):
@@ -132,19 +130,20 @@ _MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
 
 def _adjoint_gradients(
     grid: Sequence[Sequence[LossConfig]], spec: CircuitSpec, angles: np.ndarray,
-    disc: Discretization,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Losses (G, B) and gradients (G, B, p) of a (G, B) grid of configs.
 
     Config (g, b) of ``grid`` is read at phi row b: a variance cell passes one
-    block per config, training one block whose row k is config k. The forward
-    sweep ``run_circuit_batch(spec, angles)`` gives phi; their outputs f give
-    each entry's loss, with the bits of ``total_loss``, and its row
-    lambda = (sum_k dL/df_k Z_k) phi. One (G+1, B, 2^n) array of [phi; lambda]
+    block per config over a ``_blocks`` block of draws, training one block
+    whose row k is config k. The forward sweep ``run_circuit_batch(spec,
+    angles)`` gives phi; their outputs f give each entry's loss on the grid
+    ``Discretization(spec.n_qubits)``, with the bits of ``total_loss``, and
+    its row lambda = (sum_k dL/df_k Z_k) phi. One (G+1, B, 2^n) array of [phi; lambda]
     rows is walked back through the gates: at each rotation dL/dtheta =
-    Im<lambda|P|phi> is read, then the gate is undone on every row.
+    Im<lambda|P|phi> is read, then the gate at -theta undoes it on every row.
     """
     n_blocks, n_draws, n = len(grid), len(angles), spec.n_qubits
+    disc = Discretization(n)
     rows = np.empty((n_blocks + 1, n_draws, 2**n), dtype=np.complex128)
     rows[0] = run_circuit_batch(spec, angles)
     probs = probabilities(rows[0])
@@ -165,8 +164,7 @@ def _adjoint_gradients(
     chi = np.empty((n_draws, 2 ** (n + 1)))
     products = np.empty((n_blocks, n_draws, 2 ** (n + 1)))
     lam = flat[1:].reshape(products.shape)
-    cos_half, sin_pair, phases = sv._gate_coefficients(angles)
-    sin_pair, phases = -sin_pair, phases.conj()  # each gate's inverse
+    cos_half, sin_pair, phases = sv._gate_coefficients(-angles)  # each gate's inverse
     reads = {}  # (kind, qubit) -> reversed view of phi, signs of -iP, view of chi
     for a in range(n):
         phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
@@ -189,12 +187,18 @@ def _adjoint_gradients(
     return losses, grads
 
 
-def _members_by_topology(configs: Sequence[LossConfig]) -> dict:
-    """Indices of each topology's configs, topologies in order of first use."""
-    groups: dict = {}
+def _groups(configs: Sequence[LossConfig], n_qubits: int, layers: int) -> list[tuple]:
+    """(spec, member indices) of each topology of ``configs``, in order of first use."""
+    members: dict = {}
     for i, config in enumerate(configs):
-        groups.setdefault(config.required_topology(), []).append(i)
-    return groups
+        members.setdefault(config.required_topology(), []).append(i)
+    return [(CircuitSpec(n_qubits, layers, t), m) for t, m in members.items()]
+
+
+def _blocks(draws: np.ndarray, live_rows: int) -> list[np.ndarray]:
+    """A cell's (K, p) draws in blocks of at most p live rows, ``live_rows`` per draw."""
+    size = max(1, draws.shape[1] // live_rows)
+    return np.split(draws, range(size, len(draws), size))
 
 
 def gradient_variance(
@@ -209,17 +213,14 @@ def gradient_variance(
     """
     if n_samples < MIN_VARIANCE_SAMPLES:
         raise ValueError(f"need at least {MIN_VARIANCE_SAMPLES} samples, got {n_samples}")
-    disc = Discretization(n_qubits)
+    groups = _groups(configs, n_qubits, layers)
     draws = np.stack([draw_params(seed, n_qubits, layers, k) for k in range(n_samples)])
     grads: list = [None] * len(configs)
-    for topology, members in _members_by_topology(configs).items():
-        spec = CircuitSpec(n_qubits, layers, topology)
-        # (C+1) live rows per draw: at most p live rows per block.
-        block = max(1, spec.param_count // (len(members) + 1))
+    for spec, members in groups:
+        # Each draw takes C + 1 live rows: phi and one lambda row per config.
         stacks = np.concatenate([
-            _adjoint_gradients([[configs[i]] * len(angles) for i in members],
-                               spec, angles, disc)[1]
-            for angles in np.split(draws, range(block, n_samples, block))
+            _adjoint_gradients([[configs[i]] * len(angles) for i in members], spec, angles)[1]
+            for angles in _blocks(draws, len(members) + 1)
         ], axis=1)
         for i, stack in zip(members, stacks):
             grads[i] = stack

@@ -65,6 +65,10 @@ class TestCircuitSpec:
             CircuitSpec(1, 1, NN)
         with pytest.raises(ValueError):
             CircuitSpec(4, 0, NN)
+        with pytest.raises(ValueError):
+            CircuitSpec(4, 2.5, NN)
+        with pytest.raises(ValueError):
+            CircuitSpec(4.0, 1, NN)
 
 
 class TestEntanglerPairs:

@@ -160,7 +160,7 @@ class TestTrain:
                         float(np.linalg.norm(grad)), abs=1e-12
                     )
                     assert entry.loss_value == total_loss(cfg, spec, params, disc)
-                    _, adjoint = gradients._adjoint_gradients([[cfg]], spec, params[None], disc)
+                    _, adjoint = gradients._adjoint_gradients([[cfg]], spec, params[None])
                     params = params - lr * adjoint[0, 0]
 
     def test_lockstep_traces_equal_training_alone(self):

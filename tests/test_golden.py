@@ -53,6 +53,24 @@ CASES = [
     ("per_param.json",
      ["per-param", "--qubits", "4", "--layers", "2", "--samples", "3",
       "--format", "json"], []),
+    # The three argvs of bench/workloads.py at --seed 0, which the benchmark
+    # itself checks only within a tolerance.
+    ("bench_variance_sweep.csv",
+     ["sweep-qubits", "--qubits", "4", "6", "8", "10", "--layers", "3",
+      "--samples", "2", "--seed", "0"],
+     ["bench_variance_sweep_fits.csv", "bench_variance_sweep_reference.csv"]),
+    ("bench_training.csv",
+     ["converge", "--qubits", "4", "--layers", "3", "--epochs", "100",
+      "--seed", "0"], []),
+    ("bench_entanglement.csv",
+     ["entanglement", "--qubits", "4", "6", "8", "10", "12", "--layers", "1", "3",
+      "5", "--samples", "5", "--seed", "0"], []),
+    # Cells whose draws run in several blocks: all-to-all variance blocks of
+    # 2/2/2/2/1 draws at L = 1 and 4/4/1 at L = 2; entropy blocks of 8/2.
+    ("sweep_depth_blocks.csv",
+     ["sweep-depth", "--qubits", "4", "--layers", "1", "2", "--samples", "9"], []),
+    ("entanglement_blocks.csv",
+     ["entanglement", "--qubits", "4", "--layers", "1", "--samples", "10"], []),
 ]
 
 

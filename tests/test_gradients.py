@@ -42,9 +42,9 @@ def config_blocks(configs, angles):
     return [[config] * len(angles) for config in configs]
 
 
-def run_adjoint(configs, spec, angles, disc):
+def run_adjoint(configs, spec, angles):
     """The adjoint engine's gradients, shape (C, B, p)."""
-    return gradients._adjoint_gradients(config_blocks(configs, angles), spec, angles, disc)[1]
+    return gradients._adjoint_gradients(config_blocks(configs, angles), spec, angles)[1]
 
 
 class TestJacobian:
@@ -153,8 +153,9 @@ class TestFiniteDifferenceOracle:
         assert errors[1] < errors[0] / 50  # ~100x for a 10x smaller h
 
     def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError):
-            finite_difference_gradient(lambda q: 0.0, np.zeros(2), 0.0)
+        for h in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                finite_difference_gradient(lambda q: 0.0, np.zeros(2), h)
 
 
 class TestDrawParams:
@@ -254,7 +255,7 @@ class TestGradientVariance:
         draws = np.stack([draw_params(0, 4, 2, k) for k in range(3)])
         for config, variance in zip(configs, variances):
             spec = spec_for(config, 4, 2)
-            adjoint = run_adjoint([config], spec, draws, Discretization(4))[0]
+            adjoint = run_adjoint([config], spec, draws)[0]
             expected = adjoint.var(axis=0, ddof=1)
             np.testing.assert_array_equal(variance, expected)
             assert float(np.mean(variance)) == float(np.mean(expected))
@@ -268,8 +269,8 @@ class TestGradientVariance:
         original = gradients._adjoint_gradients
         stacks = []
 
-        def recording(grid, spec, angles, disc):
-            losses, grads = original(grid, spec, angles, disc)
+        def recording(grid, spec, angles):
+            losses, grads = original(grid, spec, angles)
             stacks.append((spec.topology, grads))
             return losses, grads
 
@@ -303,7 +304,7 @@ class TestAdjointGradients:
         for topology in Topology:
             configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
             spec = CircuitSpec(n, layers, topology)
-            stacks = run_adjoint(configs, spec, draws, disc)
+            stacks = run_adjoint(configs, spec, draws)
             assert stacks.shape == (len(configs), 3, spec.param_count)
             for config, stack in zip(configs, stacks):
                 expected = np.stack([loss_gradient(config, spec, d, disc) for d in draws])
@@ -313,13 +314,12 @@ class TestAdjointGradients:
     def test_draw_bits_do_not_depend_on_the_block(self, n):
         configs = all_configs()[:3]  # the all-to-all configs
         spec = CircuitSpec(n, 2, ATA)
-        disc = Discretization(n)
         draws = np.stack([draw_params(2, n, 2, k) for k in range(4)])
-        together = run_adjoint(configs, spec, draws, disc)
+        together = run_adjoint(configs, spec, draws)
         for k in range(4):
-            alone = run_adjoint(configs, spec, draws[k:k + 1], disc)
+            alone = run_adjoint(configs, spec, draws[k:k + 1])
             np.testing.assert_array_equal(alone[:, 0], together[:, k])
-            one_config = run_adjoint(configs[1:2], spec, draws[k:k + 1], disc)
+            one_config = run_adjoint(configs[1:2], spec, draws[k:k + 1])
             np.testing.assert_array_equal(one_config[0, 0], together[1, k])
 
     @pytest.mark.parametrize("n", [2, 4, 7])
@@ -329,8 +329,7 @@ class TestAdjointGradients:
         for topology in Topology:
             configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
             spec = CircuitSpec(n, 2, topology)
-            losses, _ = gradients._adjoint_gradients(
-                config_blocks(configs, draws), spec, draws, disc)
+            losses, _ = gradients._adjoint_gradients(config_blocks(configs, draws), spec, draws)
             assert losses.shape == (len(configs), 3)
             for c, config in enumerate(configs):
                 for b, angles in enumerate(draws):
@@ -340,18 +339,16 @@ class TestAdjointGradients:
     def test_mixed_block_rows_have_bits_of_one_config_calls(self, n):
         # Training passes one block whose row k is config k; here configs also
         # repeat and interleave within the block.
-        disc = Discretization(n)
         for topology in Topology:
             configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
             block = [configs[k % len(configs)] for k in range(len(configs) + 2)]
             spec = CircuitSpec(n, 2, topology)
             angles = np.stack([draw_params(3, n, 2, k) for k in range(len(block))])
-            losses, grads = gradients._adjoint_gradients([block], spec, angles, disc)
+            losses, grads = gradients._adjoint_gradients([block], spec, angles)
             assert losses.shape == (1, len(block))
             assert grads.shape == (1, len(block), spec.param_count)
             for k, config in enumerate(block):
-                loss, grad = gradients._adjoint_gradients(
-                    [[config]], spec, angles[k:k + 1], disc)
+                loss, grad = gradients._adjoint_gradients([[config]], spec, angles[k:k + 1])
                 assert losses[0, k].tobytes() == loss[0, 0].tobytes()
                 assert grads[0, k].tobytes() == grad[0, 0].tobytes()
 
@@ -359,13 +356,12 @@ class TestAdjointGradients:
         spec = CircuitSpec(4, 1, ATA)
         draws = np.stack([draw_params(0, 4, 1, k) for k in range(3)])
         with pytest.raises(ValueError):
-            gradients._adjoint_gradients([all_configs()[:2]], spec, draws, Discretization(4))
+            gradients._adjoint_gradients([all_configs()[:2]], spec, draws)
 
     def test_mismatched_topology_rejected(self):
         spec = CircuitSpec(4, 1, Topology.NEAREST_NEIGHBOR)
         with pytest.raises(ValueError):
-            run_adjoint([LossConfig(LossKind.GLOBAL_COST)], spec,
-                        draw_params(0, 4, 1, 0)[None], Discretization(4))
+            run_adjoint([LossConfig(LossKind.GLOBAL_COST)], spec, draw_params(0, 4, 1, 0)[None])
 
 
 class TestOneForwardPass:

@@ -63,7 +63,7 @@ class TestInitZero:
         for n in range(2, 13):
             assert np.linalg.norm(init_zero(n)) == 1.0
 
-    @pytest.mark.parametrize("n", [0, 1, 13, -2])
+    @pytest.mark.parametrize("n", [0, 1, 13, -2, 4.0, 2.5])
     def test_out_of_range_rejected(self, n):
         with pytest.raises(ValueError):
             init_zero(n)

@@ -9,7 +9,6 @@ angles[2nl+n : 2nl+2n] the RZ angles. Each layer applies its rotations
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,9 +33,8 @@ class CircuitSpec:
     topology: Topology
 
     def __post_init__(self) -> None:
-        sv._check_qubit_count(self.n_qubits)
-        if not isinstance(self.layers, numbers.Integral) or self.layers < 1:
-            raise ValueError(f"layers must be an integer >= 1, got {self.layers}")
+        sv._check_count("n_qubits", self.n_qubits, sv.MIN_QUBITS, sv.MAX_QUBITS)
+        sv._check_count("layers", self.layers, 1)
 
     @property
     def param_count(self) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 from . import experiments as xp
 from .gradients import MIN_VARIANCE_SAMPLES
 from .losses import DEFAULT_PHYSICS_WEIGHT, all_configs
-from .statevector import MAX_QUBITS, MIN_QUBITS
+from .statevector import MAX_QUBITS, MIN_QUBITS, _check_count
 
 SEED_ENV_VAR = "PLATEAULAB_SEED"
 
@@ -142,28 +142,25 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _usage_problem(run: RunConfig) -> Optional[str]:
-    """Why the run cannot be carried out, or None if every value is in range."""
-    if run.seed < 0:
-        return f"seed must be >= 0, got {run.seed}"
+def _check_usage(run: RunConfig) -> None:
+    """Raise ValueError naming the flag of the first value out of range."""
+    _check_count("--seed", run.seed, 0)
     for n in run.qubits:
-        if not MIN_QUBITS <= n <= MAX_QUBITS:
-            return f"--qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n}"
-    if min(run.layers) < 1:
-        return f"--layers must be >= 1, got {min(run.layers)}"
+        _check_count("--qubits", n, MIN_QUBITS, MAX_QUBITS)
+    for layers in run.layers:
+        _check_count("--layers", layers, 1)
     for flag, values in (("--qubits", run.qubits), ("--layers", run.layers)):
         if len(set(values)) < len(values):
-            return f"{flag} values must be distinct, got {values}"
-    min_samples = 1 if run.experiment == "entanglement" else MIN_VARIANCE_SAMPLES
-    if run.samples < min_samples:
-        return f"--samples must be >= {min_samples}, got {run.samples}"
-    if run.epochs < 1:
-        return f"--epochs must be >= 1, got {run.epochs}"
+            raise ValueError(f"{flag} values must be distinct, got {values}")
+    entropy = run.experiment == "entanglement"
+    _check_count("--samples", run.samples,
+                 xp.MIN_ENTROPY_SAMPLES if entropy else MIN_VARIANCE_SAMPLES)
+    _check_count("--epochs", run.epochs, 1)
     if not math.isfinite(run.learning_rate):
-        return f"--lr must be finite, got {run.learning_rate}"
+        raise ValueError(f"--lr must be finite, got {run.learning_rate}")
     if not (math.isfinite(run.physics_weight) and run.physics_weight >= 0):
-        return f"--physics-weight must be finite and >= 0, got {run.physics_weight}"
-    return None
+        raise ValueError(f"--physics-weight must be finite and >= 0, "
+                         f"got {run.physics_weight}")
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
@@ -178,9 +175,10 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         parser.error("an experiment subcommand (or --all) is required")
     # Each flag fills its field; a flag not given leaves the field's default.
     run = RunConfig(**values)
-    problem = _usage_problem(run)
-    if problem is not None:
-        parser.error(problem)
+    try:
+        _check_usage(run)
+    except ValueError as exc:
+        parser.error(str(exc))
     return run
 
 
@@ -315,8 +313,7 @@ def run_experiment(run: RunConfig) -> Table:
     elif run.experiment == "sweep-depth":
         sweep = xp.sweep_depth(run.layers, n, run.samples, run.seed, run.physics_weight)
     elif run.experiment == "sweep-pde":
-        sweep = xp.sweep_pde(xp.DEFAULT_PDES, n, layers, run.samples, run.seed,
-                             run.physics_weight)
+        sweep = xp.sweep_pde(n, layers, run.samples, run.seed, run.physics_weight)
     else:
         raise ValueError(f"unknown experiment: {run.experiment}")
     rows = [(label, r.n, r.layers, r.config_name, r.pde_name,

@@ -27,11 +27,10 @@ from .losses import (
     Heat,
     LossConfig,
     LossKind,
-    PdeKind,
     SaintVenant,
     all_configs,
 )
-from .statevector import reduced_density_matrix, von_neumann_entropy
+from .statevector import _check_count, reduced_density_matrix, von_neumann_entropy
 
 # Unused here, kept as bindings that bench/tracer.py wraps.
 from .ansatz import run_circuit  # noqa: F401
@@ -49,6 +48,7 @@ DEFAULT_SEED = 0
 DEFAULT_PDES = (Heat(), Burgers(), SaintVenant())
 
 DEFAULT_VARIANCE_SAMPLES = 25
+MIN_ENTROPY_SAMPLES = 1
 DEFAULT_ENTROPY_SAMPLES = 20
 DEFAULT_EPOCHS = 50
 DEFAULT_LEARNING_RATE = 0.01
@@ -127,7 +127,6 @@ def _variance_sweep(
     """One row per config per (n, layers) cell, cell-major, then config order."""
     rows = []
     for n, layers in cells:
-        n, layers = int(n), int(layers)
         variances = gradient_variance(configs, n, layers, n_samples, seed)
         for config, variance in zip(configs, variances):
             rows.append(SweepRow(n, layers, config.name, config.pde_name, variance))
@@ -159,16 +158,15 @@ def sweep_depth(
 
 
 def sweep_pde(
-    pdes: Sequence[PdeKind] = DEFAULT_PDES,
     n: int = DEFAULT_QUBITS,
     layers: int = DEFAULT_LAYERS,
     n_samples: int = DEFAULT_VARIANCE_SAMPLES,
     seed: int = DEFAULT_SEED,
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT,
 ) -> list[SweepRow]:
-    """Gradient variance of the residual-based loss across PDE kinds."""
+    """Gradient variance of the residual-based loss for each of DEFAULT_PDES."""
     configs = [LossConfig(LossKind.PDE_CONSTRAINED, pde=pde,
-                          physics_weight=physics_weight) for pde in pdes]
+                          physics_weight=physics_weight) for pde in DEFAULT_PDES]
     return _variance_sweep([(n, layers)], configs, n_samples, seed)
 
 
@@ -184,25 +182,23 @@ def entanglement_sweep(
     floor(n/2)-bit maximum. Both topologies of a cell reuse the same angle
     draws. They run as rows of the blocks of ``gradients._blocks``, the one
     block rule, with one live row per draw; each block takes one
-    partial-trace and one entropy call.
+    partial-trace and one entropy call. ``n_samples`` must be an integer >=
+    MIN_ENTROPY_SAMPLES; a cell's CircuitSpecs check its n and layers before
+    it draws.
     """
-    if n_samples < 1:
-        raise ValueError("need at least 1 sample")
+    _check_count("n_samples", n_samples, MIN_ENTROPY_SAMPLES)
     rows = []
     for n in ns:
-        n = int(n)
-        half = n // 2
         for layers in depths:
-            layers = int(layers)
+            specs = [CircuitSpec(n, layers, topology) for topology in Topology]
             draws = np.stack([draw_params(seed, n, layers, k) for k in range(n_samples)])
-            for topology in Topology:
-                spec = CircuitSpec(n, layers, topology)
+            for spec in specs:
                 # gradients.run_circuit_batch is the binding bench/tracer.py counts.
                 entropies = np.concatenate([
                     von_neumann_entropy(reduced_density_matrix(
-                        gradients.run_circuit_batch(spec, angles), range(half)))
+                        gradients.run_circuit_batch(spec, angles), range(n // 2)))
                     for angles in gradients._blocks(draws, 1)])
-                rows.append(EntropyRow(n=n, layers=layers, topology=topology.value,
+                rows.append(EntropyRow(n=n, layers=layers, topology=spec.topology.value,
                                        mean_entropy_bits=float(np.mean(entropies))))
     return rows
 
@@ -226,12 +222,11 @@ def train(
     loss and gradient at its own row. A trace has the same bits as training
     its config alone. A non-finite step or gradient raises ArithmeticError
     naming the first failing epoch; within it, steps are checked before
-    gradients, each in config order.
+    gradients, each in config order. ``epochs`` must be an integer >= 1.
     """
     if not configs:
         raise ValueError("need at least one config")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    _check_count("epochs", epochs, 1)
     if not np.isfinite(learning_rate):
         raise ValueError(f"learning_rate must be finite, got {learning_rate}")
     groups = gradients._groups(configs, n, layers)

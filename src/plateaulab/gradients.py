@@ -111,9 +111,9 @@ def finite_difference_gradient(
 
 
 def draw_params(seed: int, n_qubits: int, layers: int, index: int) -> np.ndarray:
-    """Uniform [0, 2pi) angles for sample ``index`` of a seeded run."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    """Uniform [0, 2pi) angles for sample ``index`` of a seeded run; the
+    seed must be an integer >= 0."""
+    sv._check_count("seed", seed, 0)
     ss = np.random.SeedSequence([seed, n_qubits, layers, index])
     rng = np.random.default_rng(ss)
     return rng.uniform(0.0, 2.0 * np.pi, 2 * n_qubits * layers)
@@ -209,10 +209,10 @@ def gradient_variance(
     One array per config, in order. Each of the ``n_samples`` draws is shared
     by every config; per topology the draws run in blocks, each one adjoint
     forward and backward sweep for all of that topology's configs. Variances
-    use the unbiased K-1 divisor.
+    use the unbiased K-1 divisor, so ``n_samples`` must be an integer >=
+    MIN_VARIANCE_SAMPLES.
     """
-    if n_samples < MIN_VARIANCE_SAMPLES:
-        raise ValueError(f"need at least {MIN_VARIANCE_SAMPLES} samples, got {n_samples}")
+    sv._check_count("n_samples", n_samples, MIN_VARIANCE_SAMPLES)
     groups = _groups(configs, n_qubits, layers)
     draws = np.stack([draw_params(seed, n_qubits, layers, k) for k in range(n_samples)])
     grads: list = [None] * len(configs)

@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .ansatz import CircuitSpec, Topology, run_circuit
-from .statevector import probabilities, qubit_count, z_signs
+from .statevector import _check_count, probabilities, qubit_count, z_signs
 # Unused here, kept as bindings that bench/tracer.py wraps.
 from .statevector import expect_z, expect_z_string  # noqa: F401
 
@@ -126,8 +126,7 @@ class Discretization:
         # A centered +-1 stencil wants >= 3 points; n = 2 is allowed so the
         # smallest circuits can still be differentiated, with the first
         # derivative degenerating to zero there.
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        _check_count("n_points", self.n_points, 2)
 
     @property
     def dx(self) -> float:

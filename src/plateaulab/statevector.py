@@ -19,6 +19,7 @@ axes: cos(a/2) and the pair [-sin(a/2), sin(a/2)] along the bit axis for RY,
 
 from __future__ import annotations
 
+import math
 import numbers
 from functools import lru_cache
 
@@ -45,16 +46,17 @@ def qubit_count(amps) -> int:
     return n
 
 
-def _check_qubit_count(n_qubits) -> None:
-    """Raise ValueError unless ``n_qubits`` is an integer in [MIN_QUBITS, MAX_QUBITS]."""
-    if not isinstance(n_qubits, numbers.Integral) or not MIN_QUBITS <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be an integer in [{MIN_QUBITS}, {MAX_QUBITS}], "
-                         f"got {n_qubits}")
+def _check_count(name: str, value, low: int, high: float = math.inf) -> None:
+    """The one count rule: raise ValueError naming ``name`` unless ``value``
+    is a Python or numpy integer in [low, high]."""
+    if not isinstance(value, numbers.Integral) or not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value}")
 
 
 def init_zero(n_qubits: int) -> np.ndarray:
     """All-zeros computational basis state on ``n_qubits`` qubits."""
-    _check_qubit_count(n_qubits)
+    _check_count("n_qubits", n_qubits, MIN_QUBITS, MAX_QUBITS)
     amps = np.zeros(2**n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return amps

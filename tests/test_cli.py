@@ -281,7 +281,8 @@ class TestFailFast:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: plateaulab")
-        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        [error] = [line for line in err.splitlines() if "error:" in line]
+        assert argv[1] in error  # the flag each case sets
         assert "Traceback" not in err
         assert not out.exists()
 

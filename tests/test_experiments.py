@@ -71,6 +71,20 @@ class TestVarianceSweeps:
         )
         assert row.stderr_of_mean == pytest.approx(want, rel=1e-12)
 
+    def test_fractional_size_rejected_before_any_circuit(self, monkeypatch):
+        calls = _count_forward_batches(monkeypatch)
+        for sweep in (lambda: sweep_qubits([4.5], 1, 2, 0),
+                      lambda: sweep_depth([1.7], 4, 2, 0),
+                      lambda: entanglement_sweep([4.5], [1], 2, 0)):
+            with pytest.raises(ValueError):
+                sweep()
+        assert calls == []
+
+    def test_numpy_integer_sizes_kept(self):
+        [row, *_] = sweep_qubits([np.int64(4)], np.int64(1), 2, 0)
+        assert type(row.n) is np.int64 and type(row.layers) is np.int64
+        assert row.mean_variance == sweep_qubits([4], 1, 2, 0)[0].mean_variance
+
 
 class TestEntanglementSweep:
     def test_grid_and_bounds(self):
@@ -98,6 +112,8 @@ class TestEntanglementSweep:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             entanglement_sweep(ns=(4,), depths=(1,), n_samples=0, seed=0)
+        with pytest.raises(ValueError):
+            entanglement_sweep(ns=(4,), depths=(1,), n_samples=2.5, seed=0)
 
     def test_means_equal_single_state_entropies(self):
         # At n = 3, L = 1 a block holds p = 6 draws, so 14 draws run in three.
@@ -200,6 +216,8 @@ class TestTrain:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             train([LossConfig(LossKind.GLOBAL_COST)], epochs=0)
+        with pytest.raises(ValueError):
+            train([LossConfig(LossKind.GLOBAL_COST)], epochs=2.5)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_learning_rate_rejected_before_any_circuit(self, lr, monkeypatch):

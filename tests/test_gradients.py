@@ -174,6 +174,8 @@ class TestDrawParams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             draw_params(-1, 4, 2, 0)
+        with pytest.raises(ValueError):
+            draw_params(1.5, 4, 2, 0)
 
 
 class TestGradientVariance:
@@ -217,6 +219,8 @@ class TestGradientVariance:
         cfg = LossConfig(LossKind.GLOBAL_COST)
         with pytest.raises(ValueError):
             gradient_variance([cfg], 4, 1, 1, 0)
+        with pytest.raises(ValueError):
+            gradient_variance([cfg], 4, 1, 2.5, 0)
 
     def test_one_forward_batch_per_topology_and_block(self, monkeypatch):
         original = gradients.run_circuit_batch

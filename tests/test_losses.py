@@ -107,6 +107,8 @@ class TestStencils:
     def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError):
             Discretization(1)
+        with pytest.raises(ValueError):
+            Discretization(4.0)
 
 
 GRADIENT_PENALTY = LossConfig(LossKind.PDE_CONSTRAINED).physics

@@ -15,7 +15,7 @@ print(f"training for {EPOCHS} epochs, lr = 0.01, shared seed")
 print(f"{'configuration':<18} {'initial':>9} {'final':>9} {'final |grad|':>13}")
 for trace in traces:
     print(
-        f"{trace.config_name:<18} {trace.epochs[0].loss_value:>9.4f} "
+        f"{trace.config_name:<18} {trace.losses[0]:>9.4f} "
         f"{trace.final_loss:>9.4f} {trace.final_grad_norm:>13.4f}"
     )
 
@@ -23,7 +23,5 @@ print("\nloss every 10 epochs:")
 header = "epoch " + "".join(f"{t.config_name[:12]:>14}" for t in traces)
 print(header)
 for epoch in range(0, EPOCHS + 1, 10):
-    row = f"{epoch:>5} " + "".join(
-        f"{t.epochs[epoch].loss_value:>14.4f}" for t in traces
-    )
+    row = f"{epoch:>5} " + "".join(f"{t.losses[epoch]:>14.4f}" for t in traces)
     print(row)

@@ -297,9 +297,9 @@ def run_experiment(run: RunConfig) -> Table:
     if run.experiment == "converge":
         traces = xp.train(all_configs(run.physics_weight), n, layers, run.epochs,
                           run.learning_rate, run.seed)
-        rows = [(label, n, layers, t.config_name, epoch, e.loss_value,
-                 e.gradient_norm, run.seed)
-                for t in traces for epoch, e in enumerate(t.epochs)]
+        rows = [(label, n, layers, t.config_name, epoch, loss, norm, run.seed)
+                for t in traces
+                for epoch, (loss, norm) in enumerate(zip(t.losses, t.grad_norms))]
         return make_table(label, TRACE_COLUMNS, rows, run.as_dict())
     if run.experiment == "per-param":
         sweep = xp.sweep_qubits([n], layers, run.samples, run.seed, run.physics_weight)

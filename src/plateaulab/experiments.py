@@ -87,26 +87,21 @@ class EntropyRow:
         return self.mean_entropy_bits / (self.n // 2)
 
 
-@dataclass(frozen=True)
-class TrainEpoch:
-    """One entry of a trace; its epoch number is its position in the list."""
-
-    loss_value: float
-    gradient_norm: float
-
-
 @dataclass
 class TrainTrace:
+    """Loss and gradient norm of one config per epoch; entry i is epoch i."""
+
     config_name: str
-    epochs: list[TrainEpoch]
+    losses: list[float]
+    grad_norms: list[float]
 
     @property
     def final_loss(self) -> float:
-        return self.epochs[-1].loss_value
+        return self.losses[-1]
 
     @property
     def final_grad_norm(self) -> float:
-        return self.epochs[-1].gradient_norm
+        return self.grad_norms[-1]
 
 
 class ScalingModel(enum.Enum):
@@ -232,8 +227,8 @@ def train(
     groups = gradients._groups(configs, n, layers)
     params = np.tile(draw_params(seed, n, layers, 0), (len(configs), 1))
     grads = np.empty_like(params)
-    values = np.empty(len(configs))
-    traces = [TrainTrace(config_name=c.name, epochs=[]) for c in configs]
+    values = np.empty((epochs + 1, len(configs)))
+    norms = np.empty_like(values)
     for epoch in range(epochs + 1):
         if epoch:
             params -= learning_rate * grads
@@ -241,11 +236,12 @@ def train(
         for spec, members in groups:
             losses, stacks = gradients._adjoint_gradients(
                 [[configs[i] for i in members]], spec, params[members])
-            values[members], grads[members] = losses[0], stacks[0]
+            values[epoch, members], grads[members] = losses[0], stacks[0]
         _check_finite(grads, configs, "gradient", epoch)
-        for trace, value, grad in zip(traces, values, grads):
-            trace.epochs.append(TrainEpoch(value, float(np.linalg.norm(grad))))
-    return traces
+        # One norm per row: norm(axis=1) sums in another order.
+        norms[epoch] = [float(np.linalg.norm(grad)) for grad in grads]
+    return [TrainTrace(c.name, v, g)
+            for c, v, g in zip(configs, values.T.tolist(), norms.T.tolist())]
 
 
 def _check_finite(rows: np.ndarray, configs: Sequence[LossConfig], what: str,

@@ -46,36 +46,30 @@ from .losses import (
     d_loss_d_outputs,
     loss_from_outputs,
     observables,
-    outputs,
 )
-from .statevector import probabilities, z_signs
+from .statevector import outputs, probabilities, z_signs
 
 SHIFT = np.pi / 2.0
 
 MIN_VARIANCE_SAMPLES = 2  # the unbiased K-1 divisor needs K >= 2
 
 
-def _shift_jacobian(f_batch: np.ndarray, p: int) -> np.ndarray:
-    # Row j holds df/dphi_j from the +-pi/2 rows of a shift batch's outputs.
-    return (f_batch[:p] - f_batch[p : 2 * p]) / 2.0
-
-
-def _shift_probs(spec: CircuitSpec, params) -> np.ndarray:
-    # Rows 0..p-1 shift angle j by +pi/2, rows p..2p-1 by -pi/2, and the
-    # last row is the unshifted point.
+def _shift_outputs(spec: CircuitSpec, params, obs: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Rows 0..p-1 of one batch shift angle j by +pi/2, rows p..2p-1 by -pi/2 and
+    # the last is unshifted; returns rows df/dphi_j = (f+_j - f-_j)/2 and that f.
     angles = _check_params(spec, params)
     p = angles.size
     shifted = np.tile(angles, (2 * p + 1, 1))
     j = np.arange(p)
     shifted[j, j] += SHIFT
     shifted[p + j, j] -= SHIFT
-    return probabilities(run_circuit_batch(spec, shifted))
+    f = outputs(obs, probabilities(run_circuit_batch(spec, shifted)))
+    return (f[:p] - f[p : 2 * p]) / 2.0, f[-1]
 
 
 def jacobian_outputs(spec: CircuitSpec, params) -> np.ndarray:
     """Parameter-shift Jacobian of the outputs: entry (k, j) = df_k/dphi_j."""
-    probs = _shift_probs(spec, params)
-    return _shift_jacobian(outputs(z_signs(spec.n_qubits), probs), spec.param_count).T
+    return _shift_outputs(spec, params, z_signs(spec.n_qubits))[0].T
 
 
 def loss_gradient(
@@ -88,9 +82,8 @@ def loss_gradient(
     gradient is J^T * dL/df.
     """
     check_pairing(config, spec, disc)
-    f_batch = outputs(observables(config, disc.n_points), _shift_probs(spec, params))
-    jac = _shift_jacobian(f_batch, spec.param_count)
-    return jac @ d_loss_d_outputs(config, f_batch[-1], disc)
+    jac, f = _shift_outputs(spec, params, observables(config, disc.n_points))
+    return jac @ d_loss_d_outputs(config, f, disc)
 
 
 def finite_difference_gradient(
@@ -111,9 +104,12 @@ def finite_difference_gradient(
 
 
 def draw_params(seed: int, n_qubits: int, layers: int, index: int) -> np.ndarray:
-    """Uniform [0, 2pi) angles for sample ``index`` of a seeded run; the
-    seed must be an integer >= 0."""
+    """Uniform [0, 2pi) angles for sample ``index`` of a seeded run; seed and
+    index must be integers >= 0, and n_qubits and layers valid circuit sizes."""
     sv._check_count("seed", seed, 0)
+    sv._check_count("n_qubits", n_qubits, sv.MIN_QUBITS, sv.MAX_QUBITS)
+    sv._check_count("layers", layers, 1)
+    sv._check_count("index", index, 0)
     ss = np.random.SeedSequence([seed, n_qubits, layers, index])
     rng = np.random.default_rng(ss)
     return rng.uniform(0.0, 2.0 * np.pi, 2 * n_qubits * layers)
@@ -121,8 +117,8 @@ def draw_params(seed: int, n_qubits: int, layers: int, index: int) -> np.ndarray
 
 # Signs that turn a float view of phi, reversed along one axis, into -i P phi
 # for the rotation generator P. Axes: (bit of the qubit, lo, re/im).
-# -iY maps (phi_0, phi_1) to (-phi_1, phi_0); reverse the bit axis.
-_MINUS_I_Y_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+# -iY = RY(pi) maps (phi_0, phi_1) to (-phi_1, phi_0): RY's signs, bit axis reversed.
+_MINUS_I_Y_SIGNS = sv._RY_SIGNS[:, :, None]
 # -iZ maps phi_0 to -i phi_0 and phi_1 to i phi_1, and -i(x + iy) = y - ix;
 # reverse the re/im axis.
 _MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]

@@ -14,9 +14,9 @@ nonlinearities contribute diagonal factors.
 
 Outputs live on a periodic unit-length grid with one collocation point per
 qubit, so dx = 1/n. Residuals are steady-state: time derivatives are zero and
-only the spatial operator is tested. ``outputs`` is the one contraction of
-probabilities with observables; every function of its profiles takes a
-``(..., n)`` block along the last axis, each row with the bits of its 1-D call.
+only the spatial operator is tested. Outputs f come from ``statevector.outputs``;
+every function of profiles takes a ``(..., n)`` block along the last axis,
+each row with the bits of its 1-D call.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 import numpy as np
 
 from .ansatz import CircuitSpec, Topology, run_circuit
-from .statevector import _check_count, probabilities, qubit_count, z_signs
+from .statevector import _check_count, outputs, probabilities, qubit_count, z_signs
 # Unused here, kept as bindings that bench/tracer.py wraps.
 from .statevector import expect_z, expect_z_string  # noqa: F401
 
@@ -167,6 +167,10 @@ class LossConfig:
     physics_weight: float = DEFAULT_PHYSICS_WEIGHT
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, LossKind):
+            raise ValueError(f"kind must be a LossKind, got {self.kind!r}")
+        if not isinstance(self.pde, get_args(Optional[PdeKind])):
+            raise ValueError(f"pde must be None, Heat, Burgers or SaintVenant, got {self.pde!r}")
         if self.kind in _COST_KINDS and self.pde is not None:
             raise ValueError(f"{self.kind.value} does not take a PDE")
         if not (np.isfinite(self.physics_weight) and self.physics_weight >= 0):
@@ -217,12 +221,6 @@ def observables(config: LossConfig, n: int) -> np.ndarray:
     if config.kind is LossKind.LOCAL_COST:
         return signs[:1]
     return signs
-
-
-def outputs(obs: np.ndarray, probs) -> np.ndarray:
-    """Outputs f = O p of every row of ``probs``, shape (..., m) for (m, 2^n) O."""
-    # Row-wise einsum, not @: BLAS sums depend on the row count; a row's bits must not.
-    return np.einsum("...i,mi->...m", probs, obs)
 
 
 def output_vector(amps) -> np.ndarray:

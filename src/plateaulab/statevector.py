@@ -14,7 +14,8 @@ entirely adequate for n <= 12. A single state is a batch of one. Each rotation
 updates the whole (..., hi, bit, lo) view of its qubit, RY in three ufunc
 calls and RZ in one, with per-row coefficients broadcast over further leading
 axes: cos(a/2) and the pair [-sin(a/2), sin(a/2)] along the bit axis for RY,
-[exp(-i a/2), exp(+i a/2)] for RZ. CNOT is one assignment.
+[exp(-i a/2), exp(+i a/2)] for RZ. CNOT is one assignment. ``outputs`` is
+the one contraction of probabilities with observables, for Z strings and losses.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ def qubit_count(amps) -> int:
 
 def _check_count(name: str, value, low: int, high: float = math.inf) -> None:
     """The one count rule: raise ValueError naming ``name`` unless ``value``
-    is a Python or numpy integer in [low, high]."""
-    if not isinstance(value, numbers.Integral) or not low <= value <= high:
+    is a Python or numpy integer, not a bool, in [low, high]."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not low <= value <= high):
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value}")
 
@@ -150,6 +152,12 @@ def probabilities(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes.real**2 + amplitudes.imag**2
 
 
+def outputs(obs: np.ndarray, probs) -> np.ndarray:
+    """Outputs f = O p of every row of ``probs``, shape (..., m) for (m, 2^n) O."""
+    # Row-wise einsum, not @: BLAS sums depend on the row count; a row's bits must not.
+    return np.einsum("...i,mi->...m", probs, obs)
+
+
 def expect_z(amps, qubit: int) -> float | np.ndarray:
     """Expectation of Pauli-Z on one qubit; +1 weight where its bit is 0."""
     return expect_z_string(amps, {qubit})
@@ -167,9 +175,8 @@ def expect_z_string(amps, qubits) -> float | np.ndarray:
     n = qubit_count(amps)
     for q in qubits:
         _check_qubit(n, q)
-    signs = np.prod(z_signs(n)[qubits], axis=0)
-    # Row-wise einsum, not dot: a row's bits must not depend on the block.
-    values = np.einsum("...i,i->...", probabilities(amps), signs)
+    signs = np.prod(z_signs(n)[qubits], axis=0, keepdims=True)
+    values = outputs(signs, probabilities(amps))[..., 0]
     return float(values) if amps.ndim == 1 else values
 
 

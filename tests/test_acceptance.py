@@ -311,9 +311,9 @@ def test_criterion_12_training_convergence():
             traces = train(all_configs(), n=4, layers=3, epochs=50,
                            learning_rate=0.01, seed=seed)
             for config, trace in zip(all_configs(), traces):
-                assert len(trace.epochs) == 51
+                assert len(trace.losses) == 51
                 assert np.isfinite(trace.final_loss)
-                assert trace.final_loss <= trace.epochs[0].loss_value, (
+                assert trace.final_loss <= trace.losses[0], (
                     f"{config.name} seed {seed}: loss rose"
                 )
                 assert trace.final_grad_norm > 0.02, (

@@ -69,6 +69,8 @@ class TestCircuitSpec:
             CircuitSpec(4, 2.5, NN)
         with pytest.raises(ValueError):
             CircuitSpec(4.0, 1, NN)
+        with pytest.raises(ValueError, match="layers must be an integer >= 1, got True"):
+            CircuitSpec(4, True, NN)
 
 
 class TestEntanglerPairs:

@@ -114,6 +114,8 @@ class TestEntanglementSweep:
             entanglement_sweep(ns=(4,), depths=(1,), n_samples=0, seed=0)
         with pytest.raises(ValueError):
             entanglement_sweep(ns=(4,), depths=(1,), n_samples=2.5, seed=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            entanglement_sweep(ns=(4,), depths=(1,), n_samples=True, seed=0)
 
     def test_means_equal_single_state_entropies(self):
         # At n = 3, L = 1 a block holds p = 6 draws, so 14 draws run in three.
@@ -149,10 +151,10 @@ class TestTrain:
     def test_trace_shape_and_final_fields(self):
         cfg = LossConfig(LossKind.GLOBAL_COST)
         [trace] = train([cfg], n=4, layers=2, epochs=5, learning_rate=0.05, seed=1)
-        assert len(trace.epochs) == 6
-        assert trace.final_loss == trace.epochs[-1].loss_value
-        assert trace.final_grad_norm == trace.epochs[-1].gradient_norm
-        assert all(np.isfinite(e.loss_value) for e in trace.epochs)
+        assert len(trace.losses) == len(trace.grad_norms) == 6
+        assert trace.final_loss == trace.losses[-1]
+        assert trace.final_grad_norm == trace.grad_norms[-1]
+        assert all(np.isfinite(loss) for loss in trace.losses)
 
     def test_recorded_norms_match_replayed_gradients(self):
         """Replay every descent and recompute every recorded quantity.
@@ -170,12 +172,10 @@ class TestTrain:
             for cfg, trace in zip(configs, traces):
                 spec = CircuitSpec(n, layers, cfg.required_topology())
                 params = draw_params(4, n, layers, 0)
-                for entry in trace.epochs:
+                for loss, norm in zip(trace.losses, trace.grad_norms, strict=True):
                     grad = loss_gradient(cfg, spec, params, disc)
-                    assert entry.gradient_norm == pytest.approx(
-                        float(np.linalg.norm(grad)), abs=1e-12
-                    )
-                    assert entry.loss_value == total_loss(cfg, spec, params, disc)
+                    assert norm == pytest.approx(float(np.linalg.norm(grad)), abs=1e-12)
+                    assert loss == total_loss(cfg, spec, params, disc)
                     _, adjoint = gradients._adjoint_gradients([[cfg]], spec, params[None])
                     params = params - lr * adjoint[0, 0]
 
@@ -196,7 +196,7 @@ class TestTrain:
     def test_descent_reduces_loss(self):
         kinds = (LossKind.GLOBAL_COST, LossKind.PDE_STRUCTURED)
         for trace in train([LossConfig(k) for k in kinds], n=4, layers=3, epochs=20, seed=3):
-            assert trace.final_loss <= trace.epochs[0].loss_value
+            assert trace.final_loss <= trace.losses[0]
 
     def test_shared_start_across_configs(self):
         a, b = train([LossConfig(LossKind.GLOBAL_COST), LossConfig(LossKind.LOCAL_COST)],
@@ -206,10 +206,10 @@ class TestTrain:
         spec = CircuitSpec(4, 2, LossConfig(LossKind.GLOBAL_COST).required_topology())
         params = draw_params(9, 4, 2, 0)
         disc = Discretization(4)
-        assert a.epochs[0].loss_value == pytest.approx(
+        assert a.losses[0] == pytest.approx(
             total_loss(LossConfig(LossKind.GLOBAL_COST), spec, params, disc)
         )
-        assert b.epochs[0].loss_value == pytest.approx(
+        assert b.losses[0] == pytest.approx(
             total_loss(LossConfig(LossKind.LOCAL_COST), spec, params, disc)
         )
 
@@ -218,6 +218,8 @@ class TestTrain:
             train([LossConfig(LossKind.GLOBAL_COST)], epochs=0)
         with pytest.raises(ValueError):
             train([LossConfig(LossKind.GLOBAL_COST)], epochs=2.5)
+        with pytest.raises(ValueError, match="epochs"):
+            train([LossConfig(LossKind.GLOBAL_COST)], epochs=True)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_learning_rate_rejected_before_any_circuit(self, lr, monkeypatch):

@@ -176,6 +176,22 @@ class TestDrawParams:
             draw_params(-1, 4, 2, 0)
         with pytest.raises(ValueError):
             draw_params(1.5, 4, 2, 0)
+        with pytest.raises(ValueError, match="seed"):
+            draw_params(True, 4, 1, 0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((0, 1, 2, 0), "n_qubits"),
+        ((0, 13, 2, 0), "n_qubits"),
+        ((0, 4.0, 2, 0), "n_qubits"),
+        ((0, 4, 0, 0), "layers"),
+        ((0, 4, -1, 0), "layers"),
+        ((0, 4, True, 0), "layers"),
+        ((0, 4, 1, -1), "index"),
+        ((0, 4, 1, 2.5), "index"),
+    ])
+    def test_shape_arguments_checked_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            draw_params(*args)
 
 
 class TestGradientVariance:

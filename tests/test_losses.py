@@ -278,6 +278,16 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossConfig(LossKind.GLOBAL_COST, pde=Heat())
 
+    @pytest.mark.parametrize("kind", ["global_cost", None, 0])
+    def test_kind_must_be_a_loss_kind(self, kind):
+        with pytest.raises(ValueError, match="kind must be a LossKind"):
+            LossConfig(kind)
+
+    @pytest.mark.parametrize("pde", ["heat", Heat, 0.01])
+    def test_pde_must_be_none_or_a_pde_kind(self, pde):
+        with pytest.raises(ValueError, match="pde must be None"):
+            LossConfig(LossKind.PDE_CONSTRAINED, pde=pde)
+
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
     def test_physics_weight_must_be_finite_and_nonnegative(self, weight):
         with pytest.raises(ValueError):

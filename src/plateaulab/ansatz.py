@@ -3,14 +3,16 @@
 A circuit of L layers on n qubits has 2nL angles, laid out layer-major: within
 layer l, angles[2nl : 2nl+n] are the RY angles of qubits 0..n-1 and
 angles[2nl+n : 2nl+2n] the RZ angles. Each layer applies its rotations
-(RY then RZ per qubit) followed by the fixed CNOT entangler.
+(RY then RZ per qubit) followed by the fixed CNOT entangler, whose sub-layer
+only permutes basis indices: one gather by ``entangler_permutation``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import groupby
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -49,6 +51,15 @@ def entangler_pairs(spec: CircuitSpec) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def entangler_permutation(n_qubits: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Basis indices perm such that ``np.take(amps, perm, axis=-1)`` applies the
+    CNOT ``pairs`` in order: each gate's kernel runs once, on the index vector."""
+    perm = np.arange(2**n_qubits)
+    for control, target in pairs:
+        sv._apply_cnot_inplace(perm, control, target)
+    return perm
+
+
 def gate_count(spec: CircuitSpec) -> int:
     """Total gates: 2n rotations per layer plus the entangler CNOTs."""
     return spec.layers * (2 * spec.n_qubits + len(entangler_pairs(spec)))
@@ -69,6 +80,10 @@ def circuit_gates(spec: CircuitSpec) -> Iterator[tuple]:
             yield ("rz", k, base + n + k)
         for control, target in pairs:
             yield ("cnot", control, target)
+
+
+def _is_cnot(gate: tuple) -> bool:
+    return gate[0] == "cnot"
 
 
 def _check_params(spec: CircuitSpec, params) -> np.ndarray:
@@ -93,6 +108,8 @@ def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray
     of shape (B, 2^n). One kernel call per gate amortizes the per-gate
     overhead across the batch: the adjoint engine's forward sweep runs a
     variance cell's draws, or one topology's configs in training, as rows.
+    The CNOT kernels walk a basis-index vector, and one C-contiguous gather
+    of the amplitudes applies each entangling sub-layer.
     """
     angles_batch = np.asarray(angles_batch, dtype=np.float64)
     if angles_batch.ndim != 2 or angles_batch.shape[1] != spec.param_count:
@@ -103,13 +120,16 @@ def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray
     amps = np.zeros((angles_batch.shape[0], 2**spec.n_qubits), dtype=np.complex128)
     amps[:, 0] = 1.0
     cos_half, sin_pair, phases = sv._gate_coefficients(angles_batch)
-    for kind, a, b in circuit_gates(spec):
-        if kind == "ry":
-            sv._apply_ry_inplace(amps, a, cos_half[b], sin_pair[b])
-        elif kind == "rz":
-            sv._apply_rz_inplace(amps, a, phases[b])
-        else:
-            sv._apply_cnot_inplace(amps, a, b)
+    for entangler, gates in groupby(circuit_gates(spec), key=_is_cnot):
+        if entangler:
+            perm = entangler_permutation(spec.n_qubits, (gate[1:] for gate in gates))
+            amps = np.take(amps, perm, axis=-1)
+            continue
+        for kind, a, b in gates:
+            if kind == "ry":
+                sv._apply_ry_inplace(amps, a, cos_half[b], sin_pair[b])
+            else:
+                sv._apply_rz_inplace(amps, a, phases[b])
     norms = np.sum(sv.probabilities(amps), axis=1)
     if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):  # a NaN norm fails too
         raise ArithmeticError("statevector norm drifted in batch evaluation")

@@ -11,10 +11,11 @@ gives B states phi, one per angle row. Its lambda rows form a (G, B) grid, row
 (g, b) with its own config: lambda = O phi_b, O from that config's dL/df at
 phi_b. A variance cell's grid has one block of draws per config; training's
 has one block whose row k is config k. One backward sweep undoes every gate
-(as the gate at -theta) on phi and lambda, reading dL/dtheta = Im<lambda|P|phi>
-at each rotation with generator P (Y_q or Z_q). Every per-row contraction is
-row-wise, so a row's loss and gradient have the same bits whatever grid it
-runs in.
+on phi and lambda, reading dL/dtheta = Im<lambda|P|phi> at each rotation with
+generator P (Y_q or Z_q). It undoes a rotation as the gate at -theta, and each
+CNOT sub-layer as one gather by the basis indices that the sub-layer's CNOT
+kernels walk in reverse. Every per-row contraction is row-wise, so a row's
+loss and gradient have the same bits whatever grid it runs in.
 
 The single-point API ``loss_gradient`` and ``jacobian_outputs`` use the pi/2
 parameter-shift rule: expectations of this gate set are trigonometric in
@@ -33,12 +34,21 @@ of variance and entropy cells, gives each block at most p live rows.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import statevector as sv
-from .ansatz import CircuitSpec, _check_params, circuit_gates, run_circuit_batch
+from .ansatz import (
+    CircuitSpec,
+    _check_params,
+    _is_cnot,
+    circuit_gates,
+    entangler_pairs,
+    entangler_permutation,
+    run_circuit_batch,
+)
 from .losses import (
     Discretization,
     LossConfig,
@@ -136,7 +146,8 @@ def _adjoint_gradients(
     ``Discretization(spec.n_qubits)``, with the bits of ``total_loss``, and
     its row lambda = (sum_k dL/df_k Z_k) phi. One (G+1, B, 2^n) array of [phi; lambda]
     rows is walked back through the gates: at each rotation dL/dtheta =
-    Im<lambda|P|phi> is read, then the gate at -theta undoes it on every row.
+    Im<lambda|P|phi> is read, then the gate at -theta undoes it on every row;
+    one gather undoes each CNOT sub-layer.
     """
     n_blocks, n_draws, n = len(grid), len(angles), spec.n_qubits
     disc = Discretization(n)
@@ -161,25 +172,29 @@ def _adjoint_gradients(
     products = np.empty((n_blocks, n_draws, 2 ** (n + 1)))
     lam = flat[1:].reshape(products.shape)
     cos_half, sin_pair, phases = sv._gate_coefficients(-angles)  # each gate's inverse
+    undo = entangler_permutation(n, reversed(entangler_pairs(spec)))
     reads = {}  # (kind, qubit) -> reversed view of phi, signs of -iP, view of chi
     for a in range(n):
         phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
         reads["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi.reshape(phi.shape))
         reads["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi.reshape(phi.shape))
-    for kind, a, b in reversed(list(circuit_gates(spec))):
-        if kind == "cnot":
-            sv._apply_cnot_inplace(rows, a, b)
+    for entangler, gates in groupby(reversed(list(circuit_gates(spec))), key=_is_cnot):
+        if entangler:
+            # In place: flat, lam and the reads are views of rows. With
+            # mode="raise" np.take buffers its output, so the overlap is safe.
+            np.take(rows, undo, axis=-1, out=rows)
             continue
-        # dL/dtheta = Im<lam|P|phi> = Re<lam|chi> with chi = -i P phi. Every
-        # row sums over a contiguous buffer, so its bits do not depend on
-        # the grid's size.
-        np.multiply(*reads[kind, a])
-        np.multiply(lam, chi, out=products)
-        grads[:, :, b] = products.sum(axis=2)
-        if kind == "ry":
-            sv._apply_ry_inplace(rows, a, cos_half[b], sin_pair[b])
-        else:
-            sv._apply_rz_inplace(rows, a, phases[b])
+        for kind, a, b in gates:
+            # dL/dtheta = Im<lam|P|phi> = Re<lam|chi> with chi = -i P phi. Every
+            # row sums over a contiguous buffer, so its bits do not depend on
+            # the grid's size.
+            np.multiply(*reads[kind, a])
+            np.multiply(lam, chi, out=products)
+            grads[:, :, b] = products.sum(axis=2)
+            if kind == "ry":
+                sv._apply_ry_inplace(rows, a, cos_half[b], sin_pair[b])
+            else:
+                sv._apply_rz_inplace(rows, a, phases[b])
     return losses, grads
 
 

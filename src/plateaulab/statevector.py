@@ -14,8 +14,11 @@ entirely adequate for n <= 12. A single state is a batch of one. Each rotation
 updates the whole (..., hi, bit, lo) view of its qubit, RY in three ufunc
 calls and RZ in one, with per-row coefficients broadcast over further leading
 axes: cos(a/2) and the pair [-sin(a/2), sin(a/2)] along the bit axis for RY,
-[exp(-i a/2), exp(+i a/2)] for RZ. CNOT is one assignment. ``outputs`` is
-the one contraction of probabilities with observables, for Z strings and losses.
+[exp(-i a/2), exp(+i a/2)] for RZ. CNOT is one assignment that only moves
+entries, so circuits walk its kernel over a basis-index vector and apply (or
+undo) each entangling sub-layer as one gather of the amplitudes. ``outputs``
+is the one contraction of probabilities with observables, for Z strings and
+losses.
 """
 
 from __future__ import annotations
@@ -47,13 +50,14 @@ def qubit_count(amps) -> int:
     return n
 
 
-def _check_count(name: str, value, low: int, high: float = math.inf) -> None:
+def _check_count(name: str, value, low: float, high: float = math.inf) -> None:
     """The one count rule: raise ValueError naming ``name`` unless ``value``
     is a Python or numpy integer, not a bool, in [low, high]."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or not low <= value <= high):
-        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value}")
+        bound = ("" if low == -math.inf else f" >= {low}" if high == math.inf
+                 else f" in [{low}, {high}]")
+        raise ValueError(f"{name} must be an integer{bound}, got {value}")
 
 
 def init_zero(n_qubits: int) -> np.ndarray:
@@ -65,6 +69,9 @@ def init_zero(n_qubits: int) -> np.ndarray:
 
 
 def _check_qubit(n_qubits: int, qubit: int) -> None:
+    """Raise ValueError unless ``qubit`` is an integer, not a bool, and
+    IndexError unless it is in [0, n_qubits)."""
+    _check_count("qubit", qubit, -math.inf)
     if not 0 <= qubit < n_qubits:
         raise IndexError(f"qubit {qubit} out of range for {n_qubits} qubits")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plateaulab import ansatz
+from plateaulab import statevector as sv
 from plateaulab.ansatz import (
     CircuitSpec,
     Topology,
@@ -198,6 +199,35 @@ class TestBatchEvaluator:
         spec = CircuitSpec(3, 1, NN)
         with pytest.raises(ValueError):
             run_circuit_batch(spec, np.zeros((2, 5)))
+
+
+def kernel_walk(spec, batch):
+    """Reference: each gate's own kernel on the amplitudes, CNOTs included."""
+    amps = np.zeros((len(batch), 2**spec.n_qubits), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    cos_half, sin_pair, phases = sv._gate_coefficients(batch)
+    for kind, a, b in circuit_gates(spec):
+        if kind == "ry":
+            sv._apply_ry_inplace(amps, a, cos_half[b], sin_pair[b])
+        elif kind == "rz":
+            sv._apply_rz_inplace(amps, a, phases[b])
+        else:
+            sv._apply_cnot_inplace(amps, a, b)
+    return amps
+
+
+class TestEntanglerGather:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_bits_match_the_kernel_walk(self, n):
+        rng = np.random.default_rng(n)
+        for topo in (NN, ATA):
+            for layers in (1, 2, 3):
+                spec = CircuitSpec(n, layers, topo)
+                for rows in (1, 5):
+                    batch = rng.uniform(0, 2 * np.pi, (rows, spec.param_count))
+                    amps = run_circuit_batch(spec, batch)
+                    assert amps.dtype == np.complex128 and amps.flags.c_contiguous
+                    assert amps.tobytes() == kernel_walk(spec, batch).tobytes()
 
 
 def test_run_circuit_is_a_batch_of_one():

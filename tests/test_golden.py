@@ -4,6 +4,8 @@ Each case runs one cheap ``plateaulab`` invocation and compares every file
 it writes with the copy under ``tests/golden/``. A change that is meant to
 alter output regenerates the copies by running the same argv with
 ``--out tests/golden/<name>`` and says in its change log why the bytes moved.
+The ``*_max.csv`` copies are not cases here: the CI step "Largest register,
+several draw blocks" writes them at n = 11-12 and compares them with ``cmp``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plateaulab import gradients
-from plateaulab.ansatz import CircuitSpec, Topology
+from plateaulab.ansatz import CircuitSpec, Topology, entangler_pairs, entangler_permutation
 from plateaulab.experiments import SweepRow
 from plateaulab.gradients import (
     draw_params,
@@ -371,6 +371,14 @@ class TestAdjointGradients:
                 loss, grad = gradients._adjoint_gradients([[config]], spec, angles[k:k + 1])
                 assert losses[0, k].tobytes() == loss[0, 0].tobytes()
                 assert grads[0, k].tobytes() == grad[0, 0].tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_undo_permutation_inverts_the_sub_layer(self, n):
+        # The backward sweep undoes a sub-layer by the CNOT kernels walked in reverse.
+        for topology in Topology:
+            pairs = entangler_pairs(CircuitSpec(n, 1, topology))
+            undo = entangler_permutation(n, reversed(pairs))
+            np.testing.assert_array_equal(entangler_permutation(n, pairs)[undo], np.arange(2**n))
 
     def test_short_block_rejected(self):
         spec = CircuitSpec(4, 1, ATA)

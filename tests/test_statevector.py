@@ -110,6 +110,18 @@ class TestSingleQubitGates:
         with pytest.raises(IndexError):
             apply_rz(init_zero(2), -1, 0.1)
 
+    @pytest.mark.parametrize("entry", [
+        lambda q: apply_ry(init_zero(3), q, 0.3),
+        lambda q: apply_rz(init_zero(3), q, 0.3),
+        lambda q: apply_cnot(init_zero(3), q, 0),
+        lambda q: expect_z_string(init_zero(3), [q]),
+        lambda q: reduced_density_matrix(init_zero(3), [q]),
+    ], ids=["ry", "rz", "cnot", "expect_z_string", "reduced_density_matrix"])
+    @pytest.mark.parametrize("qubit", [1.5, 0.5, 1.0, True, np.float64(1.0), "1"])
+    def test_non_integer_qubit_rejected(self, entry, qubit):
+        with pytest.raises(ValueError, match="qubit must be an integer, got"):
+            entry(qubit)
+
     def test_inputs_not_mutated(self):
         state = init_zero(2)
         before = state.copy()

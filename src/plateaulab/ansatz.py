@@ -4,7 +4,8 @@ A circuit of L layers on n qubits has 2nL angles, laid out layer-major: within
 layer l, angles[2nl : 2nl+n] are the RY angles of qubits 0..n-1 and
 angles[2nl+n : 2nl+2n] the RZ angles. Each layer applies its rotations
 (RY then RZ per qubit) followed by the fixed CNOT entangler, whose sub-layer
-only permutes basis indices: one gather by ``entangler_permutation``.
+only permutes basis indices: one gather by ``entangler_permutation``, or by
+``_row_gathers`` when rows of both topologies share one batch.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -101,15 +102,43 @@ def run_circuit(spec: CircuitSpec, params) -> np.ndarray:
     return run_circuit_batch(spec, angles[None])[0]
 
 
-def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray:
+def _row_gathers(specs: Sequence[CircuitSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (B, 2^n) that apply, and undo, each row's entangling sub-layer.
+
+    Entry (b, j) is b * 2^n + perm_b[j] for the sub-layer permutation perm_b
+    of ``specs[b]`` (or of its reverse walk), so ``np.take(block, index)``
+    moves each row of a (B, 2^n) block within itself: C-contiguous, with the
+    bits of a gather of each row alone. The CNOT kernels of each distinct
+    spec walk its sub-layer once forward and once in reverse.
+    """
+    walks = {}
+    for spec in dict.fromkeys(specs):
+        pairs = entangler_pairs(spec)
+        walks[spec] = (entangler_permutation(spec.n_qubits, pairs),
+                       entangler_permutation(spec.n_qubits, reversed(pairs)))
+    forward = np.stack([walks[spec][0] for spec in specs])
+    undo = np.stack([walks[spec][1] for spec in specs])
+    offsets = np.arange(0, forward.size, forward.shape[1])[:, None]
+    forward += offsets
+    undo += offsets
+    return forward, undo
+
+
+def run_circuit_batch(
+    spec: CircuitSpec, angles_batch: np.ndarray, gather: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluate the circuit for a whole batch of angle vectors at once.
 
     ``angles_batch`` has shape (B, param_count); returns complex amplitudes
     of shape (B, 2^n). One kernel call per gate amortizes the per-gate
     overhead across the batch: the adjoint engine's forward sweep runs a
-    variance cell's draws, or one topology's configs in training, as rows.
-    The CNOT kernels walk a basis-index vector, and one C-contiguous gather
-    of the amplitudes applies each entangling sub-layer.
+    variance cell's draws, or every config of a training epoch, as rows.
+    By default every row takes ``spec``'s entangling sub-layer: its CNOT
+    kernels walk a basis-index vector once per layer, and one C-contiguous
+    ``np.take(..., axis=-1)`` gather of the amplitudes applies it. ``gather``,
+    the forward indices of ``_row_gathers``, instead gives each row its own
+    spec's sub-layer with one flat ``np.take``, so rows of both topologies
+    share the batch; ``spec`` then sets only n, the layers and the rotations.
     """
     angles_batch = np.asarray(angles_batch, dtype=np.float64)
     if angles_batch.ndim != 2 or angles_batch.shape[1] != spec.param_count:
@@ -122,8 +151,11 @@ def run_circuit_batch(spec: CircuitSpec, angles_batch: np.ndarray) -> np.ndarray
     cos_half, sin_pair, phases = sv._gate_coefficients(angles_batch)
     for entangler, gates in groupby(circuit_gates(spec), key=_is_cnot):
         if entangler:
-            perm = entangler_permutation(spec.n_qubits, (gate[1:] for gate in gates))
-            amps = np.take(amps, perm, axis=-1)
+            if gather is None:
+                perm = entangler_permutation(spec.n_qubits, (gate[1:] for gate in gates))
+                amps = np.take(amps, perm, axis=-1)
+            else:
+                amps = np.take(amps, gather)
             continue
         for kind, a, b in gates:
             if kind == "ry":

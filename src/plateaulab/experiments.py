@@ -30,7 +30,7 @@ from .losses import (
     SaintVenant,
     all_configs,
 )
-from .statevector import _check_count, reduced_density_matrix, von_neumann_entropy
+from .statevector import _check_count, _check_real, reduced_density_matrix, von_neumann_entropy
 
 # Unused here, kept as bindings that bench/tracer.py wraps.
 from .ansatz import run_circuit  # noqa: F401
@@ -211,32 +211,29 @@ def train(
     Epoch 0 is the seeded starting point before any update; a trace
     therefore holds epochs + 1 entries and its final row is the state after
     the last update. Every config starts from the one draw of (seed, n,
-    layers). Each epoch, every config takes its step; then each topology
-    runs one adjoint forward and backward sweep with its configs' angles as
-    rows and one lambda row per config, so config k of a topology reads its
-    loss and gradient at its own row. A trace has the same bits as training
-    its config alone. A non-finite step or gradient raises ArithmeticError
-    naming the first failing epoch; within it, steps are checked before
-    gradients, each in config order. ``epochs`` must be an integer >= 1.
+    layers). Each epoch, every config takes its step; then one adjoint
+    forward and backward sweep runs every config's angles as rows, each row
+    on its config's topology with one lambda row, so config k reads its loss
+    and gradient at row k. A trace has the same bits as training its config
+    alone. A non-finite step or gradient raises ArithmeticError naming the
+    first failing epoch; within it, steps are checked before gradients, each
+    in config order. ``epochs`` must be an integer >= 1 and
+    ``learning_rate`` a finite real number.
     """
     if not configs:
         raise ValueError("need at least one config")
     _check_count("epochs", epochs, 1)
-    if not np.isfinite(learning_rate):
-        raise ValueError(f"learning_rate must be finite, got {learning_rate}")
-    groups = gradients._groups(configs, n, layers)
+    _check_real("learning_rate", learning_rate)
+    specs = [CircuitSpec(n, layers, c.required_topology()) for c in configs]
     params = np.tile(draw_params(seed, n, layers, 0), (len(configs), 1))
-    grads = np.empty_like(params)
     values = np.empty((epochs + 1, len(configs)))
     norms = np.empty_like(values)
     for epoch in range(epochs + 1):
         if epoch:
             params -= learning_rate * grads
             _check_finite(params, configs, "step", epoch)
-        for spec, members in groups:
-            losses, stacks = gradients._adjoint_gradients(
-                [[configs[i] for i in members]], spec, params[members])
-            values[epoch, members], grads[members] = losses[0], stacks[0]
+        losses, stacks = gradients._adjoint_gradients([configs], specs, params)
+        values[epoch], grads = losses[0], stacks[0]
         _check_finite(grads, configs, "gradient", epoch)
         # One norm per row: norm(axis=1) sums in another order.
         norms[epoch] = [float(np.linalg.norm(grad)) for grad in grads]

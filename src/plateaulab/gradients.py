@@ -7,15 +7,20 @@ exact engines compute it.
 Variance cells (``gradient_variance``) and training (``experiments.train``)
 use the adjoint method. At a fixed point the gradient of L equals that of <O>
 with the diagonal observable O = sum_k dL/df_k Z_k. The engine's forward sweep
-gives B states phi, one per angle row. Its lambda rows form a (G, B) grid, row
-(g, b) with its own config: lambda = O phi_b, O from that config's dL/df at
-phi_b. A variance cell's grid has one block of draws per config; training's
-has one block whose row k is config k. One backward sweep undoes every gate
-on phi and lambda, reading dL/dtheta = Im<lambda|P|phi> at each rotation with
-generator P (Y_q or Z_q). It undoes a rotation as the gate at -theta, and each
-CNOT sub-layer as one gather by the basis indices that the sub-layer's CNOT
-kernels walk in reverse. Every per-row contraction is row-wise, so a row's
-loss and gradient have the same bits whatever grid it runs in.
+gives B states phi, one per angle row, each on its own CircuitSpec. Its lambda
+rows form a (G, B) grid, row (g, b) with its own config: lambda = O phi_b, O
+from that config's dL/df at phi_b. A variance cell's grid has one block of
+draws per config, all on one topology; training's has one block whose row k
+is config k on its config's topology, so one call serves every config of an
+epoch. Topologies share every rotation and differ only in the entangling
+sub-layer's basis permutation, so each row carries its own permutation and
+its own undo permutation, walked by the CNOT kernels once per call for each
+distinct topology. One backward sweep undoes every gate on phi and lambda,
+reading dL/dtheta = Im<lambda|P|phi> at each rotation with generator P (Y_q or
+Z_q). It undoes a rotation as the gate at -theta, and each CNOT sub-layer as
+one gather by every row's undo permutation. Every per-row contraction is
+row-wise, so a row's loss and gradient have the same bits whatever grid it
+runs in.
 
 The single-point API ``loss_gradient`` and ``jacobian_outputs`` use the pi/2
 parameter-shift rule: expectations of this gate set are trigonometric in
@@ -27,9 +32,10 @@ tested against.
 All randomness flows through ``draw_params``: sample i of a run is drawn from
 a generator seeded by (seed, n_qubits, layers, i), so draws are independent
 of evaluation order and shared across loss configurations of the same shape,
-making cross-configuration comparisons paired. The configs of one topology
-(``_groups``) share each block's sweeps, and ``_blocks``, the one block rule
-of variance and entropy cells, gives each block at most p live rows.
+making cross-configuration comparisons paired. In a variance cell the
+configs of one topology (``_groups``) share each block's sweeps, and
+``_blocks``, the one block rule of variance and entropy cells, gives each
+block at most p live rows.
 """
 
 from __future__ import annotations
@@ -44,9 +50,8 @@ from .ansatz import (
     CircuitSpec,
     _check_params,
     _is_cnot,
+    _row_gathers,
     circuit_gates,
-    entangler_pairs,
-    entangler_permutation,
     run_circuit_batch,
 )
 from .losses import (
@@ -99,9 +104,9 @@ def loss_gradient(
 def finite_difference_gradient(
     loss: Callable[[np.ndarray], float], params, h: float
 ) -> np.ndarray:
-    """Central finite-difference gradient of an arbitrary scalar function."""
-    if not 0 < h < np.inf:  # a NaN step fails too
-        raise ValueError(f"step h must be finite and positive, got {h}")
+    """Central finite-difference gradient of an arbitrary scalar function;
+    the step ``h`` must be a finite real number > 0."""
+    sv._check_real("h", h, 0, strict=True)
     angles = np.asarray(params, dtype=np.float64)
     grad = np.empty(angles.size)
     for j in range(angles.size):
@@ -135,32 +140,42 @@ _MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
 
 
 def _adjoint_gradients(
-    grid: Sequence[Sequence[LossConfig]], spec: CircuitSpec, angles: np.ndarray,
+    grid: Sequence[Sequence[LossConfig]], specs: Sequence[CircuitSpec], angles: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Losses (G, B) and gradients (G, B, p) of a (G, B) grid of configs.
 
-    Config (g, b) of ``grid`` is read at phi row b: a variance cell passes one
-    block per config over a ``_blocks`` block of draws, training one block
-    whose row k is config k. The forward sweep ``run_circuit_batch(spec,
-    angles)`` gives phi; their outputs f give each entry's loss on the grid
-    ``Discretization(spec.n_qubits)``, with the bits of ``total_loss``, and
-    its row lambda = (sum_k dL/df_k Z_k) phi. One (G+1, B, 2^n) array of [phi; lambda]
-    rows is walked back through the gates: at each rotation dL/dtheta =
+    Row b runs the circuit ``specs[b]`` at ``angles[b]``, and config (g, b) of
+    ``grid`` is read at that phi row: a variance cell passes one block per
+    config over a ``_blocks`` block of draws, training one block whose row k
+    is config k. The specs share n and the layer count, and every config must
+    suit its row's spec; both are checked before any circuit runs. Rows of
+    different topologies differ only in their sub-layer permutations, whose
+    flat gathers ``_row_gathers`` builds once per call. The forward sweep
+    ``run_circuit_batch`` gives phi; their outputs f give each entry's loss on
+    the grid ``Discretization(n)``, with the bits of ``total_loss``, and its
+    row lambda = (sum_k dL/df_k Z_k) phi. One (G+1, B, 2^n) array of [phi;
+    lambda] rows is walked back through the rotations: at each dL/dtheta =
     Im<lambda|P|phi> is read, then the gate at -theta undoes it on every row;
-    one gather undoes each CNOT sub-layer.
+    one gather undoes each CNOT sub-layer with every row's own undo permutation.
     """
-    n_blocks, n_draws, n = len(grid), len(angles), spec.n_qubits
+    spec, n_blocks, n_draws = specs[0], len(grid), len(angles)
+    n = spec.n_qubits
     disc = Discretization(n)
+    if len(specs) != n_draws or any(s.layers != spec.layers for s in specs):
+        raise ValueError(f"need one spec per angle row, all with {spec.layers} layers")
+    for block in grid:
+        for config, row_spec in dict.fromkeys(zip(block, specs, strict=True)):
+            check_pairing(config, row_spec, disc)  # also rejects another n
+    forward, undo = _row_gathers(specs)
     rows = np.empty((n_blocks + 1, n_draws, 2**n), dtype=np.complex128)
-    rows[0] = run_circuit_batch(spec, angles)
+    rows[0] = run_circuit_batch(spec, angles, forward)
     probs = probabilities(rows[0])
     flat = rows.view(np.float64).reshape(n_blocks + 1, n_draws, 2**n, 2)
     losses = np.empty((n_blocks, n_draws))
     # Row-wise einsum, not @, for the reason given in ``outputs``.
     for g, block in enumerate(grid):
         for config in dict.fromkeys(block):
-            check_pairing(config, spec, disc)
-            cols = [b for c, b in zip(block, range(n_draws), strict=True) if c == config]
+            cols = [b for b, c in enumerate(block) if c == config]
             obs = observables(config, n)
             f = outputs(obs, probs[cols])
             losses[g, cols] = loss_from_outputs(config, f, disc)
@@ -172,17 +187,18 @@ def _adjoint_gradients(
     products = np.empty((n_blocks, n_draws, 2 ** (n + 1)))
     lam = flat[1:].reshape(products.shape)
     cos_half, sin_pair, phases = sv._gate_coefficients(-angles)  # each gate's inverse
-    undo = entangler_permutation(n, reversed(entangler_pairs(spec)))
+    blocks = rows.reshape(n_blocks + 1, -1)  # one flat run of B rows per block
     reads = {}  # (kind, qubit) -> reversed view of phi, signs of -iP, view of chi
     for a in range(n):
         phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
         reads["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi.reshape(phi.shape))
         reads["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi.reshape(phi.shape))
+    # The rotations are every spec's; spec's CNOTs only mark the sub-layers.
     for entangler, gates in groupby(reversed(list(circuit_gates(spec))), key=_is_cnot):
         if entangler:
             # In place: flat, lam and the reads are views of rows. With
             # mode="raise" np.take buffers its output, so the overlap is safe.
-            np.take(rows, undo, axis=-1, out=rows)
+            np.take(blocks, undo, axis=-1, out=rows)
             continue
         for kind, a, b in gates:
             # dL/dtheta = Im<lam|P|phi> = Re<lam|chi> with chi = -i P phi. Every
@@ -230,7 +246,8 @@ def gradient_variance(
     for spec, members in groups:
         # Each draw takes C + 1 live rows: phi and one lambda row per config.
         stacks = np.concatenate([
-            _adjoint_gradients([[configs[i]] * len(angles) for i in members], spec, angles)[1]
+            _adjoint_gradients([[configs[i]] * len(angles) for i in members],
+                               [spec] * len(angles), angles)[1]
             for angles in _blocks(draws, len(members) + 1)
         ], axis=1)
         for i, stack in zip(members, stacks):

@@ -29,7 +29,7 @@ from typing import Optional, Union, get_args
 import numpy as np
 
 from .ansatz import CircuitSpec, Topology, run_circuit
-from .statevector import _check_count, outputs, probabilities, qubit_count, z_signs
+from .statevector import _check_count, _check_real, outputs, probabilities, qubit_count, z_signs
 # Unused here, kept as bindings that bench/tracer.py wraps.
 from .statevector import expect_z, expect_z_string  # noqa: F401
 
@@ -173,9 +173,7 @@ class LossConfig:
             raise ValueError(f"pde must be None, Heat, Burgers or SaintVenant, got {self.pde!r}")
         if self.kind in _COST_KINDS and self.pde is not None:
             raise ValueError(f"{self.kind.value} does not take a PDE")
-        if not (np.isfinite(self.physics_weight) and self.physics_weight >= 0):
-            raise ValueError(f"physics_weight must be finite and >= 0, "
-                             f"got {self.physics_weight}")
+        _check_real("physics_weight", self.physics_weight, 0)
 
     @property
     def name(self) -> str:

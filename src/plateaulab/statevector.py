@@ -60,6 +60,17 @@ def _check_count(name: str, value, low: float, high: float = math.inf) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {value}")
 
 
+def _check_real(name: str, value, low: float = -math.inf, strict: bool = False) -> None:
+    """The one real-number rule: raise ValueError naming ``name`` unless
+    ``value`` is a Python or numpy real number, not a bool, finite and >= low
+    (> low if ``strict``)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not -math.inf < value < math.inf or value < low
+            or (strict and value == low)):
+        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be a finite real number{bound}, got {value!r}")
+
+
 def init_zero(n_qubits: int) -> np.ndarray:
     """All-zeros computational basis state on ``n_qubits`` qubits."""
     _check_count("n_qubits", n_qubits, MIN_QUBITS, MAX_QUBITS)

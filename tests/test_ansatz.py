@@ -230,6 +230,50 @@ class TestEntanglerGather:
                     assert amps.tobytes() == kernel_walk(spec, batch).tobytes()
 
 
+class TestRowGathers:
+    @pytest.mark.parametrize("n", [2, 4, 7, 12])
+    def test_rows_have_bits_of_their_own_topology(self, n):
+        # Row b takes specs[b]'s sub-layer; the batch spec's own CNOTs are not
+        # walked, so chain rows may share an all-to-all spec's batch.
+        rng = np.random.default_rng(n)
+        specs = [CircuitSpec(n, 2, t) for t in (NN, ATA, ATA, NN, ATA)]
+        forward, _ = ansatz._row_gathers(specs)
+        batch = rng.uniform(0, 2 * np.pi, (len(specs), specs[1].param_count))
+        for spec in (specs[0], specs[1]):
+            amps = run_circuit_batch(spec, batch, forward)
+            assert amps.flags.c_contiguous
+            for b, row_spec in enumerate(specs):
+                alone = run_circuit_batch(row_spec, batch[b:b + 1])[0]
+                assert amps[b].tobytes() == alone.tobytes()
+
+    def test_given_gather_walks_no_cnot_kernel(self, monkeypatch):
+        spec = CircuitSpec(4, 3, ATA)
+        forward, _ = ansatz._row_gathers([spec] * 2)
+        calls = []
+        real = ansatz.sv._apply_cnot_inplace
+        monkeypatch.setattr(ansatz.sv, "_apply_cnot_inplace",
+                            lambda *args: calls.append(args[1:]) or real(*args))
+        run_circuit_batch(spec, np.zeros((2, spec.param_count)), forward)
+        assert calls == []
+
+    def test_gathers_move_each_row_within_itself(self):
+        specs = [CircuitSpec(3, 1, t) for t in (ATA, NN, NN)]
+        forward, undo = ansatz._row_gathers(specs)
+        perms = np.stack([ansatz.entangler_permutation(3, entangler_pairs(s)) for s in specs])
+        backs = np.stack([ansatz.entangler_permutation(3, reversed(entangler_pairs(s)))
+                          for s in specs])
+        offsets = 8 * np.arange(3)[:, None]
+        np.testing.assert_array_equal(forward, perms + offsets)
+        np.testing.assert_array_equal(undo, backs + offsets)
+        block = np.arange(24.0).reshape(3, 8)
+        np.testing.assert_array_equal(np.take(block, forward),
+                                      np.take_along_axis(block, perms, axis=-1))
+        # The backward sweep's (G + 1, B, 2^n) rows: each block as one flat run.
+        blocks = np.stack([block, -block])
+        np.testing.assert_array_equal(np.take(blocks.reshape(2, -1), undo, axis=-1),
+                                      np.take_along_axis(blocks, backs[None], axis=-1))
+
+
 def test_run_circuit_is_a_batch_of_one():
     rng = np.random.default_rng(21)
     for spec in (CircuitSpec(4, 3, NN), CircuitSpec(5, 2, ATA)):

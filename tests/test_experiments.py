@@ -139,9 +139,9 @@ def _count_forward_batches(monkeypatch):
     calls = []
     original = gradients.run_circuit_batch
 
-    def counting(spec, angles_batch):
+    def counting(spec, angles_batch, *gather):
         calls.append(len(angles_batch))
-        return original(spec, angles_batch)
+        return original(spec, angles_batch, *gather)
 
     monkeypatch.setattr(gradients, "run_circuit_batch", counting)
     return calls
@@ -176,7 +176,7 @@ class TestTrain:
                     grad = loss_gradient(cfg, spec, params, disc)
                     assert norm == pytest.approx(float(np.linalg.norm(grad)), abs=1e-12)
                     assert loss == total_loss(cfg, spec, params, disc)
-                    _, adjoint = gradients._adjoint_gradients([[cfg]], spec, params[None])
+                    _, adjoint = gradients._adjoint_gradients([[cfg]], [spec], params[None])
                     params = params - lr * adjoint[0, 0]
 
     def test_lockstep_traces_equal_training_alone(self):
@@ -185,13 +185,12 @@ class TestTrain:
                  for c in all_configs()]
         assert together == alone
 
-    def test_one_forward_batch_per_topology_and_epoch(self, monkeypatch):
+    def test_one_forward_batch_of_every_config_per_epoch(self, monkeypatch):
         calls = _count_forward_batches(monkeypatch)
         epochs = 3
         train(all_configs(), n=4, layers=2, epochs=epochs, seed=0)
-        # Three all-to-all configs share one batch, the chain config has its own.
-        assert len(calls) == 2 * (epochs + 1)
-        assert sorted(set(calls)) == [1, 3]
+        # The three all-to-all configs and the chain config share one batch.
+        assert calls == [len(all_configs())] * (epochs + 1)
 
     def test_descent_reduces_loss(self):
         kinds = (LossKind.GLOBAL_COST, LossKind.PDE_STRUCTURED)
@@ -225,6 +224,13 @@ class TestTrain:
     def test_non_finite_learning_rate_rejected_before_any_circuit(self, lr, monkeypatch):
         calls = _count_forward_batches(monkeypatch)
         with pytest.raises(ValueError, match="learning_rate"):
+            train(all_configs(), learning_rate=lr)
+        assert calls == []
+
+    @pytest.mark.parametrize("lr", [True, "0.1", None, 1j])
+    def test_non_real_learning_rate_rejected_before_any_circuit(self, lr, monkeypatch):
+        calls = _count_forward_batches(monkeypatch)
+        with pytest.raises(ValueError, match="^learning_rate must be a finite real number"):
             train(all_configs(), learning_rate=lr)
         assert calls == []
 

@@ -5,7 +5,8 @@ it writes with the copy under ``tests/golden/``. A change that is meant to
 alter output regenerates the copies by running the same argv with
 ``--out tests/golden/<name>`` and says in its change log why the bytes moved.
 The ``*_max.csv`` copies are not cases here: the CI step "Largest register,
-several draw blocks" writes them at n = 11-12 and compares them with ``cmp``.
+several draw blocks" writes them at n = 11-12 and compares them with ``cmp``,
+as it does ``converge_n12_l2.csv``, which is also a case here.
 """
 
 from __future__ import annotations
@@ -73,6 +74,13 @@ CASES = [
      ["sweep-depth", "--qubits", "4", "--layers", "1", "2", "--samples", "9"], []),
     ("entanglement_blocks.csv",
      ["entanglement", "--qubits", "4", "--layers", "1", "--samples", "10"], []),
+    # Training's one block of both topologies: odd n, two layers and a seed
+    # other than 0; and the per-row gather between rotation layers at the
+    # largest register, which CI's largest-register step also compares.
+    ("converge_n5_l2_seed3.csv",
+     ["converge", "--qubits", "5", "--layers", "2", "--epochs", "100", "--seed", "3"], []),
+    ("converge_n12_l2.csv",
+     ["converge", "--qubits", "12", "--layers", "2", "--epochs", "2"], []),
 ]
 
 

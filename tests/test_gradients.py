@@ -26,6 +26,7 @@ from plateaulab.losses import (
 )
 
 ATA = Topology.ALL_TO_ALL
+NN = Topology.NEAREST_NEIGHBOR
 
 # The four standard configs plus the residual loss of every PDE kind.
 ORACLE_CONFIGS = all_configs() + [
@@ -43,8 +44,9 @@ def config_blocks(configs, angles):
 
 
 def run_adjoint(configs, spec, angles):
-    """The adjoint engine's gradients, shape (C, B, p)."""
-    return gradients._adjoint_gradients(config_blocks(configs, angles), spec, angles)[1]
+    """The adjoint engine's gradients, shape (C, B, p), every row on ``spec``."""
+    return gradients._adjoint_gradients(
+        config_blocks(configs, angles), [spec] * len(angles), angles)[1]
 
 
 class TestJacobian:
@@ -157,6 +159,11 @@ class TestFiniteDifferenceOracle:
             with pytest.raises(ValueError):
                 finite_difference_gradient(lambda q: 0.0, np.zeros(2), h)
 
+    @pytest.mark.parametrize("h", ["1e-6", True, None, np.array(1e-6)])
+    def test_non_real_step_rejected(self, h):
+        with pytest.raises(ValueError, match="^h must be a finite real number > 0"):
+            finite_difference_gradient(lambda q: 0.0, np.zeros(2), h)
+
 
 class TestDrawParams:
     def test_shape_and_range(self):
@@ -242,9 +249,9 @@ class TestGradientVariance:
         original = gradients.run_circuit_batch
         batches = []
 
-        def counting(spec, angles_batch):
+        def counting(spec, angles_batch, gather):
             batches.append(spec.topology)
-            return original(spec, angles_batch)
+            return original(spec, angles_batch, gather)
 
         monkeypatch.setattr(gradients, "run_circuit_batch", counting)
         gradient_variance(all_configs(), 4, 2, 3, 0)
@@ -259,9 +266,9 @@ class TestGradientVariance:
         original = gradients.run_circuit_batch
         blocks = []
 
-        def counting(spec, angles_batch):
+        def counting(spec, angles_batch, gather):
             blocks.append((spec.topology, len(angles_batch)))
-            return original(spec, angles_batch)
+            return original(spec, angles_batch, gather)
 
         monkeypatch.setattr(gradients, "run_circuit_batch", counting)
         gradient_variance(all_configs(), 4, 2, 9, 0)
@@ -289,9 +296,9 @@ class TestGradientVariance:
         original = gradients._adjoint_gradients
         stacks = []
 
-        def recording(grid, spec, angles):
-            losses, grads = original(grid, spec, angles)
-            stacks.append((spec.topology, grads))
+        def recording(grid, specs, angles):
+            losses, grads = original(grid, specs, angles)
+            stacks.append((specs[0].topology, grads))
             return losses, grads
 
         monkeypatch.setattr(gradients, "_adjoint_gradients", recording)
@@ -349,7 +356,8 @@ class TestAdjointGradients:
         for topology in Topology:
             configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
             spec = CircuitSpec(n, 2, topology)
-            losses, _ = gradients._adjoint_gradients(config_blocks(configs, draws), spec, draws)
+            losses, _ = gradients._adjoint_gradients(
+                config_blocks(configs, draws), [spec] * 3, draws)
             assert losses.shape == (len(configs), 3)
             for c, config in enumerate(configs):
                 for b, angles in enumerate(draws):
@@ -357,20 +365,47 @@ class TestAdjointGradients:
 
     @pytest.mark.parametrize("n", [4, 7, 12])
     def test_mixed_block_rows_have_bits_of_one_config_calls(self, n):
-        # Training passes one block whose row k is config k; here configs also
-        # repeat and interleave within the block.
-        for topology in Topology:
-            configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
-            block = [configs[k % len(configs)] for k in range(len(configs) + 2)]
-            spec = CircuitSpec(n, 2, topology)
-            angles = np.stack([draw_params(3, n, 2, k) for k in range(len(block))])
-            losses, grads = gradients._adjoint_gradients([block], spec, angles)
-            assert losses.shape == (1, len(block))
-            assert grads.shape == (1, len(block), spec.param_count)
-            for k, config in enumerate(block):
-                loss, grad = gradients._adjoint_gradients([[config]], spec, angles[k:k + 1])
-                assert losses[0, k].tobytes() == loss[0, 0].tobytes()
-                assert grads[0, k].tobytes() == grad[0, 0].tobytes()
+        # Training passes one block whose row k is config k, each row on its
+        # config's topology; here a chain row comes first and configs repeat
+        # and interleave across both topologies.
+        structured = LossConfig(LossKind.PDE_STRUCTURED)
+        block = [structured, *ORACLE_CONFIGS[:3], structured, *ORACLE_CONFIGS[4:],
+                 ORACLE_CONFIGS[1], structured, ORACLE_CONFIGS[0]]
+        specs = [spec_for(config, n, 2) for config in block]
+        angles = np.stack([draw_params(3, n, 2, k) for k in range(len(block))])
+        losses, grads = gradients._adjoint_gradients([block], specs, angles)
+        assert losses.shape == (1, len(block))
+        assert grads.shape == (1, len(block), specs[0].param_count)
+        for k, (config, spec) in enumerate(zip(block, specs)):
+            loss, grad = gradients._adjoint_gradients([[config]], [spec], angles[k:k + 1])
+            assert losses[0, k].tobytes() == loss[0, 0].tobytes()
+            assert grads[0, k].tobytes() == grad[0, 0].tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_each_rows_undo_permutation_inverts_its_forward_one(self, n):
+        specs = [CircuitSpec(n, 1, t) for t in (NN, ATA, ATA, NN)]
+        forward, undo = gradients._row_gathers(specs)
+        assert forward.shape == undo.shape == (len(specs), 2**n)
+        for b, spec in enumerate(specs):
+            perm = forward[b] - b * 2**n
+            np.testing.assert_array_equal(perm, entangler_permutation(n, entangler_pairs(spec)))
+            np.testing.assert_array_equal(perm[undo[b] - b * 2**n], np.arange(2**n))
+        block = np.random.default_rng(n).normal(size=(len(specs), 2**n))
+        assert np.take(np.take(block, forward), undo).tobytes() == block.tobytes()
+
+    def test_each_topology_walks_once_per_call(self, monkeypatch):
+        # Forward and undo permutations: one walk of each distinct topology's
+        # sub-layer each, however many layers and rows.
+        calls = []
+        real = gradients.sv._apply_cnot_inplace
+        monkeypatch.setattr(gradients.sv, "_apply_cnot_inplace",
+                            lambda *args: calls.append(args[1:]) or real(*args))
+        configs = all_configs() * 2
+        specs = [spec_for(config, 4, 3) for config in configs]
+        angles = np.stack([draw_params(0, 4, 3, 0)] * len(configs))
+        gradients._adjoint_gradients([configs], specs, angles)
+        chain, full = (entangler_pairs(CircuitSpec(4, 1, t)) for t in (NN, ATA))
+        assert sorted(calls) == sorted(2 * (chain + full))
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_undo_permutation_inverts_the_sub_layer(self, n):
@@ -384,7 +419,32 @@ class TestAdjointGradients:
         spec = CircuitSpec(4, 1, ATA)
         draws = np.stack([draw_params(0, 4, 1, k) for k in range(3)])
         with pytest.raises(ValueError):
-            gradients._adjoint_gradients([all_configs()[:2]], spec, draws)
+            gradients._adjoint_gradients([all_configs()[:2]], [spec] * 3, draws)
+
+    @pytest.mark.parametrize("topologies", [(ATA, ATA), (NN, ATA)])
+    def test_column_of_two_topologies_rejected_before_any_circuit(self, topologies,
+                                                                  monkeypatch):
+        calls = []
+        monkeypatch.setattr(gradients, "run_circuit_batch", lambda *args: calls.append(args))
+        global_cost, local_cost, _, structured = all_configs()
+        specs = [CircuitSpec(4, 1, t) for t in topologies]
+        with pytest.raises(ValueError, match="requires topology"):
+            gradients._adjoint_gradients([[global_cost, local_cost], [structured, local_cost]],
+                                         specs, np.zeros((2, 8)))
+        assert calls == []
+
+    @pytest.mark.parametrize("other", [CircuitSpec(4, 2, ATA), CircuitSpec(5, 1, ATA)])
+    def test_specs_of_another_shape_rejected(self, other):
+        config = LossConfig(LossKind.GLOBAL_COST)
+        with pytest.raises(ValueError):
+            gradients._adjoint_gradients([[config] * 2], [CircuitSpec(4, 1, ATA), other],
+                                         np.zeros((2, 8)))
+
+    def test_one_spec_per_row_required(self):
+        config = LossConfig(LossKind.GLOBAL_COST)
+        with pytest.raises(ValueError):
+            gradients._adjoint_gradients([[config] * 2], [CircuitSpec(4, 1, ATA)],
+                                         np.zeros((2, 8)))
 
     def test_mismatched_topology_rejected(self):
         spec = CircuitSpec(4, 1, Topology.NEAREST_NEIGHBOR)

@@ -293,6 +293,11 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossConfig(LossKind.PDE_CONSTRAINED, physics_weight=weight)
 
+    @pytest.mark.parametrize("weight", [True, "1", None])
+    def test_physics_weight_must_be_a_real_number(self, weight):
+        with pytest.raises(ValueError, match="^physics_weight must be a finite real number >= 0"):
+            LossConfig(LossKind.PDE_CONSTRAINED, physics_weight=weight)
+
 
 class TestOutputLossGradient:
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Core simulator checks against textbook identities and brute-force oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,30 @@ class TestInitZero:
     def test_out_of_range_rejected(self, n):
         with pytest.raises(ValueError):
             init_zero(n)
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("value", [0, 2, 0.5, np.float64(1e-300), np.int64(3),
+                                       np.float32(0.25), Fraction(1, 3)])
+    def test_finite_real_numbers_pass(self, value):
+        sv._check_real("x", value)
+        sv._check_real("x", value, 0)
+        sv._check_real("x", value, 0, strict=value != 0)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.1", None, 1j,
+                                       np.array(0.5), float("nan"), float("inf"),
+                                       -float("inf"), np.float64("nan")])
+    def test_other_values_rejected_naming_the_argument(self, value):
+        with pytest.raises(ValueError, match=r"^rate must be a finite real number, got ") as exc:
+            sv._check_real("rate", value)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("value, low, strict, bound", [
+        (-1, 0, False, ">= 0"), (-1e-300, 0, False, ">= 0"), (0, 0, True, "> 0"),
+        (0.0, 0, True, "> 0"), (-10**400, 0, False, ">= 0")])
+    def test_range_checked(self, value, low, strict, bound):
+        with pytest.raises(ValueError, match=f"^x must be a finite real number {bound}, got"):
+            sv._check_real("x", value, low, strict)
 
 
 class TestSingleQubitGates:

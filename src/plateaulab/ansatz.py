@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -146,22 +145,21 @@ def run_circuit_batch(
             f"expected batch of shape (B, {spec.param_count}), "
             f"got {angles_batch.shape}"
         )
-    amps = np.zeros((angles_batch.shape[0], 2**spec.n_qubits), dtype=np.complex128)
+    n = spec.n_qubits
+    amps = np.zeros((angles_batch.shape[0], 2**n), dtype=np.complex128)
     amps[:, 0] = 1.0
     cos_half, sin_pair, phases = sv._gate_coefficients(angles_batch)
-    for entangler, gates in groupby(circuit_gates(spec), key=_is_cnot):
-        if entangler:
-            if gather is None:
-                perm = entangler_permutation(spec.n_qubits, (gate[1:] for gate in gates))
-                amps = np.take(amps, perm, axis=-1)
-            else:
-                amps = np.take(amps, gather)
-            continue
-        for kind, a, b in gates:
-            if kind == "ry":
-                sv._apply_ry_inplace(amps, a, cos_half[b], sin_pair[b])
-            else:
-                sv._apply_rz_inplace(amps, a, phases[b])
+    pairs = entangler_pairs(spec)
+    # The gate order of ``circuit_gates``: per layer, RY then RZ per qubit,
+    # then the sub-layer.
+    for base in range(0, spec.param_count, 2 * n):
+        for k in range(n):
+            sv._apply_ry_inplace(amps, k, cos_half[base + k], sin_pair[base + k])
+            sv._apply_rz_inplace(amps, k, phases[base + n + k])
+        if gather is None:
+            amps = np.take(amps, entangler_permutation(n, pairs), axis=-1)
+        else:
+            amps = np.take(amps, gather)
     norms = np.sum(sv.probabilities(amps), axis=1)
     if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):  # a NaN norm fails too
         raise ArithmeticError("statevector norm drifted in batch evaluation")

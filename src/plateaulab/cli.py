@@ -26,7 +26,7 @@ import numpy as np
 from . import experiments as xp
 from .gradients import MIN_VARIANCE_SAMPLES
 from .losses import DEFAULT_PHYSICS_WEIGHT, all_configs
-from .statevector import MAX_QUBITS, MIN_QUBITS, _check_count
+from .statevector import MAX_QUBITS, MIN_QUBITS, _check_count, _check_real
 
 SEED_ENV_VAR = "PLATEAULAB_SEED"
 
@@ -156,11 +156,8 @@ def _check_usage(run: RunConfig) -> None:
     _check_count("--samples", run.samples,
                  xp.MIN_ENTROPY_SAMPLES if entropy else MIN_VARIANCE_SAMPLES)
     _check_count("--epochs", run.epochs, 1)
-    if not math.isfinite(run.learning_rate):
-        raise ValueError(f"--lr must be finite, got {run.learning_rate}")
-    if not (math.isfinite(run.physics_weight) and run.physics_weight >= 0):
-        raise ValueError(f"--physics-weight must be finite and >= 0, "
-                         f"got {run.physics_weight}")
+    _check_real("--lr", run.learning_rate)
+    _check_real("--physics-weight", run.physics_weight, 0)
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:

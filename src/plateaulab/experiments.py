@@ -214,11 +214,12 @@ def train(
     layers). Each epoch, every config takes its step; then one adjoint
     forward and backward sweep runs every config's angles as rows, each row
     on its config's topology with one lambda row, so config k reads its loss
-    and gradient at row k. A trace has the same bits as training its config
-    alone. A non-finite step or gradient raises ArithmeticError naming the
-    first failing epoch; within it, steps are checked before gradients, each
-    in config order. ``epochs`` must be an integer >= 1 and
-    ``learning_rate`` a finite real number.
+    and gradient at row k; the engine's plan is built once, before epoch 0.
+    A trace has the same bits as training its config alone. A non-finite
+    step or gradient raises ArithmeticError naming the first failing epoch;
+    within it, steps are checked before gradients, each in config order.
+    ``epochs`` must be an integer >= 1 and ``learning_rate`` a finite real
+    number.
     """
     if not configs:
         raise ValueError("need at least one config")
@@ -228,11 +229,12 @@ def train(
     params = np.tile(draw_params(seed, n, layers, 0), (len(configs), 1))
     values = np.empty((epochs + 1, len(configs)))
     norms = np.empty_like(values)
+    run = gradients._adjoint_plan([configs], specs)
     for epoch in range(epochs + 1):
         if epoch:
             params -= learning_rate * grads
             _check_finite(params, configs, "step", epoch)
-        losses, stacks = gradients._adjoint_gradients([configs], specs, params)
+        losses, stacks = run(params)
         values[epoch], grads = losses[0], stacks[0]
         _check_finite(grads, configs, "gradient", epoch)
         # One norm per row: norm(axis=1) sums in another order.

@@ -11,16 +11,17 @@ gives B states phi, one per angle row, each on its own CircuitSpec. Its lambda
 rows form a (G, B) grid, row (g, b) with its own config: lambda = O phi_b, O
 from that config's dL/df at phi_b. A variance cell's grid has one block of
 draws per config, all on one topology; training's has one block whose row k
-is config k on its config's topology, so one call serves every config of an
+is config k on its config's topology, so one run serves every config of an
 epoch. Topologies share every rotation and differ only in the entangling
 sub-layer's basis permutation, so each row carries its own permutation and
-its own undo permutation, walked by the CNOT kernels once per call for each
-distinct topology. One backward sweep undoes every gate on phi and lambda,
-reading dL/dtheta = Im<lambda|P|phi> at each rotation with generator P (Y_q or
-Z_q). It undoes a rotation as the gate at -theta, and each CNOT sub-layer as
-one gather by every row's undo permutation. Every per-row contraction is
-row-wise, so a row's loss and gradient have the same bits whatever grid it
-runs in.
+its own undo permutation, walked by the CNOT kernels once per plan for each
+distinct topology. A plan (``_adjoint_plan``) holds all that does not depend
+on the angles; training builds one and runs it every epoch. One backward
+sweep undoes every gate on phi and lambda, reading dL/dtheta =
+Im<lambda|P|phi> at each rotation with generator P (Y_q or Z_q). It undoes a
+rotation as the gate at -theta, and each CNOT sub-layer as one gather by
+every row's undo permutation. Every per-row contraction is row-wise, so a
+row's loss and gradient have the same bits whatever grid it runs in.
 
 The single-point API ``loss_gradient`` and ``jacobian_outputs`` use the pi/2
 parameter-shift rule: expectations of this gate set are trigonometric in
@@ -139,79 +140,103 @@ _MINUS_I_Y_SIGNS = sv._RY_SIGNS[:, :, None]
 _MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
 
 
-def _adjoint_gradients(
-    grid: Sequence[Sequence[LossConfig]], specs: Sequence[CircuitSpec], angles: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Losses (G, B) and gradients (G, B, p) of a (G, B) grid of configs.
+def _adjoint_plan(
+    grid: Sequence[Sequence[LossConfig]], specs: Sequence[CircuitSpec],
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The adjoint engine of a (G, B) grid of configs, as a run(angles) that
+    returns losses (G, B) and gradients (G, B, p) at (B, p) angles.
 
-    Row b runs the circuit ``specs[b]`` at ``angles[b]``, and config (g, b) of
-    ``grid`` is read at that phi row: a variance cell passes one block per
-    config over a ``_blocks`` block of draws, training one block whose row k
-    is config k. The specs share n and the layer count, and every config must
-    suit its row's spec; both are checked before any circuit runs. Rows of
-    different topologies differ only in their sub-layer permutations, whose
-    flat gathers ``_row_gathers`` builds once per call. The forward sweep
-    ``run_circuit_batch`` gives phi; their outputs f give each entry's loss on
-    the grid ``Discretization(n)``, with the bits of ``total_loss``, and its
-    row lambda = (sum_k dL/df_k Z_k) phi. One (G+1, B, 2^n) array of [phi;
+    Row b runs the circuit ``specs[b]``, and config (g, b) of ``grid`` is read
+    at that phi row: a variance cell passes one block per config over a
+    ``_blocks`` block of draws, training one block whose row k is config k.
+    The plan holds all that does not depend on the angles, so training
+    builds it once and runs it every epoch. Building it checks that the
+    specs share n and the layer count and that every config suits its row's
+    spec; it builds the grid ``Discretization(n)``, each config's columns
+    and observables, the rows' flat sub-layer gathers (``_row_gathers``),
+    the reversed gate schedule and the sweep buffers.
+
+    A run checks the angles' shape before any kernel runs and returns fresh
+    arrays. The forward sweep ``run_circuit_batch`` gives phi; their outputs
+    f give each entry's loss, with the bits of ``total_loss``, and its row
+    lambda = (sum_k dL/df_k Z_k) phi. One (G+1, B, 2^n) array of [phi;
     lambda] rows is walked back through the rotations: at each dL/dtheta =
     Im<lambda|P|phi> is read, then the gate at -theta undoes it on every row;
     one gather undoes each CNOT sub-layer with every row's own undo permutation.
     """
-    spec, n_blocks, n_draws = specs[0], len(grid), len(angles)
+    spec, n_blocks, n_draws = specs[0], len(grid), len(specs)
     n = spec.n_qubits
+    if any(s.layers != spec.layers for s in specs):
+        raise ValueError(f"every spec needs {spec.layers} layers")
     disc = Discretization(n)
-    if len(specs) != n_draws or any(s.layers != spec.layers for s in specs):
-        raise ValueError(f"need one spec per angle row, all with {spec.layers} layers")
     for block in grid:
         for config, row_spec in dict.fromkeys(zip(block, specs, strict=True)):
             check_pairing(config, row_spec, disc)  # also rejects another n
+    terms = [(g, config, np.array([b for b, c in enumerate(block) if c == config]),
+              observables(config, n))
+             for g, block in enumerate(grid) for config in dict.fromkeys(block)]
     forward, undo = _row_gathers(specs)
     rows = np.empty((n_blocks + 1, n_draws, 2**n), dtype=np.complex128)
-    rows[0] = run_circuit_batch(spec, angles, forward)
-    probs = probabilities(rows[0])
     flat = rows.view(np.float64).reshape(n_blocks + 1, n_draws, 2**n, 2)
-    losses = np.empty((n_blocks, n_draws))
-    # Row-wise einsum, not @, for the reason given in ``outputs``.
-    for g, block in enumerate(grid):
-        for config in dict.fromkeys(block):
-            cols = [b for b, c in enumerate(block) if c == config]
-            obs = observables(config, n)
-            f = outputs(obs, probs[cols])
-            losses[g, cols] = loss_from_outputs(config, f, disc)
-            weights = np.einsum("bm,mi->bi", d_loss_d_outputs(config, f, disc), obs)
-            flat[g + 1, cols] = flat[0, cols] * weights[:, :, None]
-    del probs
-    grads = np.empty((n_blocks, n_draws, spec.param_count))
     chi = np.empty((n_draws, 2 ** (n + 1)))
     products = np.empty((n_blocks, n_draws, 2 ** (n + 1)))
     lam = flat[1:].reshape(products.shape)
-    cos_half, sin_pair, phases = sv._gate_coefficients(-angles)  # each gate's inverse
     blocks = rows.reshape(n_blocks + 1, -1)  # one flat run of B rows per block
     reads = {}  # (kind, qubit) -> reversed view of phi, signs of -iP, view of chi
     for a in range(n):
         phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
         reads["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi.reshape(phi.shape))
         reads["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi.reshape(phi.shape))
-    # The rotations are every spec's; spec's CNOTs only mark the sub-layers.
+    # The rotations are every spec's; spec's CNOTs only mark the sub-layers,
+    # each one None in the schedule.
+    schedule = []
     for entangler, gates in groupby(reversed(list(circuit_gates(spec))), key=_is_cnot):
-        if entangler:
-            # In place: flat, lam and the reads are views of rows. With
-            # mode="raise" np.take buffers its output, so the overlap is safe.
-            np.take(blocks, undo, axis=-1, out=rows)
-            continue
-        for kind, a, b in gates:
+        schedule += [None] if entangler else [(*gate, reads[gate[:2]]) for gate in gates]
+
+    def run(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        angles = np.asarray(angles, dtype=np.float64)
+        if angles.shape != (n_draws, spec.param_count):
+            raise ValueError(f"expected angles of shape ({n_draws}, {spec.param_count}), "
+                             f"got {angles.shape}")
+        rows[0] = run_circuit_batch(spec, angles, forward)
+        probs = probabilities(rows[0])
+        losses = np.empty((n_blocks, n_draws))
+        # Row-wise einsum, not @, for the reason given in ``outputs``.
+        for g, config, cols, obs in terms:
+            f = outputs(obs, probs[cols])
+            losses[g, cols] = loss_from_outputs(config, f, disc)
+            weights = np.einsum("bm,mi->bi", d_loss_d_outputs(config, f, disc), obs)
+            flat[g + 1, cols] = flat[0, cols] * weights[:, :, None]
+        del probs
+        grads = np.empty((n_blocks, n_draws, spec.param_count))
+        cos_half, sin_pair, phases = sv._gate_coefficients(-angles)  # each gate's inverse
+        for gate in schedule:
+            if gate is None:
+                # In place: flat, lam and the reads are views of rows. With
+                # mode="raise" np.take buffers its output, so the overlap is safe.
+                np.take(blocks, undo, axis=-1, out=rows)
+                continue
+            kind, a, b, read = gate
             # dL/dtheta = Im<lam|P|phi> = Re<lam|chi> with chi = -i P phi. Every
             # row sums over a contiguous buffer, so its bits do not depend on
             # the grid's size.
-            np.multiply(*reads[kind, a])
+            np.multiply(*read)
             np.multiply(lam, chi, out=products)
             grads[:, :, b] = products.sum(axis=2)
             if kind == "ry":
                 sv._apply_ry_inplace(rows, a, cos_half[b], sin_pair[b])
             else:
                 sv._apply_rz_inplace(rows, a, phases[b])
-    return losses, grads
+        return losses, grads
+
+    return run
+
+
+def _adjoint_gradients(
+    grid: Sequence[Sequence[LossConfig]], specs: Sequence[CircuitSpec], angles: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Losses (G, B) and gradients (G, B, p) of one run of ``_adjoint_plan(grid, specs)``."""
+    return _adjoint_plan(grid, specs)(angles)
 
 
 def _groups(configs: Sequence[LossConfig], n_qubits: int, layers: int) -> list[tuple]:

@@ -192,9 +192,12 @@ class LossConfig:
         return _REQUIRED_TOPOLOGY[self.kind]
 
 
+@lru_cache(maxsize=None)
 def default_target(n: int) -> np.ndarray:
-    """Fixed smooth data target: sin(2*pi*k/n) on the unit grid."""
-    return np.sin(2.0 * np.pi * np.arange(n) / n)
+    """Read-only fixed smooth data target: sin(2*pi*k/n) on the unit grid."""
+    target = np.sin(2.0 * np.pi * np.arange(n) / n)
+    target.flags.writeable = False
+    return target
 
 
 def all_configs(physics_weight: float = DEFAULT_PHYSICS_WEIGHT) -> list[LossConfig]:

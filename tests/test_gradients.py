@@ -1,11 +1,14 @@
 """Parameter-shift, adjoint, chain-rule and variance-protocol checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from plateaulab import gradients
 from plateaulab.ansatz import CircuitSpec, Topology, entangler_pairs, entangler_permutation
-from plateaulab.experiments import SweepRow
+from plateaulab.experiments import SweepRow, train
 from plateaulab.gradients import (
     draw_params,
     finite_difference_gradient,
@@ -450,6 +453,62 @@ class TestAdjointGradients:
         spec = CircuitSpec(4, 1, Topology.NEAREST_NEIGHBOR)
         with pytest.raises(ValueError):
             run_adjoint([LossConfig(LossKind.GLOBAL_COST)], spec, draw_params(0, 4, 1, 0)[None])
+
+
+class TestAdjointPlan:
+    @staticmethod
+    def mixed_plan(n=4, layers=2):
+        configs = all_configs()
+        specs = [spec_for(config, n, layers) for config in configs]
+        return gradients._adjoint_plan([configs], specs), specs
+
+    def test_runs_do_not_depend_on_earlier_runs(self):
+        run, specs = self.mixed_plan()
+        a, b = (np.stack([draw_params(seed, 4, 2, k) for k in range(len(specs))])
+                for seed in (1, 2))
+        first = run(a)
+        kept = [array.copy() for array in first]
+        other = run(b)
+        again = run(a)
+        for x, y, z in zip(first, again, kept):
+            assert x.tobytes() == y.tobytes() == z.tobytes()  # later runs leave it as it was
+            assert x is not y
+        fresh = gradients._adjoint_gradients([all_configs()], specs, b)
+        for x, y in zip(other, fresh):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 16), (4, 8), (4, 16, 1), (16,)])
+    def test_angles_of_another_shape_rejected_before_any_kernel(self, shape, monkeypatch):
+        run, _ = self.mixed_plan()
+        calls = []
+        for kernel in ("_gate_coefficients", "_apply_ry_inplace", "_apply_rz_inplace"):
+            monkeypatch.setattr(gradients.sv, kernel, lambda *args: calls.append(args))
+        monkeypatch.setattr(gradients, "run_circuit_batch", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="expected angles of shape"):
+            run(np.zeros(shape))
+        assert calls == []
+
+    def test_training_builds_one_plan(self, monkeypatch):
+        calls = []
+        real = gradients._row_gathers
+        monkeypatch.setattr(gradients, "_row_gathers",
+                            lambda specs: calls.append(specs) or real(specs))
+        train(all_configs(), n=4, layers=2, epochs=3)
+        assert len(calls) == 1
+
+    def test_plan_is_freed_without_the_cycle_collector(self):
+        run, _ = self.mixed_plan()
+        ref = weakref.ref(run)
+        train(all_configs(), n=4, layers=2, epochs=1)  # first calls may import lazily
+        gc.collect()
+        gc.disable()
+        try:
+            del run
+            assert ref() is None
+            train(all_configs(), n=4, layers=2, epochs=3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOneForwardPass:

@@ -344,6 +344,14 @@ def test_default_target_is_unit_sine():
     np.testing.assert_allclose(t, np.sin(2 * np.pi * np.arange(8) / 8), atol=1e-15)
 
 
+def test_default_target_is_one_read_only_array():
+    # Cached like z_signs, so a caller that wrote to it would change every loss.
+    t = default_target(5)
+    assert t is default_target(5)
+    assert not t.flags.writeable
+    assert t.tobytes() == np.sin(2.0 * np.pi * np.arange(5) / 5).tobytes()
+
+
 def test_all_configs_lists_the_four_kinds():
     names = [c.name for c in all_configs()]
     assert names == ["global_cost", "local_cost", "pde_constrained", "pde_structured"]

@@ -36,7 +36,6 @@ from .losses import (
     default_target,
     loss_from_outputs,
     observables,
-    output_vector,
     pde_loss,
     pde_residual,
     total_loss,

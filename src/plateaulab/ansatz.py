@@ -5,7 +5,9 @@ layer l, angles[2nl : 2nl+n] are the RY angles of qubits 0..n-1 and
 angles[2nl+n : 2nl+2n] the RZ angles. Each layer applies its rotations
 (RY then RZ per qubit) followed by the fixed CNOT entangler, whose sub-layer
 only permutes basis indices: one gather by ``entangler_permutation``, or by
-``_row_gathers`` when rows of both topologies share one batch.
+``_row_gathers`` when rows of both topologies share one batch. The adjoint
+engine undoes a sub-layer with the inverse of that gather, set by one
+scatter.
 """
 
 from __future__ import annotations
@@ -104,22 +106,19 @@ def run_circuit(spec: CircuitSpec, params) -> np.ndarray:
 def _row_gathers(specs: Sequence[CircuitSpec]) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices (B, 2^n) that apply, and undo, each row's entangling sub-layer.
 
-    Entry (b, j) is b * 2^n + perm_b[j] for the sub-layer permutation perm_b
-    of ``specs[b]`` (or of its reverse walk), so ``np.take(block, index)``
+    Entry (b, j) of the forward indices is b * 2^n + perm_b[j] for the
+    sub-layer permutation perm_b of ``specs[b]``, so ``np.take(block, index)``
     moves each row of a (B, 2^n) block within itself: C-contiguous, with the
-    bits of a gather of each row alone. The CNOT kernels of each distinct
-    spec walk its sub-layer once forward and once in reverse.
+    bits of a gather of each row alone. The undo indices are their inverse,
+    set by one scatter. The CNOT kernels walk each distinct spec's sub-layer
+    once.
     """
-    walks = {}
-    for spec in dict.fromkeys(specs):
-        pairs = entangler_pairs(spec)
-        walks[spec] = (entangler_permutation(spec.n_qubits, pairs),
-                       entangler_permutation(spec.n_qubits, reversed(pairs)))
-    forward = np.stack([walks[spec][0] for spec in specs])
-    undo = np.stack([walks[spec][1] for spec in specs])
-    offsets = np.arange(0, forward.size, forward.shape[1])[:, None]
-    forward += offsets
-    undo += offsets
+    perms = {spec: entangler_permutation(spec.n_qubits, entangler_pairs(spec))
+             for spec in dict.fromkeys(specs)}
+    forward = np.stack([perms[spec] for spec in specs])
+    forward += np.arange(0, forward.size, forward.shape[1])[:, None]
+    undo = np.empty_like(forward)
+    np.put(undo, forward, np.arange(forward.size))
     return forward, undo
 
 

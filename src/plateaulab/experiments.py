@@ -255,10 +255,12 @@ def fit_scaling(points: Sequence[tuple], model: ScalingModel) -> ScalingFit:
 
     EXP_IN_QUBITS fits log2(var) against n (var ~ 2^(-b n), exponent b);
     POWER_IN_QUBITS fits log(var) against log(n) (var ~ n^(-a), exponent a).
-    Fewer than 2 distinct n, or an n that is not finite and positive, raise
-    ValueError; a variance that is not finite and positive raises
-    ArithmeticError.
+    A ``model`` that is not a ScalingModel, fewer than 2 distinct n, or an n
+    that is not finite and positive, raise ValueError; a variance that is not
+    finite and positive raises ArithmeticError.
     """
+    if not isinstance(model, ScalingModel):
+        raise ValueError(f"model must be a ScalingModel, got {model!r}")
     # A set, not np.unique: that one imports numpy.ma on first use (about 1 MB RSS).
     if len({p[0] for p in points}) < 2:
         raise ValueError("need points at 2 or more distinct qubit counts to fit")

@@ -13,15 +13,17 @@ from that config's dL/df at phi_b. A variance cell's grid has one block of
 draws per config, all on one topology; training's has one block whose row k
 is config k on its config's topology, so one run serves every config of an
 epoch. Topologies share every rotation and differ only in the entangling
-sub-layer's basis permutation, so each row carries its own permutation and
-its own undo permutation, walked by the CNOT kernels once per plan for each
-distinct topology. A plan (``_adjoint_plan``) holds all that does not depend
-on the angles; training builds one and runs it every epoch. One backward
-sweep undoes every gate on phi and lambda, reading dL/dtheta =
-Im<lambda|P|phi> at each rotation with generator P (Y_q or Z_q). It undoes a
-rotation as the gate at -theta, and each CNOT sub-layer as one gather by
-every row's undo permutation. Every per-row contraction is row-wise, so a
-row's loss and gradient have the same bits whatever grid it runs in.
+sub-layer's basis permutation, so each row carries its own permutation,
+walked by the CNOT kernels once per plan for each distinct topology, and
+its inverse as the undo permutation. A plan (``_adjoint_plan``), the
+engine's one entry, holds all that does not depend on the angles; a
+variance cell builds one per block and runs it once, training builds one
+and runs it every epoch. One backward sweep undoes every gate on phi and
+lambda, reading dL/dtheta = Im<lambda|P|phi> at each rotation with
+generator P (Y_q or Z_q). It undoes a rotation as the gate at -theta, and
+each CNOT sub-layer as one gather by every row's undo permutation. Every
+per-row contraction is row-wise, so a row's loss and gradient have the same
+bits whatever grid it runs in.
 
 The single-point API ``loss_gradient`` and ``jacobian_outputs`` use the pi/2
 parameter-shift rule: expectations of this gate set are trigonometric in
@@ -232,13 +234,6 @@ def _adjoint_plan(
     return run
 
 
-def _adjoint_gradients(
-    grid: Sequence[Sequence[LossConfig]], specs: Sequence[CircuitSpec], angles: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Losses (G, B) and gradients (G, B, p) of one run of ``_adjoint_plan(grid, specs)``."""
-    return _adjoint_plan(grid, specs)(angles)
-
-
 def _groups(configs: Sequence[LossConfig], n_qubits: int, layers: int) -> list[tuple]:
     """(spec, member indices) of each topology of ``configs``, in order of first use."""
     members: dict = {}
@@ -271,8 +266,8 @@ def gradient_variance(
     for spec, members in groups:
         # Each draw takes C + 1 live rows: phi and one lambda row per config.
         stacks = np.concatenate([
-            _adjoint_gradients([[configs[i]] * len(angles) for i in members],
-                               [spec] * len(angles), angles)[1]
+            _adjoint_plan([[configs[i]] * len(angles) for i in members],
+                          [spec] * len(angles))(angles)[1]
             for angles in _blocks(draws, len(members) + 1)
         ], axis=1)
         for i, stack in zip(members, stacks):

@@ -29,7 +29,7 @@ from typing import Optional, Union, get_args
 import numpy as np
 
 from .ansatz import CircuitSpec, Topology, run_circuit
-from .statevector import _check_count, _check_real, outputs, probabilities, qubit_count, z_signs
+from .statevector import _check_count, _check_real, outputs, probabilities, z_signs
 # Unused here, kept as bindings that bench/tracer.py wraps.
 from .statevector import expect_z, expect_z_string  # noqa: F401
 
@@ -222,12 +222,6 @@ def observables(config: LossConfig, n: int) -> np.ndarray:
     if config.kind is LossKind.LOCAL_COST:
         return signs[:1]
     return signs
-
-
-def output_vector(amps) -> np.ndarray:
-    """Per-qubit Pauli-Z expectations of a state (or block), component k = <Z_k>."""
-    amps = np.asarray(amps)
-    return outputs(z_signs(qubit_count(amps)), probabilities(amps))
 
 
 def _check_profile(f, length: int) -> np.ndarray:

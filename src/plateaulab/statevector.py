@@ -133,7 +133,9 @@ def _checked_copy(amps, *qubits: int) -> np.ndarray:
 
 
 def apply_ry(amps, qubit: int, angle: float) -> np.ndarray:
-    """Rotate ``qubit`` about Y: [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]]."""
+    """Rotate ``qubit`` about Y: [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]];
+    the angle a must be a finite real number."""
+    _check_real("angle", angle)
     out = _checked_copy(amps, qubit)
     cos_half, sin_pair, _ = _gate_coefficients(np.reshape(angle, (1, 1)))
     _apply_ry_inplace(out, qubit, cos_half[0, 0], sin_pair[0, 0])
@@ -141,7 +143,9 @@ def apply_ry(amps, qubit: int, angle: float) -> np.ndarray:
 
 
 def apply_rz(amps, qubit: int, angle: float) -> np.ndarray:
-    """Rotate ``qubit`` about Z: diag(exp(-i a/2), exp(+i a/2))."""
+    """Rotate ``qubit`` about Z: diag(exp(-i a/2), exp(+i a/2)); the angle a
+    must be a finite real number."""
+    _check_real("angle", angle)
     out = _checked_copy(amps, qubit)
     _apply_rz_inplace(out, qubit, _gate_coefficients(np.reshape(angle, (1, 1)))[2][0, 0])
     return out

@@ -176,7 +176,7 @@ class TestTrain:
                     grad = loss_gradient(cfg, spec, params, disc)
                     assert norm == pytest.approx(float(np.linalg.norm(grad)), abs=1e-12)
                     assert loss == total_loss(cfg, spec, params, disc)
-                    _, adjoint = gradients._adjoint_gradients([[cfg]], [spec], params[None])
+                    _, adjoint = gradients._adjoint_plan([[cfg]], [spec])(params[None])
                     params = params - lr * adjoint[0, 0]
 
     def test_lockstep_traces_equal_training_alone(self):
@@ -287,6 +287,16 @@ class TestScalingFit:
         with pytest.raises(ValueError, match="qubit counts must be finite and positive"):
             fit_scaling([(bad, 0.1), (4, 0.2)], model)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("model", ["exp_in_qubits", "power_in_qubits", None, 0],
+                             ids=["exp-value", "power-value", "None", "0"])
+    def test_model_other_than_a_scaling_model_rejected(self, model, monkeypatch):
+        # Unchecked, any of these would silently take the power-law branch.
+        calls = []
+        monkeypatch.setattr(np, "polyfit", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="model must be a ScalingModel"):
+            fit_scaling([(4, 0.02), (6, 0.004), (8, 0.001)], model)
+        assert calls == []
 
 
 class TestPerParamDistribution:

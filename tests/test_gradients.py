@@ -48,8 +48,8 @@ def config_blocks(configs, angles):
 
 def run_adjoint(configs, spec, angles):
     """The adjoint engine's gradients, shape (C, B, p), every row on ``spec``."""
-    return gradients._adjoint_gradients(
-        config_blocks(configs, angles), [spec] * len(angles), angles)[1]
+    return gradients._adjoint_plan(
+        config_blocks(configs, angles), [spec] * len(angles))(angles)[1]
 
 
 class TestJacobian:
@@ -81,11 +81,11 @@ class TestJacobian:
         jac = jacobian_outputs(spec, angles)
         assert np.max(np.abs(jac[:, 3:6])) > 1e-3  # layer-1 RZ block
         from plateaulab.ansatz import run_circuit
-        from plateaulab.losses import output_vector
+        from plateaulab.statevector import expect_z
 
         for k in range(3):
             fd = finite_difference_gradient(
-                lambda q: output_vector(run_circuit(spec, q))[k], angles, 1e-5
+                lambda q: expect_z(run_circuit(spec, q), k), angles, 1e-5
             )
             np.testing.assert_allclose(jac[k], fd, atol=1e-8)
 
@@ -296,15 +296,20 @@ class TestGradientVariance:
     def test_first_draws_have_the_same_bits_whatever_k(self, monkeypatch):
         # At n=4, L=2 the all-to-all blocks hold 4 draws, so K=5 splits the
         # first three draws' block differently from K=3.
-        original = gradients._adjoint_gradients
+        original = gradients._adjoint_plan
         stacks = []
 
-        def recording(grid, specs, angles):
-            losses, grads = original(grid, specs, angles)
-            stacks.append((specs[0].topology, grads))
-            return losses, grads
+        def recording(grid, specs):
+            run = original(grid, specs)
 
-        monkeypatch.setattr(gradients, "_adjoint_gradients", recording)
+            def recorded(angles):
+                losses, grads = run(angles)
+                stacks.append((specs[0].topology, grads))
+                return losses, grads
+
+            return recorded
+
+        monkeypatch.setattr(gradients, "_adjoint_plan", recording)
         runs = []
         for k in (3, 5):
             stacks.clear()
@@ -359,8 +364,8 @@ class TestAdjointGradients:
         for topology in Topology:
             configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
             spec = CircuitSpec(n, 2, topology)
-            losses, _ = gradients._adjoint_gradients(
-                config_blocks(configs, draws), [spec] * 3, draws)
+            losses, _ = gradients._adjoint_plan(
+                config_blocks(configs, draws), [spec] * 3)(draws)
             assert losses.shape == (len(configs), 3)
             for c, config in enumerate(configs):
                 for b, angles in enumerate(draws):
@@ -376,11 +381,11 @@ class TestAdjointGradients:
                  ORACLE_CONFIGS[1], structured, ORACLE_CONFIGS[0]]
         specs = [spec_for(config, n, 2) for config in block]
         angles = np.stack([draw_params(3, n, 2, k) for k in range(len(block))])
-        losses, grads = gradients._adjoint_gradients([block], specs, angles)
+        losses, grads = gradients._adjoint_plan([block], specs)(angles)
         assert losses.shape == (1, len(block))
         assert grads.shape == (1, len(block), specs[0].param_count)
         for k, (config, spec) in enumerate(zip(block, specs)):
-            loss, grad = gradients._adjoint_gradients([[config]], [spec], angles[k:k + 1])
+            loss, grad = gradients._adjoint_plan([[config]], [spec])(angles[k:k + 1])
             assert losses[0, k].tobytes() == loss[0, 0].tobytes()
             assert grads[0, k].tobytes() == grad[0, 0].tobytes()
 
@@ -397,8 +402,8 @@ class TestAdjointGradients:
         assert np.take(np.take(block, forward), undo).tobytes() == block.tobytes()
 
     def test_each_topology_walks_once_per_call(self, monkeypatch):
-        # Forward and undo permutations: one walk of each distinct topology's
-        # sub-layer each, however many layers and rows.
+        # One forward walk of each distinct topology's sub-layer, however many
+        # layers and rows; the undo permutations are scattered, not walked.
         calls = []
         real = gradients.sv._apply_cnot_inplace
         monkeypatch.setattr(gradients.sv, "_apply_cnot_inplace",
@@ -406,23 +411,25 @@ class TestAdjointGradients:
         configs = all_configs() * 2
         specs = [spec_for(config, 4, 3) for config in configs]
         angles = np.stack([draw_params(0, 4, 3, 0)] * len(configs))
-        gradients._adjoint_gradients([configs], specs, angles)
+        gradients._adjoint_plan([configs], specs)(angles)
         chain, full = (entangler_pairs(CircuitSpec(4, 1, t)) for t in (NN, ATA))
-        assert sorted(calls) == sorted(2 * (chain + full))
+        assert sorted(calls) == sorted(chain + full)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_undo_permutation_inverts_the_sub_layer(self, n):
-        # The backward sweep undoes a sub-layer by the CNOT kernels walked in reverse.
+        # Each CNOT is its own inverse, so the reverse walk undoes a sub-layer;
+        # the engine's scattered undo indices hold its bytes.
         for topology in Topology:
-            pairs = entangler_pairs(CircuitSpec(n, 1, topology))
+            spec = CircuitSpec(n, 1, topology)
+            pairs = entangler_pairs(spec)
             undo = entangler_permutation(n, reversed(pairs))
             np.testing.assert_array_equal(entangler_permutation(n, pairs)[undo], np.arange(2**n))
+            assert gradients._row_gathers([spec])[1][0].tobytes() == undo.tobytes()
 
     def test_short_block_rejected(self):
         spec = CircuitSpec(4, 1, ATA)
-        draws = np.stack([draw_params(0, 4, 1, k) for k in range(3)])
         with pytest.raises(ValueError):
-            gradients._adjoint_gradients([all_configs()[:2]], [spec] * 3, draws)
+            gradients._adjoint_plan([all_configs()[:2]], [spec] * 3)
 
     @pytest.mark.parametrize("topologies", [(ATA, ATA), (NN, ATA)])
     def test_column_of_two_topologies_rejected_before_any_circuit(self, topologies,
@@ -432,22 +439,20 @@ class TestAdjointGradients:
         global_cost, local_cost, _, structured = all_configs()
         specs = [CircuitSpec(4, 1, t) for t in topologies]
         with pytest.raises(ValueError, match="requires topology"):
-            gradients._adjoint_gradients([[global_cost, local_cost], [structured, local_cost]],
-                                         specs, np.zeros((2, 8)))
+            gradients._adjoint_plan([[global_cost, local_cost], [structured, local_cost]],
+                                    specs)
         assert calls == []
 
     @pytest.mark.parametrize("other", [CircuitSpec(4, 2, ATA), CircuitSpec(5, 1, ATA)])
     def test_specs_of_another_shape_rejected(self, other):
         config = LossConfig(LossKind.GLOBAL_COST)
         with pytest.raises(ValueError):
-            gradients._adjoint_gradients([[config] * 2], [CircuitSpec(4, 1, ATA), other],
-                                         np.zeros((2, 8)))
+            gradients._adjoint_plan([[config] * 2], [CircuitSpec(4, 1, ATA), other])
 
     def test_one_spec_per_row_required(self):
         config = LossConfig(LossKind.GLOBAL_COST)
         with pytest.raises(ValueError):
-            gradients._adjoint_gradients([[config] * 2], [CircuitSpec(4, 1, ATA)],
-                                         np.zeros((2, 8)))
+            gradients._adjoint_plan([[config] * 2], [CircuitSpec(4, 1, ATA)])
 
     def test_mismatched_topology_rejected(self):
         spec = CircuitSpec(4, 1, Topology.NEAREST_NEIGHBOR)
@@ -473,7 +478,7 @@ class TestAdjointPlan:
         for x, y, z in zip(first, again, kept):
             assert x.tobytes() == y.tobytes() == z.tobytes()  # later runs leave it as it was
             assert x is not y
-        fresh = gradients._adjoint_gradients([all_configs()], specs, b)
+        fresh = gradients._adjoint_plan([all_configs()], specs)(b)
         for x, y in zip(other, fresh):
             assert x.tobytes() == y.tobytes()
 

@@ -20,13 +20,12 @@ from plateaulab.losses import (
     default_target,
     loss_from_outputs,
     observables,
-    output_vector,
     outputs,
     pde_loss,
     pde_residual,
     total_loss,
 )
-from plateaulab.statevector import apply_ry, init_zero
+from plateaulab.statevector import apply_ry, init_zero, probabilities, z_signs
 
 ALL_PDES = [Heat(), Burgers(), SaintVenant()]
 
@@ -45,18 +44,19 @@ def stencil_d2_oracle(f, dx):
 
 class TestOutputVector:
     def test_zero_state_all_ones(self):
-        np.testing.assert_allclose(output_vector(init_zero(3)), [1, 1, 1])
+        np.testing.assert_allclose(outputs(z_signs(3), probabilities(init_zero(3))), [1, 1, 1])
 
     def test_flipped_qubit(self):
         state = apply_ry(init_zero(3), 0, np.pi)
-        np.testing.assert_allclose(output_vector(state), [-1, 1, 1], atol=1e-12)
+        np.testing.assert_allclose(outputs(z_signs(3), probabilities(state)), [-1, 1, 1],
+                                   atol=1e-12)
 
     def test_bounded_for_random_circuits(self):
         rng = np.random.default_rng(20)
         spec = CircuitSpec(4, 2, Topology.ALL_TO_ALL)
         for _ in range(20):
             state = run_circuit(spec, rng.uniform(0, 2 * np.pi, spec.param_count))
-            f = output_vector(state)
+            f = outputs(z_signs(4), probabilities(state))
             assert np.all(np.abs(f) <= 1 + 1e-12)
 
 

@@ -12,18 +12,23 @@ from hypothesis import strategies as st
 from plateaulab.ansatz import CircuitSpec, Topology, run_circuit
 from plateaulab.experiments import DEFAULT_PDES
 from plateaulab.gradients import (
-    _adjoint_gradients,
+    _adjoint_plan,
     finite_difference_gradient,
     loss_gradient,
 )
 from plateaulab.losses import (
     Discretization,
     all_configs,
-    output_vector,
     pde_residual,
     total_loss,
 )
-from plateaulab.statevector import reduced_density_matrix, von_neumann_entropy
+from plateaulab.statevector import (
+    outputs,
+    probabilities,
+    reduced_density_matrix,
+    von_neumann_entropy,
+    z_signs,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -80,7 +85,7 @@ def test_adjoint_gradient_matches_finite_differences(config, data):
     disc = Discretization(spec.n_qubits)
     fd = finite_difference_gradient(
         lambda q: total_loss(config, spec, q, disc), angles, 1e-5)
-    got = _adjoint_gradients([[config]], [spec], angles[None])[1][0, 0]
+    got = _adjoint_plan([[config]], [spec])(angles[None])[1][0, 0]
     np.testing.assert_allclose(got, fd, atol=1e-6)
 
 
@@ -88,8 +93,8 @@ def test_adjoint_gradient_matches_finite_differences(config, data):
 @given(circuits(), st.integers(0, 5))
 def test_residuals_move_only_within_one_point(circuit, m):
     """Bumping f_m only moves residuals at m-1, m and m+1 (periodic)."""
-    f = output_vector(run_circuit(*circuit))
-    n = f.size
+    n = circuit[0].n_qubits
+    f = outputs(z_signs(n), probabilities(run_circuit(*circuit)))
     m %= n
     bumped = f.copy()
     bumped[m] += 1e-3

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from plateaulab import statevector as sv
-from plateaulab.losses import output_vector
 from plateaulab.statevector import (
     apply_cnot,
     apply_ry,
@@ -148,6 +147,14 @@ class TestSingleQubitGates:
         with pytest.raises(ValueError, match="qubit must be an integer, got"):
             entry(qubit)
 
+    @pytest.mark.parametrize("gate", [apply_ry, apply_rz], ids=["ry", "rz"])
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, True, np.bool_(False), "0.3", None,
+                                       np.array(0.3)])
+    def test_non_real_or_non_finite_angle_rejected(self, gate, angle):
+        # Unchecked, NaN would give an all-NaN state, True 1 rad and "0.3" a TypeError.
+        with pytest.raises(ValueError, match="^angle must be a finite real number, got"):
+            gate(init_zero(2), 0, angle)
+
     def test_inputs_not_mutated(self):
         state = init_zero(2)
         before = state.copy()
@@ -223,7 +230,8 @@ class TestExpectations:
                 assert type(single) is float
                 assert values[idx].tobytes() == np.float64(single).tobytes()
         per_qubit = np.stack([expect_z(amps, q) for q in range(n)], axis=-1)
-        np.testing.assert_allclose(per_qubit, output_vector(amps), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(per_qubit, sv.outputs(z_signs(n), probabilities(amps)),
+                                   rtol=0, atol=1e-15)
 
 
 class TestReducedDensityMatrix:
@@ -520,7 +528,6 @@ ARRAY_ENTRY_POINTS = {
     "expect_z": lambda amps: expect_z(amps, 0),
     "expect_z_string": lambda amps: expect_z_string(amps, {0, 1}),
     "reduced_density_matrix": lambda amps: reduced_density_matrix(amps, {0}),
-    "output_vector": output_vector,
 }
 
 

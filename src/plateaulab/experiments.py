@@ -28,6 +28,7 @@ from .losses import (
     LossConfig,
     LossKind,
     SaintVenant,
+    _check_configs,
     all_configs,
 )
 from .statevector import _check_count, _check_real, reduced_density_matrix, von_neumann_entropy
@@ -218,18 +219,18 @@ def train(
     A trace has the same bits as training its config alone. A non-finite
     step or gradient raises ArithmeticError naming the first failing epoch;
     within it, steps are checked before gradients, each in config order.
-    ``epochs`` must be an integer >= 1 and ``learning_rate`` a finite real
-    number.
+    ``configs`` must be nonempty LossConfigs, ``epochs`` an integer >= 1
+    and ``learning_rate`` a finite real number.
     """
     if not configs:
         raise ValueError("need at least one config")
+    _check_configs(configs)
     _check_count("epochs", epochs, 1)
     _check_real("learning_rate", learning_rate)
-    specs = [CircuitSpec(n, layers, c.required_topology()) for c in configs]
     params = np.tile(draw_params(seed, n, layers, 0), (len(configs), 1))
     values = np.empty((epochs + 1, len(configs)))
     norms = np.empty_like(values)
-    run = gradients._adjoint_plan([configs], specs)
+    run = gradients._adjoint_plan([configs], n, layers)
     for epoch in range(epochs + 1):
         if epoch:
             params -= learning_rate * grads

@@ -7,18 +7,18 @@ exact engines compute it.
 Variance cells (``gradient_variance``) and training (``experiments.train``)
 use the adjoint method. At a fixed point the gradient of L equals that of <O>
 with the diagonal observable O = sum_k dL/df_k Z_k. The engine's forward sweep
-gives B states phi, one per angle row, each on its own CircuitSpec. Its lambda
-rows form a (G, B) grid, row (g, b) with its own config: lambda = O phi_b, O
-from that config's dL/df at phi_b. A variance cell's grid has one block of
-draws per config, all on one topology; training's has one block whose row k
-is config k on its config's topology, so one run serves every config of an
-epoch. Topologies share every rotation and differ only in the entangling
-sub-layer's basis permutation, so each row carries its own permutation,
-walked by the CNOT kernels once per plan for each distinct topology, and
-its inverse as the undo permutation. A plan (``_adjoint_plan``), the
-engine's one entry, holds all that does not depend on the angles; a
-variance cell builds one per block and runs it once, training builds one
-and runs it every epoch. One backward sweep undoes every gate on phi and
+gives B states phi, one per angle row. Its lambda rows form a (G, B) grid,
+row (g, b) with its own config: lambda = O phi_b, O from that config's dL/df
+at phi_b. Row b runs the ansatz of the topology every config of grid column
+b requires. A variance cell's grid has one block of draws per config, all of
+one topology; training's has one block whose row k is config k, so one run
+serves every config of an epoch. Topologies share every rotation and
+differ only in the entangling sub-layer's basis permutation, so each row
+carries its own permutation, walked by the CNOT kernels once per plan for
+each distinct topology, and its inverse as the undo permutation. A plan
+(``_adjoint_plan``), the engine's one entry, holds all that does not depend
+on the angles; a variance cell builds one per block and runs it once,
+training builds one and runs it every epoch. One backward sweep undoes every gate on phi and
 lambda, reading dL/dtheta = Im<lambda|P|phi> at each rotation with
 generator P (Y_q or Z_q). It undoes a rotation as the gate at -theta, and
 each CNOT sub-layer as one gather by every row's undo permutation. Every
@@ -36,9 +36,9 @@ All randomness flows through ``draw_params``: sample i of a run is drawn from
 a generator seeded by (seed, n_qubits, layers, i), so draws are independent
 of evaluation order and shared across loss configurations of the same shape,
 making cross-configuration comparisons paired. In a variance cell the
-configs of one topology (``_groups``) share each block's sweeps, and
-``_blocks``, the one block rule of variance and entropy cells, gives each
-block at most p live rows.
+configs of one topology share each block's sweeps, and ``_blocks``, the one
+block rule of variance and entropy cells, gives each block at most p live
+rows.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .ansatz import (
 from .losses import (
     Discretization,
     LossConfig,
+    _check_configs,
     check_pairing,
     d_loss_d_outputs,
     loss_from_outputs,
@@ -143,20 +144,21 @@ _MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
 
 
 def _adjoint_plan(
-    grid: Sequence[Sequence[LossConfig]], specs: Sequence[CircuitSpec],
+    grid: Sequence[Sequence[LossConfig]], n_qubits: int, layers: int,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The adjoint engine of a (G, B) grid of configs, as a run(angles) that
     returns losses (G, B) and gradients (G, B, p) at (B, p) angles.
 
-    Row b runs the circuit ``specs[b]``, and config (g, b) of ``grid`` is read
-    at that phi row: a variance cell passes one block per config over a
-    ``_blocks`` block of draws, training one block whose row k is config k.
-    The plan holds all that does not depend on the angles, so training
-    builds it once and runs it every epoch. Building it checks that the
-    specs share n and the layer count and that every config suits its row's
-    spec; it builds the grid ``Discretization(n)``, each config's columns
-    and observables, the rows' flat sub-layer gathers (``_row_gathers``),
-    the reversed gate schedule and the sweep buffers.
+    Config (g, b) of ``grid`` is read at phi row b, and row b runs the ansatz
+    of the topology that every config of grid column b requires: a variance
+    cell passes one block per config over a ``_blocks`` block of draws,
+    training one block whose row k is config k. The plan holds all that does
+    not depend on the angles, so training builds it once and runs it every
+    epoch. Building it raises ValueError if the blocks differ in length or a
+    column mixes topologies; it builds each row's CircuitSpec, the grid
+    ``Discretization(n)``, each config's columns and observables, the rows'
+    flat sub-layer gathers (``_row_gathers``), the reversed gate schedule
+    and the sweep buffers.
 
     A run checks the angles' shape before any kernel runs and returns fresh
     arrays. The forward sweep ``run_circuit_batch`` gives phi; their outputs
@@ -166,14 +168,15 @@ def _adjoint_plan(
     Im<lambda|P|phi> is read, then the gate at -theta undoes it on every row;
     one gather undoes each CNOT sub-layer with every row's own undo permutation.
     """
-    spec, n_blocks, n_draws = specs[0], len(grid), len(specs)
-    n = spec.n_qubits
-    if any(s.layers != spec.layers for s in specs):
-        raise ValueError(f"every spec needs {spec.layers} layers")
+    specs = []
+    for b, column in enumerate(zip(*grid, strict=True)):
+        topologies = dict.fromkeys(config.required_topology() for config in column)
+        if len(topologies) > 1:
+            raise ValueError(f"grid column {b} mixes topologies "
+                             f"{', '.join(t.value for t in topologies)}")
+        specs.append(CircuitSpec(n_qubits, layers, *topologies))
+    spec, n_blocks, n_draws, n = specs[0], len(grid), len(specs), n_qubits
     disc = Discretization(n)
-    for block in grid:
-        for config, row_spec in dict.fromkeys(zip(block, specs, strict=True)):
-            check_pairing(config, row_spec, disc)  # also rejects another n
     terms = [(g, config, np.array([b for b, c in enumerate(block) if c == config]),
               observables(config, n))
              for g, block in enumerate(grid) for config in dict.fromkeys(block)]
@@ -234,14 +237,6 @@ def _adjoint_plan(
     return run
 
 
-def _groups(configs: Sequence[LossConfig], n_qubits: int, layers: int) -> list[tuple]:
-    """(spec, member indices) of each topology of ``configs``, in order of first use."""
-    members: dict = {}
-    for i, config in enumerate(configs):
-        members.setdefault(config.required_topology(), []).append(i)
-    return [(CircuitSpec(n_qubits, layers, t), m) for t, m in members.items()]
-
-
 def _blocks(draws: np.ndarray, live_rows: int) -> list[np.ndarray]:
     """A cell's (K, p) draws in blocks of at most p live rows, ``live_rows`` per draw."""
     size = max(1, draws.shape[1] // live_rows)
@@ -254,20 +249,24 @@ def gradient_variance(
     """Per-parameter gradient variances (p,) at random initializations.
 
     One array per config, in order. Each of the ``n_samples`` draws is shared
-    by every config; per topology the draws run in blocks, each one adjoint
-    forward and backward sweep for all of that topology's configs. Variances
-    use the unbiased K-1 divisor, so ``n_samples`` must be an integer >=
-    MIN_VARIANCE_SAMPLES.
+    by every config; the configs are grouped by required topology, and per
+    group the draws run in blocks, each one adjoint forward and backward
+    sweep for all of that group's configs. Variances use the unbiased K-1
+    divisor, so ``n_samples`` must be an integer >= MIN_VARIANCE_SAMPLES,
+    and every config must be a LossConfig.
     """
     sv._check_count("n_samples", n_samples, MIN_VARIANCE_SAMPLES)
-    groups = _groups(configs, n_qubits, layers)
+    _check_configs(configs)
+    groups: dict = {}  # topology -> member indices, in order of first use
+    for i, config in enumerate(configs):
+        groups.setdefault(config.required_topology(), []).append(i)
     draws = np.stack([draw_params(seed, n_qubits, layers, k) for k in range(n_samples)])
     grads: list = [None] * len(configs)
-    for spec, members in groups:
+    for members in groups.values():
         # Each draw takes C + 1 live rows: phi and one lambda row per config.
         stacks = np.concatenate([
             _adjoint_plan([[configs[i]] * len(angles) for i in members],
-                          [spec] * len(angles))(angles)[1]
+                          n_qubits, layers)(angles)[1]
             for angles in _blocks(draws, len(members) + 1)
         ], axis=1)
         for i, stack in zip(members, stacks):

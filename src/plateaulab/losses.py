@@ -200,6 +200,13 @@ def default_target(n: int) -> np.ndarray:
     return target
 
 
+def _check_configs(configs) -> None:
+    """Reject a config list with an entry that is not a LossConfig."""
+    for i, config in enumerate(configs):
+        if not isinstance(config, LossConfig):
+            raise ValueError(f"configs[{i}] must be a LossConfig, got {config!r}")
+
+
 def all_configs(physics_weight: float = DEFAULT_PHYSICS_WEIGHT) -> list[LossConfig]:
     """The four standard configurations, physics term = gradient penalty."""
     return [

@@ -190,13 +190,14 @@ def expect_z_string(amps, qubits) -> float | np.ndarray:
 
     A single state gives a float.
     """
-    qubits = sorted(set(qubits))
+    qubits = list(qubits)
     if not qubits:
         raise ValueError("qubits must be a nonempty set")
     amps = np.asarray(amps)
     n = qubit_count(amps)
     for q in qubits:
         _check_qubit(n, q)
+    qubits = sorted(set(qubits))
     signs = np.prod(z_signs(n)[qubits], axis=0, keepdims=True)
     values = outputs(signs, probabilities(amps))[..., 0]
     return float(values) if amps.ndim == 1 else values
@@ -212,11 +213,12 @@ def reduced_density_matrix(amps, keep) -> np.ndarray:
     """
     amps = np.asarray(amps)
     n = qubit_count(amps)
+    keep = list(keep)
+    for q in keep:
+        _check_qubit(n, q)
     keep = sorted(set(keep))
     if not keep or len(keep) >= n:
         raise ValueError("keep must be a proper nonempty subset of the qubits")
-    for q in keep:
-        _check_qubit(n, q)
     rest = [q for q in range(n) if q not in keep]
     lead = amps.shape[:-1]
     # Past the leading axes, axis j is qubit n-1-j; order kept axes so the
@@ -233,6 +235,9 @@ def von_neumann_entropy(rho) -> float | np.ndarray:
     A single matrix gives a float; a pure state gives +0.0.
     """
     rho = np.asarray(rho)
+    if rho.ndim < 2 or not rho.shape[-1] == rho.shape[-2] >= 1:
+        raise ValueError(f"expected density matrices of shape (..., d, d) with d >= 1, "
+                         f"got {rho.shape}")
     if not np.allclose(rho, np.swapaxes(rho.conj(), -1, -2), atol=1e-10):
         raise ArithmeticError("density matrix is not Hermitian within tolerance")
     eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)

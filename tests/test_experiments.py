@@ -4,10 +4,12 @@ Sweeps here run with small sample counts to stay fast; the quantitative
 trend assertions at protocol sample sizes live in test_acceptance.py.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from plateaulab import gradients
+from plateaulab import experiments, gradients
 from plateaulab.ansatz import CircuitSpec, Topology, run_circuit
 from plateaulab.gradients import draw_params, loss_gradient
 from plateaulab.losses import (
@@ -176,7 +178,7 @@ class TestTrain:
                     grad = loss_gradient(cfg, spec, params, disc)
                     assert norm == pytest.approx(float(np.linalg.norm(grad)), abs=1e-12)
                     assert loss == total_loss(cfg, spec, params, disc)
-                    _, adjoint = gradients._adjoint_plan([[cfg]], [spec])(params[None])
+                    _, adjoint = gradients._adjoint_plan([[cfg]], n, layers)(params[None])
                     params = params - lr * adjoint[0, 0]
 
     def test_lockstep_traces_equal_training_alone(self):
@@ -232,6 +234,18 @@ class TestTrain:
         calls = _count_forward_batches(monkeypatch)
         with pytest.raises(ValueError, match="^learning_rate must be a finite real number"):
             train(all_configs(), learning_rate=lr)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", ["x", None, LossKind.GLOBAL_COST])
+    def test_entry_other_than_a_loss_config_rejected_before_any_draw(self, bad,
+                                                                     monkeypatch):
+        # Unchecked, reading its topology would raise AttributeError.
+        calls = _count_forward_batches(monkeypatch)
+        monkeypatch.setattr(experiments, "draw_params", lambda *args: calls.append(args))
+        for configs, index in (([bad], 0), ([LossConfig(LossKind.GLOBAL_COST), bad], 1)):
+            message = f"configs[{index}] must be a LossConfig, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                train(configs, 4, 1, 1)
         assert calls == []
 
     def test_no_configs_rejected_before_any_circuit(self, monkeypatch):

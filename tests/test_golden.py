@@ -7,6 +7,9 @@ alter output regenerates the copies by running the same argv with
 The ``*_max.csv`` copies are not cases here: the CI step "Largest register,
 several draw blocks" writes them at n = 11-12 and compares them with ``cmp``,
 as it does ``converge_n12_l2.csv``, which is also a case here.
+``all_seed0/`` holds the eight tables of ``--all --seed 0``, every experiment
+at its default settings; CI also writes them with the installed script and
+compares the directory with ``diff -r``.
 """
 
 from __future__ import annotations
@@ -93,3 +96,22 @@ def test_output_bytes_match_golden(name, argv, companions, tmp_path):
     for file_name in written:
         got = (tmp_path / file_name).read_bytes()
         assert got == (GOLDEN / file_name).read_bytes(), file_name
+
+
+# The tables of ``--all``: K = 25 variance draws in several blocks per cell,
+# K = 20 entropy draws and 50 training epochs.
+ALL_TABLES = [
+    "converge.csv", "entanglement.csv", "per_param.csv", "sweep_depth.csv",
+    "sweep_pde.csv", "sweep_qubits.csv", "sweep_qubits_fits.csv",
+    "sweep_qubits_reference.csv",
+]
+
+
+def test_all_default_settings_match_golden(tmp_path):
+    out = tmp_path / "all"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--all", "--seed", "0", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ALL_TABLES
+    for file_name in ALL_TABLES:
+        got = (out / file_name).read_bytes()
+        assert got == (GOLDEN / "all_seed0" / file_name).read_bytes(), file_name

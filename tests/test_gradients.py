@@ -1,6 +1,7 @@
 """Parameter-shift, adjoint, chain-rule and variance-protocol checks."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -46,10 +47,9 @@ def config_blocks(configs, angles):
     return [[config] * len(angles) for config in configs]
 
 
-def run_adjoint(configs, spec, angles):
-    """The adjoint engine's gradients, shape (C, B, p), every row on ``spec``."""
-    return gradients._adjoint_plan(
-        config_blocks(configs, angles), [spec] * len(angles))(angles)[1]
+def run_adjoint(configs, n, layers, angles):
+    """The adjoint engine's gradients, shape (C, B, p), one block per config."""
+    return gradients._adjoint_plan(config_blocks(configs, angles), n, layers)(angles)[1]
 
 
 class TestJacobian:
@@ -248,6 +248,19 @@ class TestGradientVariance:
         with pytest.raises(ValueError):
             gradient_variance([cfg], 4, 1, 2.5, 0)
 
+    @pytest.mark.parametrize("bad", ["x", None, LossKind.GLOBAL_COST])
+    def test_entry_other_than_a_loss_config_rejected_before_any_draw(self, bad,
+                                                                     monkeypatch):
+        # Unchecked, grouping by topology would raise AttributeError.
+        calls = []
+        monkeypatch.setattr(gradients, "draw_params", lambda *args: calls.append(args))
+        monkeypatch.setattr(gradients, "run_circuit_batch", lambda *args: calls.append(args))
+        for configs, index in (([bad], 0), ([LossConfig(LossKind.GLOBAL_COST), bad], 1)):
+            message = f"configs[{index}] must be a LossConfig, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                gradient_variance(configs, 4, 1, 2, 0)
+        assert calls == []
+
     def test_one_forward_batch_per_topology_and_block(self, monkeypatch):
         original = gradients.run_circuit_batch
         batches = []
@@ -285,7 +298,7 @@ class TestGradientVariance:
         draws = np.stack([draw_params(0, 4, 2, k) for k in range(3)])
         for config, variance in zip(configs, variances):
             spec = spec_for(config, 4, 2)
-            adjoint = run_adjoint([config], spec, draws)[0]
+            adjoint = run_adjoint([config], 4, 2, draws)[0]
             expected = adjoint.var(axis=0, ddof=1)
             np.testing.assert_array_equal(variance, expected)
             assert float(np.mean(variance)) == float(np.mean(expected))
@@ -299,12 +312,12 @@ class TestGradientVariance:
         original = gradients._adjoint_plan
         stacks = []
 
-        def recording(grid, specs):
-            run = original(grid, specs)
+        def recording(grid, n_qubits, layers):
+            run = original(grid, n_qubits, layers)
 
             def recorded(angles):
                 losses, grads = run(angles)
-                stacks.append((specs[0].topology, grads))
+                stacks.append((grid[0][0].required_topology(), grads))
                 return losses, grads
 
             return recorded
@@ -339,7 +352,7 @@ class TestAdjointGradients:
         for topology in Topology:
             configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
             spec = CircuitSpec(n, layers, topology)
-            stacks = run_adjoint(configs, spec, draws)
+            stacks = run_adjoint(configs, n, layers, draws)
             assert stacks.shape == (len(configs), 3, spec.param_count)
             for config, stack in zip(configs, stacks):
                 expected = np.stack([loss_gradient(config, spec, d, disc) for d in draws])
@@ -348,13 +361,12 @@ class TestAdjointGradients:
     @pytest.mark.parametrize("n", [4, 6, 9, 12])
     def test_draw_bits_do_not_depend_on_the_block(self, n):
         configs = all_configs()[:3]  # the all-to-all configs
-        spec = CircuitSpec(n, 2, ATA)
         draws = np.stack([draw_params(2, n, 2, k) for k in range(4)])
-        together = run_adjoint(configs, spec, draws)
+        together = run_adjoint(configs, n, 2, draws)
         for k in range(4):
-            alone = run_adjoint(configs, spec, draws[k:k + 1])
+            alone = run_adjoint(configs, n, 2, draws[k:k + 1])
             np.testing.assert_array_equal(alone[:, 0], together[:, k])
-            one_config = run_adjoint(configs[1:2], spec, draws[k:k + 1])
+            one_config = run_adjoint(configs[1:2], n, 2, draws[k:k + 1])
             np.testing.assert_array_equal(one_config[0, 0], together[1, k])
 
     @pytest.mark.parametrize("n", [2, 4, 7])
@@ -364,8 +376,7 @@ class TestAdjointGradients:
         for topology in Topology:
             configs = [c for c in ORACLE_CONFIGS if c.required_topology() is topology]
             spec = CircuitSpec(n, 2, topology)
-            losses, _ = gradients._adjoint_plan(
-                config_blocks(configs, draws), [spec] * 3)(draws)
+            losses, _ = gradients._adjoint_plan(config_blocks(configs, draws), n, 2)(draws)
             assert losses.shape == (len(configs), 3)
             for c, config in enumerate(configs):
                 for b, angles in enumerate(draws):
@@ -379,13 +390,12 @@ class TestAdjointGradients:
         structured = LossConfig(LossKind.PDE_STRUCTURED)
         block = [structured, *ORACLE_CONFIGS[:3], structured, *ORACLE_CONFIGS[4:],
                  ORACLE_CONFIGS[1], structured, ORACLE_CONFIGS[0]]
-        specs = [spec_for(config, n, 2) for config in block]
         angles = np.stack([draw_params(3, n, 2, k) for k in range(len(block))])
-        losses, grads = gradients._adjoint_plan([block], specs)(angles)
+        losses, grads = gradients._adjoint_plan([block], n, 2)(angles)
         assert losses.shape == (1, len(block))
-        assert grads.shape == (1, len(block), specs[0].param_count)
-        for k, (config, spec) in enumerate(zip(block, specs)):
-            loss, grad = gradients._adjoint_plan([[config]], [spec])(angles[k:k + 1])
+        assert grads.shape == (1, len(block), 4 * n)
+        for k, config in enumerate(block):
+            loss, grad = gradients._adjoint_plan([[config]], n, 2)(angles[k:k + 1])
             assert losses[0, k].tobytes() == loss[0, 0].tobytes()
             assert grads[0, k].tobytes() == grad[0, 0].tobytes()
 
@@ -409,9 +419,8 @@ class TestAdjointGradients:
         monkeypatch.setattr(gradients.sv, "_apply_cnot_inplace",
                             lambda *args: calls.append(args[1:]) or real(*args))
         configs = all_configs() * 2
-        specs = [spec_for(config, 4, 3) for config in configs]
         angles = np.stack([draw_params(0, 4, 3, 0)] * len(configs))
-        gradients._adjoint_plan([configs], specs)(angles)
+        gradients._adjoint_plan([configs], 4, 3)(angles)
         chain, full = (entangler_pairs(CircuitSpec(4, 1, t)) for t in (NN, ATA))
         assert sorted(calls) == sorted(chain + full)
 
@@ -426,50 +435,33 @@ class TestAdjointGradients:
             np.testing.assert_array_equal(entangler_permutation(n, pairs)[undo], np.arange(2**n))
             assert gradients._row_gathers([spec])[1][0].tobytes() == undo.tobytes()
 
-    def test_short_block_rejected(self):
-        spec = CircuitSpec(4, 1, ATA)
-        with pytest.raises(ValueError):
-            gradients._adjoint_plan([all_configs()[:2]], [spec] * 3)
+    def test_short_block_rejected(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gradients, "run_circuit_batch", lambda *args: calls.append(args))
+        for lengths in ((3, 2), (2, 3)):
+            with pytest.raises(ValueError):
+                gradients._adjoint_plan([all_configs()[:k] for k in lengths], 4, 1)
+        assert calls == []
 
-    @pytest.mark.parametrize("topologies", [(ATA, ATA), (NN, ATA)])
-    def test_column_of_two_topologies_rejected_before_any_circuit(self, topologies,
-                                                                  monkeypatch):
+    def test_column_of_two_topologies_rejected_before_any_circuit(self, monkeypatch):
         calls = []
         monkeypatch.setattr(gradients, "run_circuit_batch", lambda *args: calls.append(args))
         global_cost, local_cost, _, structured = all_configs()
-        specs = [CircuitSpec(4, 1, t) for t in topologies]
-        with pytest.raises(ValueError, match="requires topology"):
+        with pytest.raises(ValueError, match="grid column 0 mixes topologies "
+                                             "all_to_all, nearest_neighbor"):
             gradients._adjoint_plan([[global_cost, local_cost], [structured, local_cost]],
-                                    specs)
+                                    4, 1)
         assert calls == []
-
-    @pytest.mark.parametrize("other", [CircuitSpec(4, 2, ATA), CircuitSpec(5, 1, ATA)])
-    def test_specs_of_another_shape_rejected(self, other):
-        config = LossConfig(LossKind.GLOBAL_COST)
-        with pytest.raises(ValueError):
-            gradients._adjoint_plan([[config] * 2], [CircuitSpec(4, 1, ATA), other])
-
-    def test_one_spec_per_row_required(self):
-        config = LossConfig(LossKind.GLOBAL_COST)
-        with pytest.raises(ValueError):
-            gradients._adjoint_plan([[config] * 2], [CircuitSpec(4, 1, ATA)])
-
-    def test_mismatched_topology_rejected(self):
-        spec = CircuitSpec(4, 1, Topology.NEAREST_NEIGHBOR)
-        with pytest.raises(ValueError):
-            run_adjoint([LossConfig(LossKind.GLOBAL_COST)], spec, draw_params(0, 4, 1, 0)[None])
 
 
 class TestAdjointPlan:
     @staticmethod
     def mixed_plan(n=4, layers=2):
-        configs = all_configs()
-        specs = [spec_for(config, n, layers) for config in configs]
-        return gradients._adjoint_plan([configs], specs), specs
+        return gradients._adjoint_plan([all_configs()], n, layers)
 
     def test_runs_do_not_depend_on_earlier_runs(self):
-        run, specs = self.mixed_plan()
-        a, b = (np.stack([draw_params(seed, 4, 2, k) for k in range(len(specs))])
+        run = self.mixed_plan()
+        a, b = (np.stack([draw_params(seed, 4, 2, k) for k in range(len(all_configs()))])
                 for seed in (1, 2))
         first = run(a)
         kept = [array.copy() for array in first]
@@ -478,13 +470,13 @@ class TestAdjointPlan:
         for x, y, z in zip(first, again, kept):
             assert x.tobytes() == y.tobytes() == z.tobytes()  # later runs leave it as it was
             assert x is not y
-        fresh = gradients._adjoint_plan([all_configs()], specs)(b)
+        fresh = gradients._adjoint_plan([all_configs()], 4, 2)(b)
         for x, y in zip(other, fresh):
             assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 16), (4, 8), (4, 16, 1), (16,)])
     def test_angles_of_another_shape_rejected_before_any_kernel(self, shape, monkeypatch):
-        run, _ = self.mixed_plan()
+        run = self.mixed_plan()
         calls = []
         for kernel in ("_gate_coefficients", "_apply_ry_inplace", "_apply_rz_inplace"):
             monkeypatch.setattr(gradients.sv, kernel, lambda *args: calls.append(args))
@@ -502,7 +494,7 @@ class TestAdjointPlan:
         assert len(calls) == 1
 
     def test_plan_is_freed_without_the_cycle_collector(self):
-        run, _ = self.mixed_plan()
+        run = self.mixed_plan()
         ref = weakref.ref(run)
         train(all_configs(), n=4, layers=2, epochs=1)  # first calls may import lazily
         gc.collect()

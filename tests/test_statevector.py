@@ -1,5 +1,6 @@
 """Core simulator checks against textbook identities and brute-force oracles."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -141,8 +142,13 @@ class TestSingleQubitGates:
         lambda q: apply_cnot(init_zero(3), q, 0),
         lambda q: expect_z_string(init_zero(3), [q]),
         lambda q: reduced_density_matrix(init_zero(3), [q]),
-    ], ids=["ry", "rz", "cnot", "expect_z_string", "reduced_density_matrix"])
-    @pytest.mark.parametrize("qubit", [1.5, 0.5, 1.0, True, np.float64(1.0), "1"])
+        # Each entry is checked before the set is sorted, which would raise
+        # TypeError for "1" or None beside an integer.
+        lambda q: expect_z_string(init_zero(3), [0, q]),
+        lambda q: reduced_density_matrix(init_zero(3), [0, q]),
+    ], ids=["ry", "rz", "cnot", "expect_z_string", "reduced_density_matrix",
+            "expect_z_string_pair", "reduced_density_matrix_pair"])
+    @pytest.mark.parametrize("qubit", [1.5, 0.5, 1.0, True, np.float64(1.0), "1", None])
     def test_non_integer_qubit_rejected(self, entry, qubit):
         with pytest.raises(ValueError, match="qubit must be an integer, got"):
             entry(qubit)
@@ -292,6 +298,15 @@ class TestEntropy:
         bad = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ArithmeticError):
             von_neumann_entropy(bad)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 2), (2, 2, 3), (5, 1, 2), (0, 0),
+                                       (3, 0, 0)], ids=str)
+    def test_non_square_stack_rejected(self, shape):
+        # Unchecked, a 1-D array would raise AxisError, (3, 2) a broadcast error
+        # and (0, 0) a reshape error.
+        message = f"expected density matrices of shape (..., d, d) with d >= 1, got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            von_neumann_entropy(np.zeros(shape))
 
     def test_schmidt_symmetry(self):
         """S(A) = S(complement of A) for pure states."""

@@ -5,9 +5,9 @@ layer l, angles[2nl : 2nl+n] are the RY angles of qubits 0..n-1 and
 angles[2nl+n : 2nl+2n] the RZ angles. Each layer applies its rotations
 (RY then RZ per qubit) followed by the fixed CNOT entangler, whose sub-layer
 only permutes basis indices: one gather by ``entangler_permutation``, or by
-``_row_gathers`` when rows of both topologies share one batch. The adjoint
-engine undoes a sub-layer with the inverse of that gather, set by one
-scatter.
+``_row_gathers`` when rows of both topologies share one batch or one walk
+serves many batches. The adjoint engine undoes a sub-layer with the inverse
+of that gather, set by one scatter.
 """
 
 from __future__ import annotations
@@ -135,8 +135,10 @@ def run_circuit_batch(
     kernels walk a basis-index vector once per layer, and one C-contiguous
     ``np.take(..., axis=-1)`` gather of the amplitudes applies it. ``gather``,
     the forward indices of ``_row_gathers``, instead gives each row its own
-    spec's sub-layer with one flat ``np.take``, so rows of both topologies
-    share the batch; ``spec`` then sets only n, the layers and the rotations.
+    spec's sub-layer with one flat ``np.take`` and walks no CNOT kernel, so
+    rows of both topologies share the batch, and the entanglement sweep walks
+    each (n, topology) once for all its depths; ``spec`` then sets only n,
+    the layers and the rotations.
     """
     angles_batch = np.asarray(angles_batch, dtype=np.float64)
     if angles_batch.ndim != 2 or angles_batch.shape[1] != spec.param_count:

@@ -12,6 +12,7 @@ written), 2 on I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -64,6 +65,10 @@ class RunConfig:
     out: Optional[str] = None
     format: str = "csv"
 
+    def __post_init__(self) -> None:
+        # Copies: the cached parser gives every run the same default lists.
+        self.qubits, self.layers = list(self.qubits), list(self.layers)
+
     def as_dict(self) -> dict:
         """Every field but ``out``, in field order: the JSON ``config`` block."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
@@ -103,7 +108,10 @@ def _add_shared(parser, seed=argparse.SUPPRESS) -> None:
                         help="output format")
 
 
-def build_parser() -> _Parser:
+@functools.lru_cache(maxsize=1)
+def build_parser(env_seed: Optional[str]) -> _Parser:
+    """The CLI parser whose default seed is ``env_seed``, the string that
+    $PLATEAULAB_SEED holds (None when unset); built once per value."""
     parser = _Parser(
         prog="plateaulab",
         description="Gradient-variance and trainability experiments for "
@@ -114,7 +122,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--all", action="store_true", dest="run_all",
                         help="run every experiment with default settings "
                              "into a timestamped directory")
-    _add_shared(parser, os.environ.get(SEED_ENV_VAR, argparse.SUPPRESS))
+    _add_shared(parser, argparse.SUPPRESS if env_seed is None else env_seed)
     subs = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
     for name, (help_text, qubits, layers, samples) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text,
@@ -162,8 +170,9 @@ def _check_usage(run: RunConfig) -> None:
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Parse and validate CLI arguments into a RunConfig; exits with status 1
-    on misuse or an out-of-range value, before any computation."""
-    parser = build_parser()
+    on misuse or an out-of-range value, before any computation. The seed
+    variable is read on every call."""
+    parser = build_parser(os.environ.get(SEED_ENV_VAR))
     values = vars(parser.parse_args(argv))
     if values.pop("run_all"):
         values.update(experiment="all", qubits=list(xp.QUBIT_GRID),

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gradients
-from .ansatz import CircuitSpec, Topology
+from .ansatz import CircuitSpec, Topology, _row_gathers
 from .gradients import draw_params, gradient_variance
 from .losses import (
     DEFAULT_PHYSICS_WEIGHT,
@@ -178,24 +178,42 @@ def entanglement_sweep(
     floor(n/2)-bit maximum. Both topologies of a cell reuse the same angle
     draws. They run as rows of the blocks of ``gradients._blocks``, the one
     block rule, with one live row per draw; each block takes one
-    partial-trace and one entropy call. ``n_samples`` must be an integer >=
+    partial-trace and one entropy call. The sub-layer permutation does not
+    depend on the depth, so per (n, topology) one ``_row_gathers`` call,
+    sized for the longest first block of any depth, serves every block:
+    row b of its indices is b * 2^n + perm, so its first m rows are the
+    gather of an m-row block. The CNOT kernels walk each (n, topology)'s
+    sub-layer once, and one topology's gather is alive at a time. Rows come
+    n-major, then depth, then topology. ``n_samples`` must be an integer >=
     MIN_ENTROPY_SAMPLES; a cell's CircuitSpecs check its n and layers before
     it draws.
     """
     _check_count("n_samples", n_samples, MIN_ENTROPY_SAMPLES)
     rows = []
     for n in ns:
+        cells = []  # per depth: its specs, one per topology, and its blocks
         for layers in depths:
             specs = [CircuitSpec(n, layers, topology) for topology in Topology]
             draws = np.stack([draw_params(seed, n, layers, k) for k in range(n_samples)])
-            for spec in specs:
+            cells.append((specs, gradients._blocks(draws, 1)))
+        if not cells:
+            continue
+        longest = max(len(blocks[0]) for _, blocks in cells)
+        means = {}  # (depth index, topology index) -> mean entropy
+        for t, spec in enumerate(cells[0][0]):  # any depth's spec: same sub-layer
+            forward = _row_gathers([spec] * longest)[0]
+            for i, (specs, blocks) in enumerate(cells):
                 # gradients.run_circuit_batch is the binding bench/tracer.py counts.
                 entropies = np.concatenate([
                     von_neumann_entropy(reduced_density_matrix(
-                        gradients.run_circuit_batch(spec, angles), range(n // 2)))
-                    for angles in gradients._blocks(draws, 1)])
-                rows.append(EntropyRow(n=n, layers=layers, topology=spec.topology.value,
-                                       mean_entropy_bits=float(np.mean(entropies))))
+                        gradients.run_circuit_batch(specs[t], angles, forward[:len(angles)]),
+                        range(n // 2)))
+                    for angles in blocks])
+                means[i, t] = float(np.mean(entropies))
+            del forward  # at most one topology's gather is alive
+        rows += [EntropyRow(n=n, layers=spec.layers, topology=spec.topology.value,
+                            mean_entropy_bits=means[i, t])
+                 for i, (specs, _) in enumerate(cells) for t, spec in enumerate(specs)]
     return rows
 
 

@@ -17,8 +17,9 @@ differ only in the entangling sub-layer's basis permutation, so each row
 carries its own permutation, walked by the CNOT kernels once per plan for
 each distinct topology, and its inverse as the undo permutation. A plan
 (``_adjoint_plan``), the engine's one entry, holds all that does not depend
-on the angles; a variance cell builds one per block and runs it once,
-training builds one and runs it every epoch. One backward sweep undoes every gate on phi and
+on the angles; a variance cell builds one per topology group and block
+length and runs it on each block of that length, training builds one and
+runs it every epoch. One backward sweep undoes every gate on phi and
 lambda, reading dL/dtheta = Im<lambda|P|phi> at each rotation with
 generator P (Y_q or Z_q). It undoes a rotation as the gate at -theta, and
 each CNOT sub-layer as one gather by every row's undo permutation. Every
@@ -251,7 +252,9 @@ def gradient_variance(
     One array per config, in order. Each of the ``n_samples`` draws is shared
     by every config; the configs are grouped by required topology, and per
     group the draws run in blocks, each one adjoint forward and backward
-    sweep for all of that group's configs. Variances use the unbiased K-1
+    sweep for all of that group's configs. The blocks are equal but for
+    the last, so a group builds one plan per block length, one at a time,
+    and runs it on each block of that length. Variances use the unbiased K-1
     divisor, so ``n_samples`` must be an integer >= MIN_VARIANCE_SAMPLES,
     and every config must be a LossConfig.
     """
@@ -264,11 +267,11 @@ def gradient_variance(
     grads: list = [None] * len(configs)
     for members in groups.values():
         # Each draw takes C + 1 live rows: phi and one lambda row per config.
-        stacks = np.concatenate([
-            _adjoint_plan([[configs[i]] * len(angles) for i in members],
-                          n_qubits, layers)(angles)[1]
-            for angles in _blocks(draws, len(members) + 1)
-        ], axis=1)
-        for i, stack in zip(members, stacks):
+        stacks = []
+        for length, same in groupby(_blocks(draws, len(members) + 1), key=len):
+            run = _adjoint_plan([[configs[i]] * length for i in members], n_qubits, layers)
+            stacks += [run(angles)[1] for angles in same]
+            del run  # so one plan's buffers are alive at a time
+        for i, stack in zip(members, np.concatenate(stacks, axis=1)):
             grads[i] = stack
     return [g.var(axis=0, ddof=1) for g in grads]

@@ -1,6 +1,7 @@
 """CLI parsing, table emission, round-trips, and exit-status contracts."""
 
 import csv
+import gc
 import json
 
 import numpy as np
@@ -231,6 +232,37 @@ class TestMainExitCodes:
         names = {p.name for p in out_dir.iterdir()}
         for experiment in cli.SUBCOMMANDS:
             assert f"{experiment.replace('-', '_')}.csv" in names
+
+
+class TestCachedParser:
+    def test_one_parser_per_environment_value(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "4")
+        cli.build_parser.cache_clear()
+        for k in range(3):
+            assert main(["entanglement", "--qubits", "2", "--layers", "1",
+                         "--samples", "1", "--out", str(tmp_path / f"{k}.csv")]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_changed_environment_takes_effect(self, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
+        assert parse_args(["converge"]).seed == 7
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "8")
+        assert parse_args(["converge"]).seed == 8
+        monkeypatch.delenv(cli.SEED_ENV_VAR)
+        assert parse_args(["converge"]).seed == 0
+
+    def test_mutated_run_lists_do_not_reach_the_next_parse(self):
+        run = parse_args(["entanglement"])
+        run.qubits.append(99)
+        run.layers.append(99)
+        again = parse_args(["entanglement"])
+        assert (again.qubits, again.layers) == ([4, 6, 8], [1, 3, 5])
+
+    def test_warm_parse_leaves_no_cyclic_garbage(self):
+        parse_args(["sweep-qubits", "--qubits", "4", "6"])
+        gc.collect()
+        parse_args(["sweep-qubits", "--qubits", "4", "6"])
+        assert gc.collect() == 0
 
 
 class TestSharedFlagPlacement:

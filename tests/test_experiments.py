@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from plateaulab import experiments, gradients
+from plateaulab import ansatz, experiments, gradients
 from plateaulab.ansatz import CircuitSpec, Topology, run_circuit
 from plateaulab.gradients import draw_params, loss_gradient
 from plateaulab.losses import (
@@ -130,6 +130,29 @@ class TestEntanglementSweep:
                 for k in range(14)
             ]
             assert row.mean_entropy_bits == float(np.mean(entropies))
+
+    @pytest.mark.parametrize("ns, cnot_calls", [((4, 6), 29), ((4, 6, 8, 10, 12), 195)])
+    def test_each_entangler_walked_once_per_qubit_count(self, ns, cnot_calls,
+                                                        monkeypatch):
+        # One walk per (n, topology), whatever the depths: sum of both
+        # topologies' pair counts, (n - 1) + n(n - 1)/2, over ns.
+        counts = {"cnot": 0, "gathers": []}
+        real_cnot = ansatz.sv._apply_cnot_inplace
+        real_gathers = experiments._row_gathers
+
+        def cnot(*args):
+            counts["cnot"] += 1
+            return real_cnot(*args)
+
+        def gathers(specs):
+            counts["gathers"].append((specs[0].n_qubits, specs[0].topology))
+            return real_gathers(specs)
+
+        monkeypatch.setattr(ansatz.sv, "_apply_cnot_inplace", cnot)
+        monkeypatch.setattr(experiments, "_row_gathers", gathers)
+        entanglement_sweep(ns, (1, 3, 5), 5, 0)
+        assert counts["cnot"] == cnot_calls
+        assert counts["gathers"] == [(n, t) for n in ns for t in Topology]
 
     def test_draws_run_in_blocks_of_p(self, monkeypatch):
         calls = _count_forward_batches(monkeypatch)

@@ -291,6 +291,21 @@ class TestGradientVariance:
         assert blocks == [(ATA, 4), (ATA, 4), (ATA, 1),
                           (Topology.NEAREST_NEIGHBOR, 8), (Topology.NEAREST_NEIGHBOR, 1)]
 
+    def test_one_plan_per_topology_and_block_length(self, monkeypatch):
+        # p = 6 at n = 3, L = 1: the three all-to-all configs run 14 blocks of
+        # 6 // 4 = 1 draw, the chain config blocks of 3, 3, 3, 3 and 2.
+        original = gradients._row_gathers
+        plans = []
+
+        def counting(specs):
+            plans.append((specs[0].topology, len(specs)))
+            return original(specs)
+
+        monkeypatch.setattr(gradients, "_row_gathers", counting)
+        gradient_variance(all_configs(), 3, 1, 14, 0)
+        assert plans == [(ATA, 1), (Topology.NEAREST_NEIGHBOR, 3),
+                         (Topology.NEAREST_NEIGHBOR, 2)]
+
     def test_reports_equal_per_config_gradient_stacks(self):
         configs = all_configs()
         variances = gradient_variance(configs, 4, 2, 3, 0)

@@ -3,11 +3,7 @@
 A circuit of L layers on n qubits has 2nL angles, laid out layer-major: within
 layer l, angles[2nl : 2nl+n] are the RY angles of qubits 0..n-1 and
 angles[2nl+n : 2nl+2n] the RZ angles. Each layer applies its rotations
-(RY then RZ per qubit) followed by the fixed CNOT entangler, whose sub-layer
-only permutes basis indices: one gather by ``entangler_permutation``, or by
-``_row_gathers`` when rows of both topologies share one batch or one walk
-serves many batches. The adjoint engine undoes a sub-layer with the inverse
-of that gather, set by one scatter.
+(RY then RZ per qubit) followed by the fixed CNOT entangler of its topology.
 """
 
 from __future__ import annotations
@@ -24,13 +20,18 @@ _NORM_TOL = 1e-10
 
 
 class Topology(enum.Enum):
+    """Entangler of every layer: CNOTs along the chain, or on every qubit pair."""
+
     NEAREST_NEIGHBOR = "nearest_neighbor"
     ALL_TO_ALL = "all_to_all"
 
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Shape of one ansatz: qubit count, layer count, entangling topology."""
+    """Shape of one ansatz: qubit count, layer count, entangling topology.
+
+    ValueError unless ``n_qubits`` is an integer in [MIN_QUBITS, MAX_QUBITS]
+    and ``layers`` one >= 1, so ``param_count`` is an integer."""
 
     n_qubits: int
     layers: int
@@ -68,11 +69,8 @@ def gate_count(spec: CircuitSpec) -> int:
 
 
 def circuit_gates(spec: CircuitSpec) -> Iterator[tuple]:
-    """Yield the circuit's gates in application order.
-
-    Items are ("ry", qubit, param_index), ("rz", qubit, param_index) or
-    ("cnot", control, target).
-    """
+    """Yield the circuit's gates in application order: ("ry", qubit,
+    param_index), ("rz", qubit, param_index) or ("cnot", control, target)."""
     n = spec.n_qubits
     pairs = entangler_pairs(spec)
     for layer in range(spec.layers):
@@ -98,7 +96,9 @@ def _check_params(spec: CircuitSpec, params) -> np.ndarray:
 
 
 def run_circuit(spec: CircuitSpec, params) -> np.ndarray:
-    """Apply the full layered circuit to the all-zeros state: 2^n amplitudes."""
+    """Apply the full layered circuit to the all-zeros state: 2^n amplitudes,
+    as one row of ``run_circuit_batch``; ValueError unless ``params`` holds
+    param_count angles."""
     angles = _check_params(spec, params)
     return run_circuit_batch(spec, angles[None])[0]
 
@@ -109,9 +109,9 @@ def _row_gathers(specs: Sequence[CircuitSpec]) -> tuple[np.ndarray, np.ndarray]:
     Entry (b, j) of the forward indices is b * 2^n + perm_b[j] for the
     sub-layer permutation perm_b of ``specs[b]``, so ``np.take(block, index)``
     moves each row of a (B, 2^n) block within itself: C-contiguous, with the
-    bits of a gather of each row alone. The undo indices are their inverse,
-    set by one scatter. The CNOT kernels walk each distinct spec's sub-layer
-    once.
+    bits of a gather of each row alone; the first m rows are the indices of
+    ``specs[:m]``. The undo indices are their inverse, set by one scatter.
+    The CNOT kernels walk each distinct spec's sub-layer once, forward only.
     """
     perms = {spec: entangler_permutation(spec.n_qubits, entangler_pairs(spec))
              for spec in dict.fromkeys(specs)}
@@ -127,18 +127,15 @@ def run_circuit_batch(
 ) -> np.ndarray:
     """Evaluate the circuit for a whole batch of angle vectors at once.
 
-    ``angles_batch`` has shape (B, param_count); returns complex amplitudes
-    of shape (B, 2^n). One kernel call per gate amortizes the per-gate
-    overhead across the batch: the adjoint engine's forward sweep runs a
-    variance cell's draws, or every config of a training epoch, as rows.
-    By default every row takes ``spec``'s entangling sub-layer: its CNOT
-    kernels walk a basis-index vector once per layer, and one C-contiguous
-    ``np.take(..., axis=-1)`` gather of the amplitudes applies it. ``gather``,
-    the forward indices of ``_row_gathers``, instead gives each row its own
-    spec's sub-layer with one flat ``np.take`` and walks no CNOT kernel, so
-    rows of both topologies share the batch, and the entanglement sweep walks
-    each (n, topology) once for all its depths; ``spec`` then sets only n,
-    the layers and the rotations.
+    ``angles_batch`` has shape (B, param_count), else ValueError; returns
+    complex amplitudes of shape (B, 2^n), one kernel call per gate for the
+    whole batch. By default every row takes ``spec``'s entangling sub-layer,
+    whose CNOT kernels walk a basis-index vector once per layer, so
+    ``run_circuit`` makes one kernel call per gate. ``gather``, the forward
+    indices of ``_row_gathers``, instead gives each row its own spec's
+    sub-layer and walks no CNOT kernel; ``spec`` then sets only n, the layers
+    and the rotations. Raises ArithmeticError unless every row's norm is 1 to
+    1e-10, so a NaN state fails too.
     """
     angles_batch = np.asarray(angles_batch, dtype=np.float64)
     if angles_batch.ndim != 2 or angles_batch.shape[1] != spec.param_count:
@@ -151,8 +148,7 @@ def run_circuit_batch(
     amps[:, 0] = 1.0
     cos_half, sin_pair, phases = sv._gate_coefficients(angles_batch)
     pairs = entangler_pairs(spec)
-    # The gate order of ``circuit_gates``: per layer, RY then RZ per qubit,
-    # then the sub-layer.
+    # The gate order of ``circuit_gates``.
     for base in range(0, spec.param_count, 2 * n):
         for k in range(n):
             sv._apply_ry_inplace(amps, k, cos_half[base + k], sin_pair[base + k])

@@ -1,12 +1,10 @@
 """Command-line front end: run experiments, write CSV/JSON tables.
 
-Output is data only (no plotting): each subcommand writes one table whose
-rows mirror the in-memory records, with floats serialized to 9 significant
-digits. Identical flags always produce byte-identical files.
-
-Exit status: 0 on success, 1 on usage errors (including out-of-range values,
-rejected before any computation) and on non-finite results (nothing is
-written), 2 on I/O errors.
+Output is data only: each subcommand writes one table whose rows mirror the
+in-memory records, floats at 9 significant digits, and identical flags give
+byte-identical files. Exit status: 0 on success, 1 on usage errors
+(out-of-range values included, rejected before any computation) and on
+non-finite results (nothing is written), 2 on I/O errors.
 """
 
 from __future__ import annotations
@@ -52,7 +50,8 @@ SUBCOMMANDS = {
 
 @dataclass
 class RunConfig:
-    """Parsed CLI invocation: experiment name plus resolved parameters."""
+    """Parsed CLI invocation: experiment name plus resolved parameters. It
+    holds its own copies of the ``qubits`` and ``layers`` lists."""
 
     experiment: str
     qubits: list[int]
@@ -127,7 +126,6 @@ def build_parser(env_seed: Optional[str]) -> _Parser:
     for name, (help_text, qubits, layers, samples) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text,
                               formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        # Either way the value is a list: one value, or one or more to sweep.
         for flag, default, what in (("--qubits", qubits, "qubit count"),
                                     ("--layers", layers, "circuit depth")):
             sweep = isinstance(default, tuple)
@@ -170,11 +168,13 @@ def _check_usage(run: RunConfig) -> None:
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Parse and validate CLI arguments into a RunConfig; exits with status 1
-    on misuse or an out-of-range value, before any computation. The seed
-    variable is read on every call."""
+    on misuse (a subcommand given with --all too) or an out-of-range value,
+    before any computation. The seed variable is read on every call."""
     parser = build_parser(os.environ.get(SEED_ENV_VAR))
     values = vars(parser.parse_args(argv))
     if values.pop("run_all"):
+        if values["experiment"] is not None:
+            parser.error(f"--all takes no subcommand, got {values['experiment']}")
         values.update(experiment="all", qubits=list(xp.QUBIT_GRID),
                       layers=list(xp.DEPTH_GRID))
     elif values["experiment"] is None:

@@ -1,13 +1,10 @@
 """Experiment sweeps: qubit scaling, depth scaling, PDE comparison,
 entanglement entropy, training convergence, and scaling-exponent fits.
 
-Every sweep is a deterministic function of its seed. Sample i of cell (n, L)
-always uses the draw from (seed, n, L, i) regardless of configuration, so
-rows of the same cell are paired and directly comparable.
-
-A sweep returns a list of rows and training a list of traces; both hold only
-computed values. The sample count K and the seed are the caller's arguments,
-so a row does not repeat them.
+Every result is a deterministic function of its seed: sample i of cell
+(n, L) is the draw of (seed, n, L, i) for every configuration, so the rows
+of a cell are paired. Rows and traces hold computed values only, not the
+sample count K or the seed they were called with.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ from .ansatz import run_circuit  # noqa: F401
 from .gradients import loss_gradient  # noqa: F401
 from .losses import total_loss  # noqa: F401
 
+# Every protocol default, read by the signatures below and by the CLI.
 QUBIT_GRID = (4, 6, 8)
 DEPTH_GRID = (1, 2, 3, 4, 5)
 ENTANGLEMENT_DEPTHS = (1, 3, 5)
@@ -106,12 +104,16 @@ class TrainTrace:
 
 
 class ScalingModel(enum.Enum):
+    """Decay law that ``fit_scaling`` fits to variance against qubit count."""
+
     EXP_IN_QUBITS = "exp_in_qubits"      # var ~ 2^(-b n)
     POWER_IN_QUBITS = "power_in_qubits"  # var ~ n^(-a)
 
 
 @dataclass(frozen=True)
 class ScalingFit:
+    """Fitted decay exponent and the norm of the fit's log-space residuals."""
+
     exponent: float
     residual_norm: float
 
@@ -176,17 +178,12 @@ def entanglement_sweep(
 
     The cut keeps the first floor(n/2) qubits; the ratio divides by their
     floor(n/2)-bit maximum. Both topologies of a cell reuse the same angle
-    draws. They run as rows of the blocks of ``gradients._blocks``, the one
-    block rule, with one live row per draw; each block takes one
-    partial-trace and one entropy call. The sub-layer permutation does not
-    depend on the depth, so per (n, topology) one ``_row_gathers`` call,
-    sized for the longest first block of any depth, serves every block:
-    row b of its indices is b * 2^n + perm, so its first m rows are the
-    gather of an m-row block. The CNOT kernels walk each (n, topology)'s
-    sub-layer once, and one topology's gather is alive at a time. Rows come
-    n-major, then depth, then topology. ``n_samples`` must be an integer >=
-    MIN_ENTROPY_SAMPLES; a cell's CircuitSpecs check its n and layers before
-    it draws.
+    draws, run as the rows of ``gradients._blocks`` blocks with one live row
+    per draw, one partial-trace and one entropy call per block. One
+    ``_row_gathers`` call per (n, topology), sized for the longest first
+    block of any depth, serves every depth. Rows come n-major, then depth,
+    then topology. ``n_samples`` must be an integer >= MIN_ENTROPY_SAMPLES; a
+    cell's CircuitSpecs check its n and layers before it draws.
     """
     _check_count("n_samples", n_samples, MIN_ENTROPY_SAMPLES)
     rows = []
@@ -230,15 +227,13 @@ def train(
     Epoch 0 is the seeded starting point before any update; a trace
     therefore holds epochs + 1 entries and its final row is the state after
     the last update. Every config starts from the one draw of (seed, n,
-    layers). Each epoch, every config takes its step; then one adjoint
-    forward and backward sweep runs every config's angles as rows, each row
-    on its config's topology with one lambda row, so config k reads its loss
-    and gradient at row k; the engine's plan is built once, before epoch 0.
-    A trace has the same bits as training its config alone. A non-finite
-    step or gradient raises ArithmeticError naming the first failing epoch;
-    within it, steps are checked before gradients, each in config order.
-    ``configs`` must be nonempty LossConfigs, ``epochs`` an integer >= 1
-    and ``learning_rate`` a finite real number.
+    layers). Each epoch every config takes its step, then one run of one
+    adjoint plan, built before epoch 0, gives every config's loss and
+    gradient. A trace has the same bits as training its config alone. A
+    non-finite step or gradient raises ArithmeticError naming the first
+    failing epoch; within it, steps are checked before gradients, each in
+    config order. ``configs`` must be nonempty LossConfigs, ``epochs`` an
+    integer >= 1 and ``learning_rate`` a finite real number.
     """
     if not configs:
         raise ValueError("need at least one config")
@@ -270,14 +265,11 @@ def _check_finite(rows: np.ndarray, configs: Sequence[LossConfig], what: str,
 
 
 def fit_scaling(points: Sequence[tuple], model: ScalingModel) -> ScalingFit:
-    """Least-squares exponent fit of variance-vs-qubit-count data.
-
-    EXP_IN_QUBITS fits log2(var) against n (var ~ 2^(-b n), exponent b);
-    POWER_IN_QUBITS fits log(var) against log(n) (var ~ n^(-a), exponent a).
-    A ``model`` that is not a ScalingModel, fewer than 2 distinct n, or an n
-    that is not finite and positive, raise ValueError; a variance that is not
-    finite and positive raises ArithmeticError.
-    """
+    """Least-squares exponent fit of variance-vs-qubit-count data: EXP_IN_QUBITS
+    fits log2(var) against n (exponent b), POWER_IN_QUBITS log(var) against
+    log(n) (exponent a). A ``model`` that is not a ScalingModel, fewer than 2
+    distinct n, or an n that is not finite and positive raise ValueError; a
+    variance that is not finite and positive raises ArithmeticError."""
     if not isinstance(model, ScalingModel):
         raise ValueError(f"model must be a ScalingModel, got {model!r}")
     # A set, not np.unique: that one imports numpy.ma on first use (about 1 MB RSS).

@@ -1,45 +1,16 @@
 """Exact gradients and the gradient-variance estimation protocol.
 
-Every loss is a function of the outputs f, the expectations of its
-``observables``, so its gradient is J^T * dL/df with dL/df analytic. Two
-exact engines compute it.
-
-Variance cells (``gradient_variance``) and training (``experiments.train``)
-use the adjoint method. At a fixed point the gradient of L equals that of <O>
-with the diagonal observable O = sum_k dL/df_k Z_k. The engine's forward sweep
-gives B states phi, one per angle row. Its lambda rows form a (G, B) grid,
-row (g, b) with its own config: lambda = O phi_b, O from that config's dL/df
-at phi_b. Row b runs the ansatz of the topology every config of grid column
-b requires. A variance cell's grid has one block of draws per config, all of
-one topology; training's has one block whose row k is config k, so one run
-serves every config of an epoch. Topologies share every rotation and
-differ only in the entangling sub-layer's basis permutation, so each row
-carries its own permutation, walked by the CNOT kernels once per plan for
-each distinct topology, and its inverse as the undo permutation. A plan
-(``_adjoint_plan``), the engine's one entry, holds all that does not depend
-on the angles; a variance cell builds one per topology group and block
-length and runs it on each block of that length, training builds one and
-runs it every epoch. One backward sweep undoes every gate on phi and
-lambda, reading dL/dtheta = Im<lambda|P|phi> at each rotation with
-generator P (Y_q or Z_q). It undoes a rotation as the gate at -theta, and
-each CNOT sub-layer as one gather by every row's undo permutation. Every
-per-row contraction is row-wise, so a row's loss and gradient have the same
-bits whatever grid it runs in.
-
-The single-point API ``loss_gradient`` and ``jacobian_outputs`` use the pi/2
-parameter-shift rule: expectations of this gate set are trigonometric in
-each angle, so one forward batch of the 2p shifted rows plus the unshifted
-one gives the Jacobian J; shifting a nonlinear composite loss directly
-would be wrong. Parameter shift is also the oracle the adjoint engine is
-tested against.
+Every loss is a function of the outputs f of its ``observables``, so its
+gradient is J^T * dL/df with dL/df analytic. Two exact engines compute it.
+The adjoint engine, ``_adjoint_plan``, serves variance cells
+(``gradient_variance``) and training (``experiments.train``). The pi/2
+parameter-shift rule serves the single-point API (``loss_gradient``,
+``jacobian_outputs``) and is the oracle the adjoint engine is tested against.
 
 All randomness flows through ``draw_params``: sample i of a run is drawn from
 a generator seeded by (seed, n_qubits, layers, i), so draws are independent
 of evaluation order and shared across loss configurations of the same shape,
-making cross-configuration comparisons paired. In a variance cell the
-configs of one topology share each block's sweeps, and ``_blocks``, the one
-block rule of variance and entropy cells, gives each block at most p live
-rows.
+making cross-configuration comparisons paired.
 """
 
 from __future__ import annotations
@@ -77,6 +48,8 @@ MIN_VARIANCE_SAMPLES = 2  # the unbiased K-1 divisor needs K >= 2
 def _shift_outputs(spec: CircuitSpec, params, obs: np.ndarray) -> tuple[np.ndarray, ...]:
     # Rows 0..p-1 of one batch shift angle j by +pi/2, rows p..2p-1 by -pi/2 and
     # the last is unshifted; returns rows df/dphi_j = (f+_j - f-_j)/2 and that f.
+    # The rule holds for the outputs, which are trigonometric in each angle of
+    # this gate set, not for a nonlinear composite loss of them.
     angles = _check_params(spec, params)
     p = angles.size
     shifted = np.tile(angles, (2 * p + 1, 1))
@@ -95,12 +68,9 @@ def jacobian_outputs(spec: CircuitSpec, params) -> np.ndarray:
 def loss_gradient(
     config: LossConfig, spec: CircuitSpec, params, disc: Discretization
 ) -> np.ndarray:
-    """Exact gradient of the configured loss with respect to all angles.
-
-    One forward batch holds the 2p shifted rows and the unshifted row. Its
-    outputs f give the Jacobian J, the last row gives dL/df, and the
-    gradient is J^T * dL/df.
-    """
+    """Exact gradient of the configured loss with respect to all angles:
+    J^T * dL/df from one parameter-shift batch of 2p + 1 rows. ValueError
+    unless config, spec and disc pair (``check_pairing``)."""
     check_pairing(config, spec, disc)
     jac, f = _shift_outputs(spec, params, observables(config, disc.n_points))
     return jac @ d_loss_d_outputs(config, f, disc)
@@ -150,24 +120,26 @@ def _adjoint_plan(
     """The adjoint engine of a (G, B) grid of configs, as a run(angles) that
     returns losses (G, B) and gradients (G, B, p) at (B, p) angles.
 
-    Config (g, b) of ``grid`` is read at phi row b, and row b runs the ansatz
-    of the topology that every config of grid column b requires: a variance
-    cell passes one block per config over a ``_blocks`` block of draws,
-    training one block whose row k is config k. The plan holds all that does
-    not depend on the angles, so training builds it once and runs it every
-    epoch. Building it raises ValueError if the blocks differ in length or a
-    column mixes topologies; it builds each row's CircuitSpec, the grid
-    ``Discretization(n)``, each config's columns and observables, the rows'
-    flat sub-layer gathers (``_row_gathers``), the reversed gate schedule
-    and the sweep buffers.
+    Config (g, b) of ``grid`` is read at phi row b on ``Discretization(n)``,
+    and row b runs the ansatz of the topology that every config of grid
+    column b requires: a variance cell passes one block per config over a
+    ``_blocks`` block of draws, training one block whose row k is config k.
+    The plan holds all that does not depend on the angles, so training
+    builds it once and runs it every epoch; it is a closure over plain arrays
+    with no reference cycle, so refcounting frees it. Building it raises
+    ValueError if the blocks differ in length or a column mixes topologies.
 
-    A run checks the angles' shape before any kernel runs and returns fresh
-    arrays. The forward sweep ``run_circuit_batch`` gives phi; their outputs
-    f give each entry's loss, with the bits of ``total_loss``, and its row
-    lambda = (sum_k dL/df_k Z_k) phi. One (G+1, B, 2^n) array of [phi;
-    lambda] rows is walked back through the rotations: at each dL/dtheta =
-    Im<lambda|P|phi> is read, then the gate at -theta undoes it on every row;
-    one gather undoes each CNOT sub-layer with every row's own undo permutation.
+    A run raises ValueError unless the angles have shape (B, p), before any
+    kernel runs, and returns fresh arrays. At fixed phi the gradient of L is
+    that of <O> for the diagonal O = sum_k dL/df_k Z_k. The forward sweep,
+    ``run_circuit_batch`` with the rows' ``_row_gathers`` indices, gives phi;
+    its outputs f give each entry's loss, with the bits of ``total_loss``, and
+    its row lambda = O phi. One (G+1, B, 2^n) array of [phi; lambda] rows is
+    walked back through the rotations: at each, dL/dtheta = Im<lambda|P|phi>
+    is read for its generator P (Y_q or Z_q), then the gate at -theta undoes
+    it on every row; one gather undoes each CNOT sub-layer with every row's
+    own undo indices. Every contraction is row-wise, so an entry's loss and
+    gradient have the same bits in any grid.
     """
     specs = []
     for b, column in enumerate(zip(*grid, strict=True)):
@@ -204,6 +176,7 @@ def _adjoint_plan(
         if angles.shape != (n_draws, spec.param_count):
             raise ValueError(f"expected angles of shape ({n_draws}, {spec.param_count}), "
                              f"got {angles.shape}")
+        # Through this module's binding, the one bench/tracer.py counts.
         rows[0] = run_circuit_batch(spec, angles, forward)
         probs = probabilities(rows[0])
         losses = np.empty((n_blocks, n_draws))
@@ -239,7 +212,8 @@ def _adjoint_plan(
 
 
 def _blocks(draws: np.ndarray, live_rows: int) -> list[np.ndarray]:
-    """A cell's (K, p) draws in blocks of at most p live rows, ``live_rows`` per draw."""
+    """A cell's (K, p) draws in blocks of at most p live rows, ``live_rows`` per
+    draw: the one block rule of variance and entropy cells."""
     size = max(1, draws.shape[1] // live_rows)
     return np.split(draws, range(size, len(draws), size))
 
@@ -250,13 +224,11 @@ def gradient_variance(
     """Per-parameter gradient variances (p,) at random initializations.
 
     One array per config, in order. Each of the ``n_samples`` draws is shared
-    by every config; the configs are grouped by required topology, and per
-    group the draws run in blocks, each one adjoint forward and backward
-    sweep for all of that group's configs. The blocks are equal but for
-    the last, so a group builds one plan per block length, one at a time,
-    and runs it on each block of that length. Variances use the unbiased K-1
-    divisor, so ``n_samples`` must be an integer >= MIN_VARIANCE_SAMPLES,
-    and every config must be a LossConfig.
+    by every config. The configs are grouped by required topology, in order
+    of first use; per group the draws run in blocks, each one plan run for
+    all of the group's configs, and one plan per block length is alive at a
+    time. Variances use the unbiased K-1 divisor, so ``n_samples`` must be an
+    integer >= MIN_VARIANCE_SAMPLES; every config must be a LossConfig.
     """
     sv._check_count("n_samples", n_samples, MIN_VARIANCE_SAMPLES)
     _check_configs(configs)

@@ -1,22 +1,18 @@
 """Loss functions mapping circuit outputs to scalars.
 
-Four configurations are supported: a global parity cost, a single-qubit local
-cost, and two physics-informed losses (data MSE plus a weighted physics
-penalty) differing only in which entangling topology they pair with.
-
-Every physics penalty is the mean squared local residual r(f) at the
-collocation points. Each term (Heat, Burgers, SaintVenant, and the
-squared-gradient penalty of a config without a PDE kind, whose residual is
-df/dx) defines ``residual(f, disc)`` and ``d_loss_d_f(f, r, disc)``, the
-gradient of mean(r^2) at r = residual(f). The stencils' adjoints are stencils
-(centered_d1 is antisymmetric, centered_d2 symmetric); pointwise
-nonlinearities contribute diagonal factors.
-
-Outputs live on a periodic unit-length grid with one collocation point per
-qubit, so dx = 1/n. Residuals are steady-state: time derivatives are zero and
-only the spatial operator is tested. Outputs f come from ``statevector.outputs``;
-every function of profiles takes a ``(..., n)`` block along the last axis,
-each row with the bits of its 1-D call.
+Four configurations: a global parity cost, a single-qubit local cost, and
+two physics-informed losses (data MSE plus a weighted physics penalty)
+differing only in which entangling topology they pair with. Every physics
+penalty is the mean squared local residual r(f) at the collocation points of
+a periodic unit-length grid, one per qubit (dx = 1/n); residuals are
+steady-state. Each term (Heat, Burgers, SaintVenant, and the
+squared-gradient penalty of a config without a PDE, whose residual is df/dx)
+defines ``residual(f, disc)`` and ``d_loss_d_f(f, r, disc)``, the gradient
+of mean(r^2) at r = residual(f); a PDE's coefficients are class constants,
+not fields. A composite checks its residual even at physics weight 0, in
+its loss and its gradient alike. Every function of profiles takes a
+``(..., n)`` block along the last axis, each row with the bits of its 1-D
+call.
 """
 
 from __future__ import annotations
@@ -34,6 +30,8 @@ from .statevector import _check_count, _check_real, outputs, probabilities, z_si
 from .statevector import expect_z, expect_z_string  # noqa: F401
 
 
+# A d_loss_d_f applies the adjoint of its residual's stencils: centered_d1 is
+# antisymmetric and centered_d2 symmetric, and pointwise factors stay diagonal.
 @dataclass(frozen=True)
 class Heat:
     """Linear diffusion: residual kappa * d2f/dx2."""
@@ -134,6 +132,8 @@ class Discretization:
 
 
 class LossKind(enum.Enum):
+    """Kind of a loss configuration; each kind requires one entangling topology."""
+
     GLOBAL_COST = "global_cost"
     LOCAL_COST = "local_cost"
     PDE_CONSTRAINED = "pde_constrained"
@@ -156,10 +156,11 @@ DEFAULT_PHYSICS_WEIGHT = 0.1
 class LossConfig:
     """One loss configuration.
 
-    For the two PDE kinds, ``pde = None`` selects the squared-gradient
-    penalty as the physics term while a concrete PdeKind selects that
-    equation's residual loss. The data term of both composite kinds fits
-    ``default_target``, sin(2*pi*k/n).
+    Raises ValueError unless ``kind`` is a LossKind, ``pde`` is None or a
+    Heat, Burgers or SaintVenant instance (None for the two costs) and
+    ``physics_weight`` a finite real number >= 0. For the two PDE kinds,
+    ``pde = None`` selects the squared-gradient penalty as the physics term.
+    The data term of both composite kinds fits ``default_target``.
     """
 
     kind: LossKind
@@ -201,7 +202,8 @@ def default_target(n: int) -> np.ndarray:
 
 
 def _check_configs(configs) -> None:
-    """Reject a config list with an entry that is not a LossConfig."""
+    """Raise ValueError naming the first entry, ``configs[i]``, that is not a
+    LossConfig; callers check before any draw or circuit."""
     for i, config in enumerate(configs):
         if not isinstance(config, LossConfig):
             raise ValueError(f"configs[{i}] must be a LossConfig, got {config!r}")
@@ -218,11 +220,9 @@ def all_configs(physics_weight: float = DEFAULT_PHYSICS_WEIGHT) -> list[LossConf
 
 
 def observables(config: LossConfig, n: int) -> np.ndarray:
-    """Diagonals, shape (m, 2^n), whose expectations are the loss outputs f.
-
-    The global cost reads the parity row, the local cost the Z_0 row and the
-    composite losses every Z_k, so f = outputs(observables(config, n), probs).
-    """
+    """Diagonals, shape (m, 2^n), whose expectations are the loss outputs:
+    f = outputs(observables(config, n), probs) is the parity row of the global
+    cost, the Z_0 row of the local cost and every Z_k of a composite."""
     signs = z_signs(n)
     if config.kind is LossKind.GLOBAL_COST:
         return np.prod(signs, axis=0, keepdims=True)
@@ -288,12 +288,9 @@ def data_loss(f, target) -> float | np.ndarray:
 
 
 def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float | np.ndarray:
-    """Loss of each row of outputs f of ``observables(config, n)``.
-
-    A cost is its single output itself; a composite loss is data MSE plus
-    the weighted physics penalty of the output profile. The last axis of f
-    must hold the m outputs: 1 for a cost, n for a composite.
-    """
+    """Loss of each row of outputs f of ``observables(config, n)``: a cost is
+    its single output, a composite data MSE plus the weighted physics penalty.
+    The last axis of f must hold the m outputs: 1 for a cost, n for a composite."""
     if config.kind in _COST_KINDS:
         return _check_profile(f, 1)[..., 0][()]
     arr = _check_profile(f, disc.n_points)
@@ -302,11 +299,9 @@ def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float | np
 
 
 def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
-    """Analytic gradient of the composite loss with respect to the outputs.
-
-    Data MSE plus the weighted physics term's ``d_loss_d_f``. A cost's single
-    output is the loss, so its derivative is ones shaped like f.
-    """
+    """Analytic gradient of the loss with respect to each row of outputs f: a
+    cost's is ones shaped like f, a composite's the data term's plus the
+    weighted physics term's ``d_loss_d_f``."""
     if config.kind in _COST_KINDS:
         return np.ones(_check_profile(f, 1).shape)
     arr = _check_profile(f, disc.n_points)

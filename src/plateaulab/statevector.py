@@ -1,24 +1,11 @@
 """Exact statevector simulation of small qubit registers.
 
-Convention used throughout the package: qubit k is bit k of the basis-state
-integer index, so qubit 0 is the least significant bit. All observables here
-are diagonal in the computational basis, so any consistent convention gives
-the same physics; this one is fixed so that states, reduced density matrices
-and tests all agree bit-for-bit.
-
-A state is a plain complex array of 2^n amplitudes on its last axis, and a
-block of states stacks them along leading axes; ``qubit_count`` reads n from
-that axis. The gate kernels act in place on a (..., B, 2^n) block of amplitude
-rows (no 2^n x 2^n matrix is ever built), which is O(B 2^n) per gate and
-entirely adequate for n <= 12. A single state is a batch of one. Each rotation
-updates the whole (..., hi, bit, lo) view of its qubit, RY in three ufunc
-calls and RZ in one, with per-row coefficients broadcast over further leading
-axes: cos(a/2) and the pair [-sin(a/2), sin(a/2)] along the bit axis for RY,
-[exp(-i a/2), exp(+i a/2)] for RZ. CNOT is one assignment that only moves
-entries, so circuits walk its kernel over a basis-index vector and apply (or
-undo) each entangling sub-layer as one gather of the amplitudes. ``outputs``
-is the one contraction of probabilities with observables, for Z strings and
-losses.
+Qubit k is bit k of the basis-state index (qubit 0 is the least significant
+bit) throughout the package. A state is a plain complex array with its 2^n
+amplitudes on the last axis, and a block of states stacks them along leading
+axes; every public function that takes a state reads n through
+``qubit_count``. The ``apply_*`` gates take any array-like state and return
+a new complex array, never changing their input.
 """
 
 from __future__ import annotations
@@ -38,10 +25,8 @@ _RY_SIGNS = np.array([[-1.0], [1.0]])  # RY's off-diagonal on the bit-swapped vi
 
 def qubit_count(amps) -> int:
     """Register size n of amplitudes (..., 2^n): the one place n is read.
-
     Raises ValueError unless the last axis holds 2^n amplitudes with n in
-    [MIN_QUBITS, MAX_QUBITS].
-    """
+    [MIN_QUBITS, MAX_QUBITS]."""
     size = np.shape(amps)[-1] if np.ndim(amps) else 0
     n = size.bit_length() - 1
     if not MIN_QUBITS <= n <= MAX_QUBITS or size != 2**n:
@@ -52,7 +37,10 @@ def qubit_count(amps) -> int:
 
 def _check_count(name: str, value, low: float, high: float = math.inf) -> None:
     """The one count rule: raise ValueError naming ``name`` unless ``value``
-    is a Python or numpy integer, not a bool, in [low, high]."""
+    is a Python or numpy integer, not a bool, in [low, high]. Every count the
+    package takes passes it before any circuit runs (qubit and layer counts,
+    K, epochs, grid points, seeds, sample and qubit indices, the CLI's
+    integer flags); a numpy integer is kept as given."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or not low <= value <= high):
         bound = ("" if low == -math.inf else f" >= {low}" if high == math.inf
@@ -97,9 +85,12 @@ def _gate_coefficients(angles_batch: np.ndarray) -> tuple[np.ndarray, ...]:
             np.concatenate([phase, np.conj(phase)], axis=-2))
 
 
+# The gate kernels act in place on a (..., B, 2^n) block of rows; no 2^n x 2^n
+# matrix is built. A rotation updates the whole (..., hi, bit, lo) view of its
+# qubit, index = hi*2^(q+1) + bit*2^q + lo, so per-row coefficients broadcast
+# over any axes before the rows.
 def _apply_ry_inplace(amps: np.ndarray, qubit: int, cos_half, sin_pair) -> None:
-    # Axes of the view: (..., hi, bit of ``qubit``, lo) with index =
-    # hi*2^(q+1) + bit*2^q + lo; ``sin_pair`` acts on the bit-swapped view.
+    # Three ufunc calls: ``sin_pair`` acts on the bit-swapped view.
     view = amps.reshape(amps.shape[:-1] + (amps.shape[-1] >> (qubit + 1), 2, 2**qubit))
     swapped = view[..., ::-1, :] * sin_pair
     view *= cos_half
@@ -107,7 +98,6 @@ def _apply_ry_inplace(amps: np.ndarray, qubit: int, cos_half, sin_pair) -> None:
 
 
 def _apply_rz_inplace(amps: np.ndarray, qubit: int, phases) -> None:
-    # ``phases`` is the (..., 2, 1) pair [exp(-i a/2), exp(+i a/2)] over the bit axis.
     view = amps.reshape(amps.shape[:-1] + (amps.shape[-1] >> (qubit + 1), 2, 2**qubit))
     view *= phases
 
@@ -116,7 +106,8 @@ def _apply_cnot_inplace(amps: np.ndarray, control: int, target: int) -> None:
     q_hi, q_lo = max(control, target), min(control, target)
     view = amps.reshape(amps.shape[:-1] + (
         amps.shape[-1] >> (q_hi + 1), 2, 2 ** (q_hi - q_lo - 1), 2, 2**q_lo))
-    # The control=1 block takes its own target-reversed view (numpy buffers the overlap).
+    # One assignment: the control=1 block takes its own target-reversed view,
+    # and numpy buffers the overlap.
     if control == q_hi:
         view[..., 1, :, :, :] = view[..., 1, :, ::-1, :]
     else:
@@ -152,7 +143,7 @@ def apply_rz(amps, qubit: int, angle: float) -> np.ndarray:
 
 
 def apply_cnot(amps, control: int, target: int) -> np.ndarray:
-    """Flip ``target`` where ``control`` is 1."""
+    """Flip ``target`` where ``control`` is 1; the two must differ (ValueError)."""
     out = _checked_copy(amps, control, target)
     if control == target:
         raise ValueError("control and target must differ")
@@ -175,21 +166,24 @@ def probabilities(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def outputs(obs: np.ndarray, probs) -> np.ndarray:
-    """Outputs f = O p of every row of ``probs``, shape (..., m) for (m, 2^n) O."""
+    """Outputs f = O p of every row of ``probs``, shape (..., m) for (m, 2^n) O:
+    the one contraction of probabilities with diagonal observables, for every
+    loss output and Z-string expectation. A row's bits do not depend on its block."""
     # Row-wise einsum, not @: BLAS sums depend on the row count; a row's bits must not.
     return np.einsum("...i,mi->...m", probs, obs)
 
 
 def expect_z(amps, qubit: int) -> float | np.ndarray:
-    """Expectation of Pauli-Z on one qubit; +1 weight where its bit is 0."""
+    """Expectation of Pauli-Z on one qubit in each state of a block, as
+    ``expect_z_string`` of that qubit; +1 weight where its bit is 0."""
     return expect_z_string(amps, {qubit})
 
 
 def expect_z_string(amps, qubits) -> float | np.ndarray:
-    """Parity expectation of the Z string over ``qubits`` in each state of a block.
-
-    A single state gives a float.
-    """
+    """Parity expectation of the Z string over ``qubits`` in each state of a
+    block, each with the bits of its single-state call (a float for a single
+    state). ValueError for no qubits; each entry is checked before the list is
+    sorted, so ``[0, "1"]`` raises ValueError, not a TypeError."""
     qubits = list(qubits)
     if not qubits:
         raise ValueError("qubits must be a nonempty set")
@@ -206,10 +200,10 @@ def expect_z_string(amps, qubits) -> float | np.ndarray:
 def reduced_density_matrix(amps, keep) -> np.ndarray:
     """Partial trace onto the ``keep`` qubits of every state of a block.
 
-    Returns (..., 2^k, 2^k) matrices for k kept qubits. Row/column index bit
-    i is the value of the i-th smallest kept qubit, matching the global
-    least-significant-bit convention. Each matrix of the one stacked product
-    has the bits of its single-state call.
+    Returns (..., 2^k, 2^k) matrices for k kept qubits, each with the bits of
+    its single-state call. Row/column index bit i is the value of the i-th
+    smallest kept qubit, as in the global convention. ``keep`` entries are
+    checked before sorting and must name a proper nonempty subset (ValueError).
     """
     amps = np.asarray(amps)
     n = qubit_count(amps)
@@ -230,10 +224,11 @@ def reduced_density_matrix(amps, keep) -> np.ndarray:
 
 
 def von_neumann_entropy(rho) -> float | np.ndarray:
-    """Entropy -sum(lam * log2(lam)) in bits of each (..., d, d) density matrix.
-
-    A single matrix gives a float; a pure state gives +0.0.
-    """
+    """Entropy -sum(lam * log2(lam)) in bits of each (..., d, d) density matrix,
+    each with the bits of its single-matrix call; a single matrix gives a float
+    and a pure state +0.0. Raises ValueError naming the shape unless ``rho`` is
+    a stack of square matrices with d >= 1, and ArithmeticError unless it is
+    Hermitian to 1e-10."""
     rho = np.asarray(rho)
     if rho.ndim < 2 or not rho.shape[-1] == rho.shape[-2] >= 1:
         raise ValueError(f"expected density matrices of shape (..., d, d) with d >= 1, "

@@ -296,6 +296,7 @@ class TestFailFast:
         ["converge", "--lr", "inf"],
         ["sweep-pde", "--seed", "-1"],
         ["--all", "--seed", "-1"],
+        ["--all", "converge", "--epochs", "3"],
         ["per-param", "--physics-weight", "-1"],
         ["sweep-pde", "--physics-weight", "nan"],
         ["sweep-pde", "--physics-weight", "inf"],

@@ -50,8 +50,9 @@ SUBCOMMANDS = {
 
 @dataclass
 class RunConfig:
-    """Parsed CLI invocation: experiment name plus resolved parameters. It
-    holds its own copies of the ``qubits`` and ``layers`` lists."""
+    """One resolved run, holding its own ``qubits`` and ``layers`` lists. A
+    missing ``out`` becomes ``<name with - as _>.<format>``, or for --all
+    (experiment ``"all"``) the directory ``plateaulab-YYYYmmdd-HHMMSS``."""
 
     experiment: str
     qubits: list[int]
@@ -67,6 +68,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         # Copies: the cached parser gives every run the same default lists.
         self.qubits, self.layers = list(self.qubits), list(self.layers)
+        if self.out is None:
+            self.out = (time.strftime("plateaulab-%Y%m%d-%H%M%S") if self.experiment == "all"
+                        else f"{_label(self.experiment)}.{self.format}")
 
     def as_dict(self) -> dict:
         """Every field but ``out``, in field order: the JSON ``config`` block."""
@@ -93,24 +97,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_shared(parser, seed=argparse.SUPPRESS) -> None:
+def _add_shared(parser) -> None:
     # Declared on the top-level parser and on every subcommand without
     # defaults (RunConfig holds them), so a flag given before the subcommand
-    # is kept and one given after it wins. The top-level seed default is the
-    # environment's string, which type=int parses only when it is used.
-    parser.add_argument("--seed", type=int, default=seed,
+    # is kept and one given after it wins.
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help=f"master seed (default overridable via ${SEED_ENV_VAR})")
     parser.add_argument("--out", type=str, default=argparse.SUPPRESS,
-                        help="output path (default: <experiment>.<format>); "
-                             "with --all, the output directory")
+                        help="output path (default: <name with - as _>.<format>); with "
+                             "--all, the output directory (default: plateaulab-YYYYmmdd-HHMMSS)")
     parser.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS,
                         help="output format")
 
 
 @functools.lru_cache(maxsize=1)
-def build_parser(env_seed: Optional[str]) -> _Parser:
-    """The CLI parser whose default seed is ``env_seed``, the string that
-    $PLATEAULAB_SEED holds (None when unset); built once per value."""
+def build_parser() -> _Parser:
+    """The CLI parser, built once per process."""
     parser = _Parser(
         prog="plateaulab",
         description="Gradient-variance and trainability experiments for "
@@ -121,7 +123,7 @@ def build_parser(env_seed: Optional[str]) -> _Parser:
     parser.add_argument("--all", action="store_true", dest="run_all",
                         help="run every experiment with default settings "
                              "into a timestamped directory")
-    _add_shared(parser, argparse.SUPPRESS if env_seed is None else env_seed)
+    _add_shared(parser)
     subs = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
     for name, (help_text, qubits, layers, samples) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text,
@@ -170,13 +172,18 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Parse and validate CLI arguments into a RunConfig; exits with status 1
     on misuse (a subcommand given with --all too) or an out-of-range value,
     before any computation. The seed variable is read on every call."""
-    parser = build_parser(os.environ.get(SEED_ENV_VAR))
+    parser = build_parser()
     values = vars(parser.parse_args(argv))
+    if "seed" not in values and (env_seed := os.environ.get(SEED_ENV_VAR)) is not None:
+        try:
+            values["seed"] = int(env_seed)
+            _check_count(f"${SEED_ENV_VAR}", values["seed"], 0)
+        except ValueError:
+            parser.error(f"${SEED_ENV_VAR} must be an integer >= 0, got {env_seed!r}")
     if values.pop("run_all"):
         if values["experiment"] is not None:
             parser.error(f"--all takes no subcommand, got {values['experiment']}")
-        values.update(experiment="all", qubits=list(xp.QUBIT_GRID),
-                      layers=list(xp.DEPTH_GRID))
+        values.update(experiment="all", qubits=[], layers=[])
     elif values["experiment"] is None:
         parser.error("an experiment subcommand (or --all) is required")
     # Each flag fills its field; a flag not given leaves the field's default.
@@ -336,26 +343,17 @@ def _label(experiment: str) -> str:
     return experiment.replace("-", "_")
 
 
-def _default_out(experiment: str, fmt: str) -> str:
-    return f"{_label(experiment)}.{fmt}"
-
-
-def _single_run(run: RunConfig) -> list[Path]:
-    out = run.out or _default_out(run.experiment, run.format)
-    return emit_table(run_experiment(run), run.format, out)
-
-
-def _run_all(run: RunConfig) -> list[Path]:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    out_dir = Path(run.out) if run.out else Path(f"plateaulab-{stamp}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for experiment in SUBCOMMANDS:
-        out = out_dir / _default_out(experiment, run.format)
-        sub = parse_args([experiment, "--seed", str(run.seed),
-                          "--format", run.format, "--out", str(out)])
-        written.extend(_single_run(sub))
-    return written
+def _expand(run: RunConfig) -> list[RunConfig]:
+    """An invocation's runs: itself, or for --all every subcommand at its
+    defaults with the same seed and format, writing into the new directory."""
+    if run.experiment != "all":
+        return [run]
+    Path(run.out).mkdir(parents=True, exist_ok=True)
+    runs = [parse_args([name, "--seed", str(run.seed), "--format", run.format])
+            for name in SUBCOMMANDS]
+    for sub in runs:
+        sub.out = str(Path(run.out) / sub.out)
+    return runs
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -364,7 +362,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A non-finite value still fails below: make_table, the norm guard and
         # pde_residual reject it, so numpy's warnings would only add noise.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            written = _run_all(run) if run.experiment == "all" else _single_run(run)
+            written = [path for run in _expand(run)
+                       for path in emit_table(run_experiment(run), run.format, run.out)]
     except OSError as exc:
         print(f"plateaulab: I/O error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,10 @@
 
 import csv
 import gc
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,14 @@ from plateaulab.cli import (
     parse_args,
     run_experiment,
 )
+
+
+# bench/workloads.py is pure data; dataclasses resolve its annotations
+# through sys.modules, so it is registered there before it runs.
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def parse_csv(path):
@@ -173,6 +184,16 @@ class TestEmitTable:
         assert len(table.records) == 64
         assert "param_index" in table.columns
 
+    def test_unknown_format_rejected_before_writing(self, tmp_path):
+        table = run_experiment(tiny_run("sweep-pde"))
+        with pytest.raises(ValueError, match="unknown format: xml"):
+            emit_table(table, "xml", tmp_path / "t.xml")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_experiment_rejected(self):
+        with pytest.raises(ValueError, match="unknown experiment: bogus"):
+            run_experiment(RunConfig("bogus", [4], [1]))
+
 
 class TestReferenceLines:
     def test_anchored_powers_of_two(self):
@@ -264,6 +285,19 @@ class TestCachedParser:
         parse_args(["sweep-qubits", "--qubits", "4", "6"])
         assert gc.collect() == 0
 
+    # A benchmark pass is one warm main() call: garbage it leaves behind moves
+    # the generation-2 collections, and with them peak RSS.
+    @pytest.mark.parametrize("workload", [*workloads.WORKLOADS, "all"])
+    def test_warm_pass_leaves_no_cyclic_garbage(self, workload, tmp_path, capsys):
+        if workload == "all":
+            argv = ["--all", "--seed", "0", "--out", str(tmp_path / "all")]
+        else:
+            argv = workloads.WORKLOADS[workload].cli_argv(0, str(tmp_path / "t.csv"))
+        assert main(argv) == 0
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+
 
 class TestSharedFlagPlacement:
     def test_flags_before_subcommand_are_kept(self):
@@ -333,13 +367,16 @@ class TestFailFast:
             assert flag not in capsys.readouterr().out
 
     def test_bad_seed_variable_is_a_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "banana")
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["converge"])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage: plateaulab")
-        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        for value in ("banana", "1.5", "", "-1"):
+            monkeypatch.setenv(cli.SEED_ENV_VAR, value)
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["converge"])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: plateaulab")
+            # The one error line names the variable, not the flag it stands in for.
+            [error] = [line for line in err.splitlines() if "error:" in line]
+            assert cli.SEED_ENV_VAR in error and "--seed" not in error, value
         # An explicit --seed never reads the variable.
         assert parse_args(["--seed", "2", "converge"]).seed == 2
 

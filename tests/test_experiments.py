@@ -111,6 +111,9 @@ class TestEntanglementSweep:
         b = entanglement_sweep(ns=(4,), depths=(1,), n_samples=3, seed=2)
         assert a[0].mean_entropy_bits == b[0].mean_entropy_bits
 
+    def test_empty_depth_grid_gives_no_rows(self):
+        assert entanglement_sweep((4,), (), 2, 0) == []
+
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             entanglement_sweep(ns=(4,), depths=(1,), n_samples=0, seed=0)

@@ -9,13 +9,16 @@ several draw blocks" writes them at n = 11-12 and compares them with ``cmp``,
 as it does ``converge_n12_l2.csv``, which is also a case here.
 ``all_seed0/`` holds the eight tables of ``--all --seed 0``, every experiment
 at its default settings; CI also writes them with the installed script and
-compares the directory with ``diff -r``.
+compares the directory with ``diff -r``. ``all_seed0_json/`` holds the six
+tables of ``--all --seed 0 --format json``, whose ``config`` blocks record
+each run's resolved fields; CI compares it the same way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -107,11 +110,45 @@ ALL_TABLES = [
 ]
 
 
+ALL_JSON_TABLES = [
+    "converge.json", "entanglement.json", "per_param.json", "sweep_depth.json",
+    "sweep_pde.json", "sweep_qubits.json",
+]
+
+
 def test_all_default_settings_match_golden(tmp_path):
-    out = tmp_path / "all"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["--all", "--seed", "0", "--out", str(out)]) == 0
+    for fmt, golden, tables in (("csv", "all_seed0", ALL_TABLES),
+                                ("json", "all_seed0_json", ALL_JSON_TABLES)):
+        out = tmp_path / golden
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--all", "--seed", "0", "--format", fmt, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == tables
+        for file_name in tables:
+            got = (out / file_name).read_bytes()
+            assert got == (GOLDEN / golden / file_name).read_bytes(), file_name
+
+
+def test_runs_without_out_write_default_names(tmp_path, monkeypatch, capsys):
+    # A subcommand writes <name with - as _>.<format> into the working directory.
+    for argv, written in (
+        (["sweep-qubits", "--qubits", "4", "6", "--layers", "1", "--samples", "2"],
+         ["sweep_qubits.csv", "sweep_qubits_fits.csv", "sweep_qubits_reference.csv"]),
+        (["sweep-pde", "--qubits", "4", "--layers", "1", "--samples", "2",
+          "--format", "json"], ["sweep_pde.json"]),
+    ):
+        cwd = tmp_path / argv[0]
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(argv) == 0
+        assert sorted(p.name for p in cwd.iterdir()) == written
+        assert capsys.readouterr().out.split() == [w for f in written for w in ("wrote", f)]
+    # --all writes into one new plateaulab-YYYYmmdd-HHMMSS directory there.
+    cwd = tmp_path / "all"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["--all", "--seed", "0"]) == 0
+    [out] = cwd.iterdir()
+    assert re.fullmatch(r"plateaulab-\d{8}-\d{6}", out.name)
     assert sorted(p.name for p in out.iterdir()) == ALL_TABLES
     for file_name in ALL_TABLES:
-        got = (out / file_name).read_bytes()
-        assert got == (GOLDEN / "all_seed0" / file_name).read_bytes(), file_name
+        assert (out / file_name).read_bytes() == (GOLDEN / "all_seed0" / file_name).read_bytes()

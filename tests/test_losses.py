@@ -138,6 +138,11 @@ class TestPdeResiduals:
         res = pde_residual(np.full(6, 0.25), pde, disc)
         np.testing.assert_allclose(res, np.zeros(6), atol=1e-12)
 
+    def test_non_finite_profile_rejected(self):
+        # Heat: the same profile through Burgers also warns on inf * 0.
+        with pytest.raises(ArithmeticError, match="non-finite PDE residual"):
+            pde_residual(np.array([np.inf, 0.0, 0.0, 0.0]), Heat(), Discretization(4))
+
     def test_heat_residual_formula(self):
         rng = np.random.default_rng(24)
         disc = Discretization(6)

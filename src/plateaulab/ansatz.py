@@ -136,6 +136,13 @@ def run_circuit_batch(
     sub-layer and walks no CNOT kernel; ``spec`` then sets only n, the layers
     and the rotations. Raises ArithmeticError unless every row's norm is 1 to
     1e-10, so a NaN state fails too.
+
+    The first layer's rotations of qubit k act only on each row's prefix of
+    2^(k+1) amplitudes, the ones they can reach from the all-zeros state;
+    every later gate acts on whole rows, still one kernel call per gate. The
+    values equal those of the full-width kernel walk, and so do the bits,
+    except that an amplitude that is exactly zero may differ in the sign of
+    that zero; ``probabilities`` squares the sign away.
     """
     angles_batch = np.asarray(angles_batch, dtype=np.float64)
     if angles_batch.ndim != 2 or angles_batch.shape[1] != spec.param_count:
@@ -151,8 +158,11 @@ def run_circuit_batch(
     # The gate order of ``circuit_gates``.
     for base in range(0, spec.param_count, 2 * n):
         for k in range(n):
-            sv._apply_ry_inplace(amps, k, cos_half[base + k], sin_pair[base + k])
-            sv._apply_rz_inplace(amps, k, phases[base + n + k])
+            # Before the first entangler qubits above k are still |0>, so
+            # qubit k's gates reach only the row prefix [0, 2^(k+1)).
+            reach = amps[:, : 2 ** (k + 1)] if base == 0 else amps
+            sv._apply_ry_inplace(reach, k, cos_half[base + k], sin_pair[base + k])
+            sv._apply_rz_inplace(reach, k, phases[base + n + k])
         if gather is None:
             amps = np.take(amps, entangler_permutation(n, pairs), axis=-1)
         else:

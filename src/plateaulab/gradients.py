@@ -138,8 +138,9 @@ def _adjoint_plan(
     walked back through the rotations: at each, dL/dtheta = Im<lambda|P|phi>
     is read for its generator P (Y_q or Z_q), then the gate at -theta undoes
     it on every row; one gather undoes each CNOT sub-layer with every row's
-    own undo indices. Every contraction is row-wise, so an entry's loss and
-    gradient have the same bits in any grid.
+    own undo indices. The walk back ends at its last read, that of the
+    circuit's first gate, whose undo would feed no read. Every contraction is
+    row-wise, so an entry's loss and gradient have the same bits in any grid.
     """
     specs = []
     for b, column in enumerate(zip(*grid, strict=True)):
@@ -170,6 +171,7 @@ def _adjoint_plan(
     schedule = []
     for entangler, gates in groupby(reversed(list(circuit_gates(spec))), key=_is_cnot):
         schedule += [None] if entangler else [(*gate, reads[gate[:2]]) for gate in gates]
+    last_read = schedule[-1]  # the circuit's first gate, RY on qubit 0
 
     def run(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         angles = np.asarray(angles, dtype=np.float64)
@@ -202,6 +204,8 @@ def _adjoint_plan(
             np.multiply(*read)
             np.multiply(lam, chi, out=products)
             grads[:, :, b] = products.sum(axis=2)
+            if gate is last_read:
+                break
             if kind == "ry":
                 sv._apply_ry_inplace(rows, a, cos_half[b], sin_pair[b])
             else:

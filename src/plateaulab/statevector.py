@@ -88,7 +88,9 @@ def _gate_coefficients(angles_batch: np.ndarray) -> tuple[np.ndarray, ...]:
 # The gate kernels act in place on a (..., B, 2^n) block of rows; no 2^n x 2^n
 # matrix is built. A rotation updates the whole (..., hi, bit, lo) view of its
 # qubit, index = hi*2^(q+1) + bit*2^q + lo, so per-row coefficients broadcast
-# over any axes before the rows.
+# over any axes before the rows. They take any (..., 2^m) view with m > q, a
+# row prefix amps[..., :2^m] included; their ``reshape`` must stay a view,
+# since an update to a copy would be lost without any error.
 def _apply_ry_inplace(amps: np.ndarray, qubit: int, cos_half, sin_pair) -> None:
     # Three ufunc calls: ``sin_pair`` acts on the bit-swapped view.
     view = amps.reshape(amps.shape[:-1] + (amps.shape[-1] >> (qubit + 1), 2, 2**qubit))

@@ -230,6 +230,41 @@ class TestEntanglerGather:
                     assert amps.tobytes() == kernel_walk(spec, batch).tobytes()
 
 
+class TestFirstLayerPrefix:
+    """The first layer's rotations of qubit k run on each row's prefix of
+    2^(k+1) amplitudes; every later gate runs on whole rows."""
+
+    @pytest.mark.parametrize("gather", [False, True], ids=["default", "gather"])
+    def test_kernels_see_only_the_reachable_prefix(self, gather, monkeypatch):
+        spec = CircuitSpec(3, 2, ATA)
+        widths = {"_apply_ry_inplace": [], "_apply_rz_inplace": []}
+        for name, seen in widths.items():
+            real = getattr(ansatz.sv, name)
+            monkeypatch.setattr(ansatz.sv, name, lambda amps, *args, real=real, seen=seen:
+                                seen.append(amps.shape[-1]) or real(amps, *args))
+        forward = ansatz._row_gathers([spec] * 2)[0] if gather else None
+        rng = np.random.default_rng(3)
+        run_circuit_batch(spec, rng.uniform(0, 2 * np.pi, (2, spec.param_count)), forward)
+        assert widths == {name: [2, 4, 8, 8, 8, 8] for name in widths}
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_special_angles_match_the_kernel_walk(self, n):
+        # At multiples of pi/2 many amplitudes are exactly zero. The full-width
+        # walk may give such a zero either sign where the prefix leaves +0, so
+        # the amplitudes are compared by value; their probabilities, whose
+        # squares drop the sign, must have the same bits.
+        rng = np.random.default_rng(100 + n)
+        special = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi])
+        for topo in (NN, ATA):
+            for layers in (1, 2, 3):
+                spec = CircuitSpec(n, layers, topo)
+                batch = rng.choice(special, (4, spec.param_count))
+                amps, walked = run_circuit_batch(spec, batch), kernel_walk(spec, batch)
+                assert np.array_equal(amps, walked)
+                assert (sv.probabilities(amps).tobytes()
+                        == sv.probabilities(walked).tobytes())
+
+
 class TestRowGathers:
     @pytest.mark.parametrize("n", [2, 4, 7, 12])
     def test_rows_have_bits_of_their_own_topology(self, n):

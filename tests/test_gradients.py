@@ -500,6 +500,19 @@ class TestAdjointPlan:
             run(np.zeros(shape))
         assert calls == []
 
+    def test_walk_back_ends_at_its_last_read(self, monkeypatch):
+        # The forward makes nL RY and nL RZ calls, the backward one of each per
+        # rotation but the undo of the first gate, RY on qubit 0: 2nL - 1 RY.
+        run = gradients._adjoint_plan([all_configs()], 3, 2)
+        calls = []
+        for kind in ("ry", "rz"):
+            real = getattr(gradients.sv, f"_apply_{kind}_inplace")
+            monkeypatch.setattr(gradients.sv, f"_apply_{kind}_inplace",
+                                lambda *args, kind=kind, real=real:
+                                calls.append(kind) or real(*args))
+        run(np.stack([draw_params(0, 3, 2, k) for k in range(len(all_configs()))]))
+        assert (calls.count("ry"), calls.count("rz")) == (11, 12)
+
     def test_training_builds_one_plan(self, monkeypatch):
         calls = []
         real = gradients._row_gathers

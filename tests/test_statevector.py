@@ -449,6 +449,20 @@ class TestRotationKernels:
                 rotate(kind, alone, qubit, angles)
                 assert alone.tobytes() == out[g].tobytes()
 
+    def test_row_prefix_views_write_through(self, kind, n):
+        # The forward's first layer runs qubit k on amps[:, :2^(k+1)]. A
+        # kernel whose reshape copied that strided view would drop the update
+        # without any error.
+        amps, angles = self.block(n)
+        for qubit in range(n):
+            out = amps.copy()
+            width = 2 ** (qubit + 1)
+            rotate(kind, out[:, :width], qubit, angles)
+            contiguous = amps[:, :width].copy()
+            rotate(kind, contiguous, qubit, angles)
+            assert out[:, :width].tobytes() == contiguous.tobytes()
+            assert out[:, width:].tobytes() == amps[:, width:].tobytes()
+
 
 def dense_cnot(n, control, target):
     """The 2^n x 2^n permutation matrix of CNOT, built index by index."""

@@ -30,8 +30,8 @@ class Topology(enum.Enum):
 class CircuitSpec:
     """Shape of one ansatz: qubit count, layer count, entangling topology.
 
-    ValueError unless ``n_qubits`` is an integer in [MIN_QUBITS, MAX_QUBITS]
-    and ``layers`` one >= 1, so ``param_count`` is an integer."""
+    ValueError unless ``n_qubits`` is an integer in [MIN_QUBITS, MAX_QUBITS],
+    ``layers`` one >= 1 (so ``param_count`` is one) and ``topology`` a Topology."""
 
     n_qubits: int
     layers: int
@@ -40,6 +40,8 @@ class CircuitSpec:
     def __post_init__(self) -> None:
         sv._check_count("n_qubits", self.n_qubits, sv.MIN_QUBITS, sv.MAX_QUBITS)
         sv._check_count("layers", self.layers, 1)
+        if not isinstance(self.topology, Topology):
+            raise ValueError(f"topology must be a Topology, got {self.topology!r}")
 
     @property
     def param_count(self) -> int:
@@ -109,9 +111,9 @@ def _row_gathers(specs: Sequence[CircuitSpec]) -> tuple[np.ndarray, np.ndarray]:
     Entry (b, j) of the forward indices is b * 2^n + perm_b[j] for the
     sub-layer permutation perm_b of ``specs[b]``, so ``np.take(block, index)``
     moves each row of a (B, 2^n) block within itself: C-contiguous, with the
-    bits of a gather of each row alone; the first m rows are the indices of
-    ``specs[:m]``. The undo indices are their inverse, set by one scatter.
-    The CNOT kernels walk each distinct spec's sub-layer once, forward only.
+    bits of a gather of each row alone. The undo indices are their inverse,
+    set by one scatter. The CNOT kernels walk each distinct spec's sub-layer
+    once, forward only.
     """
     perms = {spec: entangler_permutation(spec.n_qubits, entangler_pairs(spec))
              for spec in dict.fromkeys(specs)}
@@ -131,11 +133,12 @@ def run_circuit_batch(
     complex amplitudes of shape (B, 2^n), one kernel call per gate for the
     whole batch. By default every row takes ``spec``'s entangling sub-layer,
     whose CNOT kernels walk a basis-index vector once per layer, so
-    ``run_circuit`` makes one kernel call per gate. ``gather``, the forward
-    indices of ``_row_gathers``, instead gives each row its own spec's
-    sub-layer and walks no CNOT kernel; ``spec`` then sets only n, the layers
-    and the rotations. Raises ArithmeticError unless every row's norm is 1 to
-    1e-10, so a NaN state fails too.
+    ``run_circuit`` makes one kernel call per gate. A given ``gather`` walks
+    no CNOT kernel: a (2^n,) ``entangler_permutation`` applies one sub-layer
+    to every row, and the (B, 2^n) forward indices of ``_row_gathers`` give
+    each row its own spec's; ``spec`` then sets only n, the layers and the
+    rotations. Raises ArithmeticError unless every row's norm is 1 to 1e-10,
+    so a NaN state fails too.
 
     The first layer's rotations of qubit k act only on each row's prefix of
     2^(k+1) amplitudes, the ones they can reach from the all-zeros state;
@@ -166,7 +169,7 @@ def run_circuit_batch(
         if gather is None:
             amps = np.take(amps, entangler_permutation(n, pairs), axis=-1)
         else:
-            amps = np.take(amps, gather)
+            amps = np.take(amps, gather, axis=-1 if gather.ndim == 1 else None)
     norms = np.sum(sv.probabilities(amps), axis=1)
     if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):  # a NaN norm fails too
         raise ArithmeticError("statevector norm drifted in batch evaluation")

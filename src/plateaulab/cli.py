@@ -10,6 +10,7 @@ non-finite results (nothing is written), 2 on I/O errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -362,8 +363,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A non-finite value still fails below: make_table, the norm guard and
         # pde_residual reject it, so numpy's warnings would only add noise.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            written = [path for run in _expand(run)
-                       for path in emit_table(run_experiment(run), run.format, run.out)]
+            runs = _expand(run)
+            for sub in runs:  # a missing directory fails before any computation
+                if not Path(sub.out).parent.is_dir():
+                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), sub.out)
+            written = [path for sub in runs
+                       for path in emit_table(run_experiment(sub), sub.format, sub.out)]
     except OSError as exc:
         print(f"plateaulab: I/O error: {exc}", file=sys.stderr)
         return 2

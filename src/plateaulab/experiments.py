@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gradients
-from .ansatz import CircuitSpec, Topology, _row_gathers
+from .ansatz import CircuitSpec, Topology, entangler_pairs, entangler_permutation
 from .gradients import draw_params, gradient_variance
 from .losses import (
     DEFAULT_PHYSICS_WEIGHT,
@@ -180,37 +180,28 @@ def entanglement_sweep(
     floor(n/2)-bit maximum. Both topologies of a cell reuse the same angle
     draws, run as the rows of ``gradients._blocks`` blocks with one live row
     per draw, one partial-trace and one entropy call per block. One
-    ``_row_gathers`` call per (n, topology), sized for the longest first
-    block of any depth, serves every depth. Rows come n-major, then depth,
-    then topology. ``n_samples`` must be an integer >= MIN_ENTROPY_SAMPLES; a
-    cell's CircuitSpecs check its n and layers before it draws.
+    ``entangler_permutation`` per (n, topology) serves every depth. Rows come
+    n-major, then depth, then topology. ``n_samples`` must be an integer >=
+    MIN_ENTROPY_SAMPLES; a cell's CircuitSpecs check its n and layers before
+    it draws.
     """
     _check_count("n_samples", n_samples, MIN_ENTROPY_SAMPLES)
     rows = []
     for n in ns:
-        cells = []  # per depth: its specs, one per topology, and its blocks
+        perms = [entangler_permutation(n, entangler_pairs(CircuitSpec(n, 1, topology)))
+                 for topology in Topology]
         for layers in depths:
             specs = [CircuitSpec(n, layers, topology) for topology in Topology]
             draws = np.stack([draw_params(seed, n, layers, k) for k in range(n_samples)])
-            cells.append((specs, gradients._blocks(draws, 1)))
-        if not cells:
-            continue
-        longest = max(len(blocks[0]) for _, blocks in cells)
-        means = {}  # (depth index, topology index) -> mean entropy
-        for t, spec in enumerate(cells[0][0]):  # any depth's spec: same sub-layer
-            forward = _row_gathers([spec] * longest)[0]
-            for i, (specs, blocks) in enumerate(cells):
+            blocks = gradients._blocks(draws, 1)
+            for spec, perm in zip(specs, perms):
                 # gradients.run_circuit_batch is the binding bench/tracer.py counts.
                 entropies = np.concatenate([
                     von_neumann_entropy(reduced_density_matrix(
-                        gradients.run_circuit_batch(specs[t], angles, forward[:len(angles)]),
-                        range(n // 2)))
+                        gradients.run_circuit_batch(spec, angles, perm), range(n // 2)))
                     for angles in blocks])
-                means[i, t] = float(np.mean(entropies))
-            del forward  # at most one topology's gather is alive
-        rows += [EntropyRow(n=n, layers=spec.layers, topology=spec.topology.value,
-                            mean_entropy_bits=means[i, t])
-                 for i, (specs, _) in enumerate(cells) for t, spec in enumerate(specs)]
+                rows.append(EntropyRow(n=n, layers=layers, topology=spec.topology.value,
+                                       mean_entropy_bits=float(np.mean(entropies))))
     return rows
 
 

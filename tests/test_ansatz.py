@@ -72,6 +72,13 @@ class TestCircuitSpec:
             CircuitSpec(4.0, 1, NN)
         with pytest.raises(ValueError, match="layers must be an integer >= 1, got True"):
             CircuitSpec(4, True, NN)
+        # A topology's value is not a Topology: entangler_pairs would take it
+        # for all-to-all.
+        with pytest.raises(ValueError,
+                           match="topology must be a Topology, got 'nearest_neighbor'"):
+            CircuitSpec(4, 1, "nearest_neighbor")
+        with pytest.raises(ValueError, match="topology"):
+            CircuitSpec(4, 1, None)
 
 
 class TestEntanglerPairs:
@@ -216,6 +223,16 @@ def kernel_walk(spec, batch):
     return amps
 
 
+def given_gather(form, spec, rows):
+    """``run_circuit_batch``'s gather of one form: None, each row's flat
+    indices, or the one (2^n,) sub-layer permutation of every row."""
+    if form == "rows":
+        return ansatz._row_gathers([spec] * rows)[0]
+    if form == "permutation":
+        return ansatz.entangler_permutation(spec.n_qubits, entangler_pairs(spec))
+    return None
+
+
 class TestEntanglerGather:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_bits_match_the_kernel_walk(self, n):
@@ -225,16 +242,20 @@ class TestEntanglerGather:
                 spec = CircuitSpec(n, layers, topo)
                 for rows in (1, 5):
                     batch = rng.uniform(0, 2 * np.pi, (rows, spec.param_count))
-                    amps = run_circuit_batch(spec, batch)
-                    assert amps.dtype == np.complex128 and amps.flags.c_contiguous
-                    assert amps.tobytes() == kernel_walk(spec, batch).tobytes()
+                    walked = kernel_walk(spec, batch).tobytes()
+                    perm = ansatz.entangler_permutation(n, entangler_pairs(spec))
+                    for gather in (None, perm):
+                        amps = run_circuit_batch(spec, batch, gather)
+                        assert amps.dtype == np.complex128 and amps.flags.c_contiguous
+                        assert amps.tobytes() == walked
 
 
 class TestFirstLayerPrefix:
     """The first layer's rotations of qubit k run on each row's prefix of
     2^(k+1) amplitudes; every later gate runs on whole rows."""
 
-    @pytest.mark.parametrize("gather", [False, True], ids=["default", "gather"])
+    @pytest.mark.parametrize("gather", [None, "rows", "permutation"],
+                             ids=["default", "gather", "permutation"])
     def test_kernels_see_only_the_reachable_prefix(self, gather, monkeypatch):
         spec = CircuitSpec(3, 2, ATA)
         widths = {"_apply_ry_inplace": [], "_apply_rz_inplace": []}
@@ -242,9 +263,9 @@ class TestFirstLayerPrefix:
             real = getattr(ansatz.sv, name)
             monkeypatch.setattr(ansatz.sv, name, lambda amps, *args, real=real, seen=seen:
                                 seen.append(amps.shape[-1]) or real(amps, *args))
-        forward = ansatz._row_gathers([spec] * 2)[0] if gather else None
         rng = np.random.default_rng(3)
-        run_circuit_batch(spec, rng.uniform(0, 2 * np.pi, (2, spec.param_count)), forward)
+        run_circuit_batch(spec, rng.uniform(0, 2 * np.pi, (2, spec.param_count)),
+                          given_gather(gather, spec, 2))
         assert widths == {name: [2, 4, 8, 8, 8, 8] for name in widths}
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -283,12 +304,13 @@ class TestRowGathers:
 
     def test_given_gather_walks_no_cnot_kernel(self, monkeypatch):
         spec = CircuitSpec(4, 3, ATA)
-        forward, _ = ansatz._row_gathers([spec] * 2)
+        gathers = [given_gather(form, spec, 2) for form in ("rows", "permutation")]
         calls = []
         real = ansatz.sv._apply_cnot_inplace
         monkeypatch.setattr(ansatz.sv, "_apply_cnot_inplace",
                             lambda *args: calls.append(args[1:]) or real(*args))
-        run_circuit_batch(spec, np.zeros((2, spec.param_count)), forward)
+        for forward in gathers:
+            run_circuit_batch(spec, np.zeros((2, spec.param_count)), forward)
         assert calls == []
 
     def test_gathers_move_each_row_within_itself(self):

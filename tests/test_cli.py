@@ -219,12 +219,17 @@ class TestMainExitCodes:
         assert out.exists()
         assert "wrote" in capsys.readouterr().out
 
-    def test_io_error_returns_two(self, tmp_path, capsys):
+    def test_io_error_returns_two(self, tmp_path, capsys, monkeypatch):
+        # A missing output directory fails before any experiment runs.
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", runs.append)
         missing_dir = tmp_path / "nope" / "x.csv"
         code = main(["sweep-pde", "--qubits", "4", "--layers", "1",
                      "--samples", "2", "--out", str(missing_dir)])
         assert code == 2
-        assert "I/O error" in capsys.readouterr().err
+        assert runs == []
+        err = capsys.readouterr().err
+        assert "I/O error" in err and str(missing_dir) in err
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep-qubits", "--qubits", "4", "--layers", "2",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from plateaulab import ansatz, experiments, gradients
-from plateaulab.ansatz import CircuitSpec, Topology, run_circuit
+from plateaulab.ansatz import CircuitSpec, Topology, entangler_pairs, run_circuit
 from plateaulab.gradients import draw_params, loss_gradient
 from plateaulab.losses import (
     Discretization,
@@ -139,23 +139,25 @@ class TestEntanglementSweep:
                                                         monkeypatch):
         # One walk per (n, topology), whatever the depths: sum of both
         # topologies' pair counts, (n - 1) + n(n - 1)/2, over ns.
-        counts = {"cnot": 0, "gathers": []}
+        counts = {"cnot": 0, "walks": []}
         real_cnot = ansatz.sv._apply_cnot_inplace
-        real_gathers = experiments._row_gathers
+        real_walk = experiments.entangler_permutation
 
         def cnot(*args):
             counts["cnot"] += 1
             return real_cnot(*args)
 
-        def gathers(specs):
-            counts["gathers"].append((specs[0].n_qubits, specs[0].topology))
-            return real_gathers(specs)
+        def walk(n, pairs):
+            pairs = list(pairs)
+            counts["walks"].append((n, pairs))
+            return real_walk(n, pairs)
 
         monkeypatch.setattr(ansatz.sv, "_apply_cnot_inplace", cnot)
-        monkeypatch.setattr(experiments, "_row_gathers", gathers)
+        monkeypatch.setattr(experiments, "entangler_permutation", walk)
         entanglement_sweep(ns, (1, 3, 5), 5, 0)
         assert counts["cnot"] == cnot_calls
-        assert counts["gathers"] == [(n, t) for n in ns for t in Topology]
+        assert counts["walks"] == [(n, entangler_pairs(CircuitSpec(n, 1, t)))
+                                   for n in ns for t in Topology]
 
     def test_draws_run_in_blocks_of_p(self, monkeypatch):
         calls = _count_forward_batches(monkeypatch)

@@ -34,6 +34,7 @@ from .losses import (
     centered_d2,
     data_loss,
     default_target,
+    loss_and_d_outputs,
     loss_from_outputs,
     observables,
     pde_loss,

@@ -364,9 +364,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # pde_residual reject it, so numpy's warnings would only add noise.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             runs = _expand(run)
-            for sub in runs:  # a missing directory fails before any computation
+            for sub in runs:  # a bad output path fails before any computation
                 if not Path(sub.out).parent.is_dir():
                     raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), sub.out)
+                if Path(sub.out).is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), sub.out)
             written = [path for sub in runs
                        for path in emit_table(run_experiment(sub), sub.format, sub.out)]
     except OSError as exc:

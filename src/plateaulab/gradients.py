@@ -35,7 +35,7 @@ from .losses import (
     _check_configs,
     check_pairing,
     d_loss_d_outputs,
-    loss_from_outputs,
+    loss_and_d_outputs,
     observables,
 )
 from .statevector import outputs, probabilities, z_signs
@@ -132,15 +132,18 @@ def _adjoint_plan(
     A run raises ValueError unless the angles have shape (B, p), before any
     kernel runs, and returns fresh arrays. At fixed phi the gradient of L is
     that of <O> for the diagonal O = sum_k dL/df_k Z_k. The forward sweep,
-    ``run_circuit_batch`` with the rows' ``_row_gathers`` indices, gives phi;
-    its outputs f give each entry's loss, with the bits of ``total_loss``, and
-    its row lambda = O phi. One (G+1, B, 2^n) array of [phi; lambda] rows is
-    walked back through the rotations: at each, dL/dtheta = Im<lambda|P|phi>
-    is read for its generator P (Y_q or Z_q), then the gate at -theta undoes
-    it on every row; one gather undoes each CNOT sub-layer with every row's
-    own undo indices. The walk back ends at its last read, that of the
-    circuit's first gate, whose undo would feed no read. Every contraction is
-    row-wise, so an entry's loss and gradient have the same bits in any grid.
+    ``run_circuit_batch`` with the rows' ``_row_gathers`` indices, gives phi.
+    Each block holds one term per distinct loss of f (``LossConfig.loss_key``),
+    so configs that differ only in topology share one: one
+    ``loss_and_d_outputs`` call on the outputs f of all its rows gives each
+    entry's loss, with the bits of ``total_loss``, and its row lambda = O phi.
+    One (G+1, B, 2^n) array of [phi; lambda] rows is walked back through the
+    rotations: at each, dL/dtheta = Im<lambda|P|phi> is read for its
+    generator P (Y_q or Z_q), then the gate at -theta undoes it on every row;
+    one gather undoes each CNOT sub-layer with every row's own undo indices.
+    The walk back ends at its last read, that of the circuit's first gate,
+    whose undo would feed no read. Every contraction is row-wise, so an
+    entry's loss and gradient have the same bits in any grid.
     """
     specs = []
     for b, column in enumerate(zip(*grid, strict=True)):
@@ -151,9 +154,10 @@ def _adjoint_plan(
         specs.append(CircuitSpec(n_qubits, layers, *topologies))
     spec, n_blocks, n_draws, n = specs[0], len(grid), len(specs), n_qubits
     disc = Discretization(n)
-    terms = [(g, config, np.array([b for b, c in enumerate(block) if c == config]),
+    terms = [(g, config, np.array([b for b, c in enumerate(block) if c.loss_key == key]),
               observables(config, n))
-             for g, block in enumerate(grid) for config in dict.fromkeys(block)]
+             for g, block in enumerate(grid)
+             for key, config in {c.loss_key: c for c in block}.items()]
     forward, undo = _row_gathers(specs)
     rows = np.empty((n_blocks + 1, n_draws, 2**n), dtype=np.complex128)
     flat = rows.view(np.float64).reshape(n_blocks + 1, n_draws, 2**n, 2)
@@ -184,9 +188,8 @@ def _adjoint_plan(
         losses = np.empty((n_blocks, n_draws))
         # Row-wise einsum, not @, for the reason given in ``outputs``.
         for g, config, cols, obs in terms:
-            f = outputs(obs, probs[cols])
-            losses[g, cols] = loss_from_outputs(config, f, disc)
-            weights = np.einsum("bm,mi->bi", d_loss_d_outputs(config, f, disc), obs)
+            losses[g, cols], d_loss = loss_and_d_outputs(config, outputs(obs, probs[cols]), disc)
+            weights = np.einsum("bm,mi->bi", d_loss, obs)
             flat[g + 1, cols] = flat[0, cols] * weights[:, :, None]
         del probs
         grads = np.empty((n_blocks, n_draws, spec.param_count))

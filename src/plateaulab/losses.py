@@ -189,6 +189,13 @@ class LossConfig:
         """The physics term: the PDE kind, or the squared-gradient penalty."""
         return _GRADIENT_PENALTY if self.pde is None else self.pde
 
+    @property
+    def loss_key(self) -> Union[LossKind, tuple]:
+        """Equal for configs with one loss of the outputs, which may differ
+        in required topology: a cost's kind, a composite's physics term and
+        weight."""
+        return self.kind if self.kind in _COST_KINDS else (self.physics, self.physics_weight)
+
     def required_topology(self) -> Topology:
         return _REQUIRED_TOPOLOGY[self.kind]
 
@@ -287,28 +294,34 @@ def data_loss(f, target) -> float | np.ndarray:
     return np.mean((arr - tgt) ** 2, axis=-1)
 
 
-def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float | np.ndarray:
-    """Loss of each row of outputs f of ``observables(config, n)``: a cost is
-    its single output, a composite data MSE plus the weighted physics penalty.
-    The last axis of f must hold the m outputs: 1 for a cost, n for a composite."""
+def loss_and_d_outputs(config: LossConfig, f,
+                       disc: Discretization) -> tuple[float | np.ndarray, np.ndarray]:
+    """Loss of each row of outputs f of ``observables(config, n)`` and its
+    analytic gradient dL/df. A cost is its single output, with gradient ones
+    shaped like f; a composite is data MSE plus the weighted physics penalty,
+    both from one residual. The last axis of f must hold the m outputs: 1 for
+    a cost, n for a composite."""
     if config.kind in _COST_KINDS:
-        return _check_profile(f, 1)[..., 0][()]
+        arr = _check_profile(f, 1)
+        return arr[..., 0][()], np.ones(arr.shape)
     arr = _check_profile(f, disc.n_points)
-    physics = pde_loss(arr, config.physics, disc)
-    return data_loss(arr, default_target(disc.n_points)) + config.physics_weight * physics
+    physics = config.physics
+    res = pde_residual(arr, physics, disc)
+    misfit = arr - default_target(disc.n_points)
+    loss = np.mean(misfit**2, axis=-1) + config.physics_weight * np.mean(res**2, axis=-1)
+    grad = ((2.0 / disc.n_points) * misfit
+            + config.physics_weight * physics.d_loss_d_f(arr, res, disc))
+    return loss, grad
+
+
+def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float | np.ndarray:
+    """The loss of ``loss_and_d_outputs``."""
+    return loss_and_d_outputs(config, f, disc)[0]
 
 
 def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
-    """Analytic gradient of the loss with respect to each row of outputs f: a
-    cost's is ones shaped like f, a composite's the data term's plus the
-    weighted physics term's ``d_loss_d_f``."""
-    if config.kind in _COST_KINDS:
-        return np.ones(_check_profile(f, 1).shape)
-    arr = _check_profile(f, disc.n_points)
-    grad = (2.0 / disc.n_points) * (arr - default_target(disc.n_points))
-    physics = config.physics
-    res = pde_residual(arr, physics, disc)
-    return grad + config.physics_weight * physics.d_loss_d_f(arr, res, disc)
+    """The gradient dL/df of ``loss_and_d_outputs``."""
+    return loss_and_d_outputs(config, f, disc)[1]
 
 
 def total_loss(config: LossConfig, spec: CircuitSpec, params, disc: Discretization) -> float:

@@ -231,6 +231,17 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "I/O error" in err and str(missing_dir) in err
 
+    def test_out_naming_a_directory_fails_before_any_experiment(self, tmp_path, capsys,
+                                                                monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", runs.append)
+        code = main(["sweep-pde", "--qubits", "4", "--layers", "1",
+                     "--samples", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert runs == []
+        err = capsys.readouterr().err
+        assert err == f"plateaulab: I/O error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep-qubits", "--qubits", "4", "--layers", "2",
                 "--samples", "3", "--seed", "11"]

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from plateaulab import ansatz, experiments, gradients
+from plateaulab import ansatz, experiments, gradients, losses
 from plateaulab.ansatz import CircuitSpec, Topology, entangler_pairs, run_circuit
 from plateaulab.gradients import draw_params, loss_gradient
 from plateaulab.losses import (
@@ -214,6 +214,20 @@ class TestTrain:
         alone = [train([c], n=4, layers=2, epochs=4, learning_rate=0.05, seed=2)[0]
                  for c in all_configs()]
         assert together == alone
+
+    def test_three_loss_terms_and_two_stencils_per_epoch(self, monkeypatch):
+        # The two composites share one loss of the outputs, and each loss
+        # call takes one residual: two centered_d1 calls for the gradient
+        # penalty's value and gradient.
+        calls = []
+        for module, name in ((gradients, "loss_and_d_outputs"), (losses, "centered_d1")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
+                                calls.append(name) or real(*args))
+        epochs = 3
+        train(all_configs(), n=4, layers=2, epochs=epochs, seed=0)
+        assert calls.count("loss_and_d_outputs") == 3 * (epochs + 1)
+        assert calls.count("centered_d1") == 2 * (epochs + 1)
 
     def test_one_forward_batch_of_every_config_per_epoch(self, monkeypatch):
         calls = _count_forward_batches(monkeypatch)

@@ -513,6 +513,23 @@ class TestAdjointPlan:
         run(np.stack([draw_params(0, 3, 2, k) for k in range(len(all_configs()))]))
         assert (calls.count("ry"), calls.count("rz")) == (11, 12)
 
+    @pytest.mark.parametrize("n, layers", [(4, 2), (7, 1), (12, 1)])
+    def test_configs_of_one_loss_share_one_term(self, n, layers, monkeypatch):
+        # The two composites differ only in topology: one loss call serves
+        # both rows, and each row keeps the bits of its config's own plan.
+        _, _, constrained, structured = all_configs()
+        calls = []
+        real = gradients.loss_and_d_outputs
+        monkeypatch.setattr(gradients, "loss_and_d_outputs",
+                            lambda *args: calls.append(args[0]) or real(*args))
+        angles = np.stack([draw_params(5, n, layers, k) for k in range(2)])
+        losses, grads = gradients._adjoint_plan([[constrained, structured]], n, layers)(angles)
+        assert len(calls) == 1
+        for k, config in enumerate((constrained, structured)):
+            loss, grad = gradients._adjoint_plan([[config]], n, layers)(angles[k:k + 1])
+            assert losses[0, k].tobytes() == loss[0, 0].tobytes()
+            assert grads[0, k].tobytes() == grad[0, 0].tobytes()
+
     def test_training_builds_one_plan(self, monkeypatch):
         calls = []
         real = gradients._row_gathers

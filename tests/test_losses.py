@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from plateaulab import losses
 from plateaulab.ansatz import CircuitSpec, Topology, run_circuit
 from plateaulab.losses import (
     DEFAULT_PHYSICS_WEIGHT,
@@ -18,6 +19,7 @@ from plateaulab.losses import (
     d_loss_d_outputs,
     data_loss,
     default_target,
+    loss_and_d_outputs,
     loss_from_outputs,
     observables,
     outputs,
@@ -342,6 +344,8 @@ class TestOutputLossGradient:
             loss_from_outputs(config, f, disc)
         with pytest.raises(ArithmeticError):
             d_loss_d_outputs(config, f, disc)
+        with pytest.raises(ArithmeticError):
+            loss_and_d_outputs(config, f, disc)
 
 
 def test_default_target_is_unit_sine():
@@ -371,6 +375,17 @@ class TestPhysicsTerms:
         np.testing.assert_array_equal(config.physics.residual(f, disc),
                                       centered_d1(f, disc))
         assert LossConfig(LossKind.PDE_CONSTRAINED, pde=Heat()).physics == Heat()
+
+    def test_loss_key_tells_apart_every_loss_of_the_outputs(self):
+        # Topology is not part of the loss of the outputs, nor is a cost's weight.
+        global_cost, local_cost, constrained, structured = all_configs()
+        assert constrained.loss_key == structured.loss_key
+        assert LossConfig(LossKind.GLOBAL_COST, physics_weight=0.5).loss_key \
+            == global_cost.loss_key
+        heavier = LossConfig(LossKind.PDE_STRUCTURED, physics_weight=0.2)
+        heat = LossConfig(LossKind.PDE_STRUCTURED, pde=Heat())
+        keys = {c.loss_key for c in (global_cost, local_cost, constrained, heavier, heat)}
+        assert len(keys) == 5
 
     @pytest.mark.parametrize(
         "config",
@@ -437,6 +452,56 @@ class TestBlocks:
                 _assert_rows_match_1d(lambda g: term.residual(g, disc), f)
                 _assert_rows_match_1d(
                     lambda g: term.d_loss_d_f(g, term.residual(g, disc), disc), f)
+
+
+def _separate_loss(config, f, disc):
+    """The loss as its own formula: a cost's output, or data MSE plus the
+    weighted mean squared residual."""
+    if config.kind in (LossKind.GLOBAL_COST, LossKind.LOCAL_COST):
+        return np.asarray(f, dtype=np.float64)[..., 0][()]
+    physics = pde_loss(f, config.physics, disc)
+    return data_loss(f, default_target(disc.n_points)) + config.physics_weight * physics
+
+
+def _separate_gradient(config, f, disc):
+    """dL/df as its own formula, with its own residual."""
+    f = np.asarray(f, dtype=np.float64)
+    if config.kind in (LossKind.GLOBAL_COST, LossKind.LOCAL_COST):
+        return np.ones(f.shape)
+    term = config.physics
+    grad = (2.0 / disc.n_points) * (f - default_target(disc.n_points))
+    return grad + config.physics_weight * term.d_loss_d_f(f, pde_residual(f, term, disc), disc)
+
+
+class TestLossAndDOutputs:
+    @pytest.mark.parametrize("n", [2, 4, 7, 12])
+    @pytest.mark.parametrize(
+        "config", BLOCK_CONFIGS, ids=lambda c: f"{c.name}-{c.pde_name}-{c.physics_weight}"
+    )
+    def test_bits_of_the_separate_formulas(self, config, n):
+        disc = Discretization(n)
+        m = len(observables(config, n))
+        for block in _blocks(np.random.default_rng(n), m):
+            for f in (block, *(block[idx] for idx in np.ndindex(block.shape[:-1]))):
+                loss, grad = loss_and_d_outputs(config, f, disc)
+                want_loss = _separate_loss(config, f, disc)
+                want_grad = _separate_gradient(config, f, disc)
+                assert type(loss) is type(want_loss)
+                assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+                assert grad.shape == want_grad.shape
+                assert grad.tobytes() == want_grad.tobytes()
+                assert np.asarray(loss_from_outputs(config, f, disc)).tobytes() \
+                    == np.asarray(loss).tobytes()
+                assert d_loss_d_outputs(config, f, disc).tobytes() == grad.tobytes()
+
+    def test_one_residual_per_call(self, monkeypatch):
+        config = LossConfig(LossKind.PDE_CONSTRAINED, pde=Burgers())
+        calls = []
+        real = losses.pde_residual
+        monkeypatch.setattr(losses, "pde_residual",
+                            lambda *args: calls.append(args) or real(*args))
+        loss_and_d_outputs(config, np.linspace(-0.5, 0.5, 5), Discretization(5))
+        assert len(calls) == 1
 
 
 class TestOneProfile:

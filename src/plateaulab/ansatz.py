@@ -125,7 +125,8 @@ def _row_gathers(specs: Sequence[CircuitSpec]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_circuit_batch(
-    spec: CircuitSpec, angles_batch: np.ndarray, gather: np.ndarray | None = None
+    spec: CircuitSpec, angles_batch: np.ndarray, gather: np.ndarray | None = None,
+    *, z_readout: bool = False,
 ) -> np.ndarray:
     """Evaluate the circuit for a whole batch of angle vectors at once.
 
@@ -146,6 +147,13 @@ def run_circuit_batch(
     values equal those of the full-width kernel walk, and so do the bits,
     except that an amplitude that is exactly zero may differ in the sign of
     that zero; ``probabilities`` squares the sign away.
+
+    ``z_readout`` leaves out the n RZ kernels of the last layer, for callers
+    that read only Z-basis probabilities. Those gates are diagonal phases
+    followed only by a basis permutation, so they move no probability: the
+    probabilities agree with the full circuit's to rounding, and the
+    gradient of any function of them with respect to those n angles is
+    exactly zero. The amplitudes then lack those phases.
     """
     angles_batch = np.asarray(angles_batch, dtype=np.float64)
     if angles_batch.ndim != 2 or angles_batch.shape[1] != spec.param_count:
@@ -160,12 +168,14 @@ def run_circuit_batch(
     pairs = entangler_pairs(spec)
     # The gate order of ``circuit_gates``.
     for base in range(0, spec.param_count, 2 * n):
+        phased = not (z_readout and base + 2 * n == spec.param_count)
         for k in range(n):
             # Before the first entangler qubits above k are still |0>, so
             # qubit k's gates reach only the row prefix [0, 2^(k+1)).
             reach = amps[:, : 2 ** (k + 1)] if base == 0 else amps
             sv._apply_ry_inplace(reach, k, cos_half[base + k], sin_pair[base + k])
-            sv._apply_rz_inplace(reach, k, phases[base + n + k])
+            if phased:
+                sv._apply_rz_inplace(reach, k, phases[base + n + k])
         if gather is None:
             amps = np.take(amps, entangler_permutation(n, pairs), axis=-1)
         else:

@@ -258,9 +258,11 @@ def _check_finite(rows: np.ndarray, configs: Sequence[LossConfig], what: str,
 def fit_scaling(points: Sequence[tuple], model: ScalingModel) -> ScalingFit:
     """Least-squares exponent fit of variance-vs-qubit-count data: EXP_IN_QUBITS
     fits log2(var) against n (exponent b), POWER_IN_QUBITS log(var) against
-    log(n) (exponent a). A ``model`` that is not a ScalingModel, fewer than 2
-    distinct n, or an n that is not finite and positive raise ValueError; a
-    variance that is not finite and positive raises ArithmeticError."""
+    log(n) (exponent a). The residual norm of exactly two points is 0.0: the
+    line passes through both, and the norm would otherwise hold rounding
+    noise. A ``model`` that is not a ScalingModel, fewer than 2 distinct n,
+    or an n that is not finite and positive raise ValueError; a variance
+    that is not finite and positive raises ArithmeticError."""
     if not isinstance(model, ScalingModel):
         raise ValueError(f"model must be a ScalingModel, got {model!r}")
     # A set, not np.unique: that one imports numpy.ma on first use (about 1 MB RSS).
@@ -277,5 +279,5 @@ def fit_scaling(points: Sequence[tuple], model: ScalingModel) -> ScalingFit:
     else:
         x, y = np.log(ns), np.log(variances)
     slope, intercept = np.polyfit(x, y, 1)
-    residual = y - (slope * x + intercept)
-    return ScalingFit(exponent=float(-slope), residual_norm=float(np.linalg.norm(residual)))
+    residual = 0.0 if len(points) == 2 else np.linalg.norm(y - (slope * x + intercept))
+    return ScalingFit(exponent=float(-slope), residual_norm=float(residual))

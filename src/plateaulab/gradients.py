@@ -56,7 +56,7 @@ def _shift_outputs(spec: CircuitSpec, params, obs: np.ndarray) -> tuple[np.ndarr
     j = np.arange(p)
     shifted[j, j] += SHIFT
     shifted[p + j, j] -= SHIFT
-    f = outputs(obs, probabilities(run_circuit_batch(spec, shifted)))
+    f = outputs(obs, probabilities(run_circuit_batch(spec, shifted, z_readout=True)))
     return (f[:p] - f[p : 2 * p]) / 2.0, f[-1]
 
 
@@ -132,7 +132,8 @@ def _adjoint_plan(
     A run raises ValueError unless the angles have shape (B, p), before any
     kernel runs, and returns fresh arrays. At fixed phi the gradient of L is
     that of <O> for the diagonal O = sum_k dL/df_k Z_k. The forward sweep,
-    ``run_circuit_batch`` with the rows' ``_row_gathers`` indices, gives phi.
+    ``run_circuit_batch`` with the rows' ``_row_gathers`` indices and
+    ``z_readout``, gives phi.
     Each block holds one term per distinct loss of f (``LossConfig.loss_key``),
     so configs that differ only in topology share one: one
     ``loss_and_d_outputs`` call on the outputs f of all its rows gives each
@@ -142,8 +143,10 @@ def _adjoint_plan(
     generator P (Y_q or Z_q), then the gate at -theta undoes it on every row;
     one gather undoes each CNOT sub-layer with every row's own undo indices.
     The walk back ends at its last read, that of the circuit's first gate,
-    whose undo would feed no read. Every contraction is row-wise, so an
-    entry's loss and gradient have the same bits in any grid.
+    whose undo would feed no read. It skips the last layer's RZ gates, as
+    the forward does: their gradient entries are exact zeros. Every
+    contraction is row-wise, so an entry's loss and gradient have the same
+    bits in any grid.
     """
     specs = []
     for b, column in enumerate(zip(*grid, strict=True)):
@@ -170,11 +173,13 @@ def _adjoint_plan(
         phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
         reads["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi.reshape(phi.shape))
         reads["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi.reshape(phi.shape))
-    # The rotations are every spec's; spec's CNOTs only mark the sub-layers,
-    # each one None in the schedule.
+    # The rotations are every spec's but the last layer's RZ, angles p - n
+    # and up; spec's CNOTs only mark the sub-layers, each one None here.
+    last_rz = spec.param_count - n
     schedule = []
     for entangler, gates in groupby(reversed(list(circuit_gates(spec))), key=_is_cnot):
-        schedule += [None] if entangler else [(*gate, reads[gate[:2]]) for gate in gates]
+        schedule += [None] if entangler else [(*gate, reads[gate[:2]])
+                                              for gate in gates if gate[2] < last_rz]
     last_read = schedule[-1]  # the circuit's first gate, RY on qubit 0
 
     def run(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +188,7 @@ def _adjoint_plan(
             raise ValueError(f"expected angles of shape ({n_draws}, {spec.param_count}), "
                              f"got {angles.shape}")
         # Through this module's binding, the one bench/tracer.py counts.
-        rows[0] = run_circuit_batch(spec, angles, forward)
+        rows[0] = run_circuit_batch(spec, angles, forward, z_readout=True)
         probs = probabilities(rows[0])
         losses = np.empty((n_blocks, n_draws))
         # Row-wise einsum, not @, for the reason given in ``outputs``.
@@ -193,6 +198,7 @@ def _adjoint_plan(
             flat[g + 1, cols] = flat[0, cols] * weights[:, :, None]
         del probs
         grads = np.empty((n_blocks, n_draws, spec.param_count))
+        grads[:, :, last_rz:] = 0.0
         cos_half, sin_pair, phases = sv._gate_coefficients(-angles)  # each gate's inverse
         for gate in schedule:
             if gate is None:

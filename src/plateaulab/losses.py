@@ -24,9 +24,10 @@ from typing import Optional, Union, get_args
 
 import numpy as np
 
-from .ansatz import CircuitSpec, Topology, run_circuit
+from .ansatz import CircuitSpec, Topology, _check_params, run_circuit_batch
 from .statevector import _check_count, _check_real, outputs, probabilities, z_signs
 # Unused here, kept as bindings that bench/tracer.py wraps.
+from .ansatz import run_circuit  # noqa: F401
 from .statevector import expect_z, expect_z_string  # noqa: F401
 
 
@@ -325,9 +326,12 @@ def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
 
 
 def total_loss(config: LossConfig, spec: CircuitSpec, params, disc: Discretization) -> float:
-    """Run the circuit and evaluate the configured loss."""
+    """Run the circuit, as ``run_circuit_batch`` with ``z_readout``, and
+    evaluate the configured loss; ValueError unless ``params`` holds
+    param_count angles."""
     check_pairing(config, spec, disc)
-    probs = probabilities(run_circuit(spec, params))
+    angles = _check_params(spec, params)
+    probs = probabilities(run_circuit_batch(spec, angles[None], z_readout=True)[0])
     f = outputs(observables(config, spec.n_qubits), probs)
     return loss_from_outputs(config, f, disc)
 

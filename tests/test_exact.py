@@ -63,8 +63,8 @@ def test_composite_mean_variances(name, n, mean):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_rz_gradients_are_zero_on_every_row(name, n):
-    # At RZ = 0 the amplitudes stay real through the whole sweep, so each RZ
-    # read, Re<lambda| -iZ |phi>, is a sum of exact zeros.
+    # At L = 1 every RZ gate is in the last layer, which the engine leaves
+    # out, so each RZ entry is an exact zero.
     assert np.all(grid_gradients(name, n, 5)[:, n:] == 0)
 
 

@@ -169,9 +169,9 @@ def _count_forward_batches(monkeypatch):
     calls = []
     original = gradients.run_circuit_batch
 
-    def counting(spec, angles_batch, *gather):
+    def counting(spec, angles_batch, *gather, **kwargs):
         calls.append(len(angles_batch))
-        return original(spec, angles_batch, *gather)
+        return original(spec, angles_batch, *gather, **kwargs)
 
     monkeypatch.setattr(gradients, "run_circuit_batch", counting)
     return calls
@@ -311,9 +311,18 @@ class TestScalingFit:
         assert fit.exponent == pytest.approx(1.8, abs=1e-9)
         assert fit.residual_norm < 1e-12
 
-    def test_two_points_fit_exactly(self):
-        fit = fit_scaling([(4, 0.02), (8, 0.005)], ScalingModel.EXP_IN_QUBITS)
-        assert fit.residual_norm < 1e-12
+    @pytest.mark.parametrize("model", list(ScalingModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("points", [[(4, 0.02), (8, 0.005)], [(3, 0.7), (11, 1e-5)],
+                                        [(6, 0.0073), (4, 0.0311)]])
+    def test_two_points_fit_exactly(self, points, model):
+        # The line passes through both points. The least-squares residuals of
+        # these points hold rounding noise of up to about 4e-15 in one model.
+        fit = fit_scaling(points, model)
+        assert fit.residual_norm == 0.0
+        (n0, v0), (n1, v1) = points
+        log, x0, x1 = ((np.log2, n0, n1) if model is ScalingModel.EXP_IN_QUBITS
+                       else (np.log, np.log(n0), np.log(n1)))
+        assert fit.exponent == pytest.approx(-(log(v1) - log(v0)) / (x1 - x0), rel=1e-12)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):

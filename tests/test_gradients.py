@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from plateaulab import gradients
-from plateaulab.ansatz import CircuitSpec, Topology, entangler_pairs, entangler_permutation
+from plateaulab.ansatz import (
+    CircuitSpec,
+    Topology,
+    entangler_pairs,
+    entangler_permutation,
+    run_circuit,
+    run_circuit_batch,
+)
 from plateaulab.experiments import SweepRow, train
 from plateaulab.gradients import (
     draw_params,
@@ -25,9 +32,12 @@ from plateaulab.losses import (
     LossKind,
     SaintVenant,
     all_configs,
+    d_loss_d_outputs,
+    loss_from_outputs,
     observables,
     total_loss,
 )
+from plateaulab.statevector import outputs, probabilities
 
 ATA = Topology.ALL_TO_ALL
 NN = Topology.NEAREST_NEIGHBOR
@@ -265,9 +275,9 @@ class TestGradientVariance:
         original = gradients.run_circuit_batch
         batches = []
 
-        def counting(spec, angles_batch, gather):
+        def counting(spec, angles_batch, gather, **kwargs):
             batches.append(spec.topology)
-            return original(spec, angles_batch, gather)
+            return original(spec, angles_batch, gather, **kwargs)
 
         monkeypatch.setattr(gradients, "run_circuit_batch", counting)
         gradient_variance(all_configs(), 4, 2, 3, 0)
@@ -282,9 +292,9 @@ class TestGradientVariance:
         original = gradients.run_circuit_batch
         blocks = []
 
-        def counting(spec, angles_batch, gather):
+        def counting(spec, angles_batch, gather, **kwargs):
             blocks.append((spec.topology, len(angles_batch)))
-            return original(spec, angles_batch, gather)
+            return original(spec, angles_batch, gather, **kwargs)
 
         monkeypatch.setattr(gradients, "run_circuit_batch", counting)
         gradient_variance(all_configs(), 4, 2, 9, 0)
@@ -501,8 +511,10 @@ class TestAdjointPlan:
         assert calls == []
 
     def test_walk_back_ends_at_its_last_read(self, monkeypatch):
-        # The forward makes nL RY and nL RZ calls, the backward one of each per
-        # rotation but the undo of the first gate, RY on qubit 0: 2nL - 1 RY.
+        # Both sweeps leave out the last layer's n RZ gates. The forward makes
+        # nL RY and n(L - 1) RZ calls, the backward one of each per rotation
+        # but the undo of the first gate, RY on qubit 0: 2nL - 1 RY and
+        # 2n(L - 1) RZ.
         run = gradients._adjoint_plan([all_configs()], 3, 2)
         calls = []
         for kind in ("ry", "rz"):
@@ -511,7 +523,7 @@ class TestAdjointPlan:
                                 lambda *args, kind=kind, real=real:
                                 calls.append(kind) or real(*args))
         run(np.stack([draw_params(0, 3, 2, k) for k in range(len(all_configs()))]))
-        assert (calls.count("ry"), calls.count("rz")) == (11, 12)
+        assert (calls.count("ry"), calls.count("rz")) == (11, 6)
 
     @pytest.mark.parametrize("n, layers", [(4, 2), (7, 1), (12, 1)])
     def test_configs_of_one_loss_share_one_term(self, n, layers, monkeypatch):
@@ -563,3 +575,76 @@ class TestOneForwardPass:
         np.testing.assert_array_equal(
             observables(global_cost, 3), [[1, -1, -1, 1, -1, 1, 1, -1]]
         )
+
+
+def shift_reference(config, spec, params, disc):
+    """J^T dL/df by the pi/2 shift rule on the whole circuit: its batch keeps
+    the last layer's RZ phases, which the library's readouts leave out."""
+    p = spec.param_count
+    shifted = np.tile(params, (2 * p + 1, 1))
+    j = np.arange(p)
+    shifted[j, j] += np.pi / 2
+    shifted[p + j, j] -= np.pi / 2
+    probs = probabilities(run_circuit_batch(spec, shifted))
+    f = outputs(observables(config, spec.n_qubits), probs)
+    return (f[:p] - f[p : 2 * p]) @ d_loss_d_outputs(config, f[-1], disc) / 2
+
+
+class TestDeadLastLayerRz:
+    """The last layer's n RZ angles, p - n and up, have exact zero gradients
+    on every path; every other entry matches the whole circuit's."""
+
+    CELLS = [(n, layers) for n in range(2, 7) for layers in (1, 2, 3)]
+
+    @staticmethod
+    def check(grad, reference, n):
+        assert np.all(grad[-n:] == 0.0)
+        np.testing.assert_allclose(grad, reference, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, layers", CELLS)
+    def test_plan_and_loss_gradient(self, n, layers):
+        disc = Discretization(n)
+        draws = np.stack([draw_params(6, n, layers, k) for k in range(2)])
+        for config in ORACLE_CONFIGS:
+            spec = spec_for(config, n, layers)
+            losses, grads = gradients._adjoint_plan([[config] * 2], n, layers)(draws)
+            for b, angles in enumerate(draws):
+                reference = shift_reference(config, spec, angles, disc)
+                self.check(grads[0, b], reference, n)
+                self.check(loss_gradient(config, spec, angles, disc), reference, n)
+                f = outputs(observables(config, n), probabilities(run_circuit(spec, angles)))
+                assert losses[0, b] == pytest.approx(loss_from_outputs(config, f, disc),
+                                                     rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("n, layers", CELLS)
+    def test_gradient_variance(self, n, layers):
+        disc = Discretization(n)
+        draws = [draw_params(1, n, layers, k) for k in range(3)]
+        variances = gradient_variance(ORACLE_CONFIGS, n, layers, len(draws), 1)
+        for config, variance in zip(ORACLE_CONFIGS, variances):
+            spec = spec_for(config, n, layers)
+            reference = np.var([shift_reference(config, spec, d, disc) for d in draws],
+                               axis=0, ddof=1)
+            self.check(variance, reference, n)
+
+    @pytest.mark.parametrize("n, layers", CELLS)
+    def test_training_gradients(self, n, layers, monkeypatch):
+        runs = []
+        real = gradients._adjoint_plan
+
+        def recording(*args):
+            run = real(*args)
+
+            def recorded(angles):
+                runs.append((angles.copy(), run(angles)))
+                return runs[-1][1]
+            return recorded
+
+        monkeypatch.setattr(gradients, "_adjoint_plan", recording)
+        train(ORACLE_CONFIGS, n=n, layers=layers, epochs=1, learning_rate=0.05, seed=2)
+        assert len(runs) == 2
+        disc = Discretization(n)
+        for angles, (_, grads) in runs:
+            for config, params, grad in zip(ORACLE_CONFIGS, angles, grads[0], strict=True):
+                self.check(grad, shift_reference(config, spec_for(config, n, layers),
+                                                 params, disc), n)

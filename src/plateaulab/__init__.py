@@ -32,12 +32,10 @@ from .losses import (
     all_configs,
     centered_d1,
     centered_d2,
-    data_loss,
     default_target,
     loss_and_d_outputs,
     loss_from_outputs,
     observables,
-    pde_loss,
     pde_residual,
     total_loss,
 )
@@ -45,7 +43,6 @@ from .gradients import (
     draw_params,
     finite_difference_gradient,
     gradient_variance,
-    jacobian_outputs,
     loss_gradient,
 )
 from .experiments import (

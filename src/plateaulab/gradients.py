@@ -1,11 +1,10 @@
 """Exact gradients and the gradient-variance estimation protocol.
 
 Every loss is a function of the outputs f of its ``observables``, so its
-gradient is J^T * dL/df with dL/df analytic. Two exact engines compute it.
-The adjoint engine, ``_adjoint_plan``, serves variance cells
-(``gradient_variance``) and training (``experiments.train``). The pi/2
-parameter-shift rule serves the single-point API (``loss_gradient``,
-``jacobian_outputs``) and is the oracle the adjoint engine is tested against.
+gradient is J^T * dL/df with dL/df analytic. One exact engine computes it,
+the adjoint plan ``_adjoint_plan``: it serves variance cells
+(``gradient_variance``), training (``experiments.train``) and the
+single-point API (``loss_gradient``), each entry with the same bits.
 
 All randomness flows through ``draw_params``: sample i of a run is drawn from
 a generator seeded by (seed, n_qubits, layers, i), so draws are independent
@@ -34,46 +33,26 @@ from .losses import (
     LossConfig,
     _check_configs,
     check_pairing,
-    d_loss_d_outputs,
     loss_and_d_outputs,
     observables,
 )
-from .statevector import outputs, probabilities, z_signs
-
-SHIFT = np.pi / 2.0
+from .statevector import outputs, probabilities
+# Unused here, kept as a binding that bench/tracer.py wraps.
+from .losses import d_loss_d_outputs  # noqa: F401
 
 MIN_VARIANCE_SAMPLES = 2  # the unbiased K-1 divisor needs K >= 2
-
-
-def _shift_outputs(spec: CircuitSpec, params, obs: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Rows 0..p-1 of one batch shift angle j by +pi/2, rows p..2p-1 by -pi/2 and
-    # the last is unshifted; returns rows df/dphi_j = (f+_j - f-_j)/2 and that f.
-    # The rule holds for the outputs, which are trigonometric in each angle of
-    # this gate set, not for a nonlinear composite loss of them.
-    angles = _check_params(spec, params)
-    p = angles.size
-    shifted = np.tile(angles, (2 * p + 1, 1))
-    j = np.arange(p)
-    shifted[j, j] += SHIFT
-    shifted[p + j, j] -= SHIFT
-    f = outputs(obs, probabilities(run_circuit_batch(spec, shifted, z_readout=True)))
-    return (f[:p] - f[p : 2 * p]) / 2.0, f[-1]
-
-
-def jacobian_outputs(spec: CircuitSpec, params) -> np.ndarray:
-    """Parameter-shift Jacobian of the outputs: entry (k, j) = df_k/dphi_j."""
-    return _shift_outputs(spec, params, z_signs(spec.n_qubits))[0].T
 
 
 def loss_gradient(
     config: LossConfig, spec: CircuitSpec, params, disc: Discretization
 ) -> np.ndarray:
-    """Exact gradient of the configured loss with respect to all angles:
-    J^T * dL/df from one parameter-shift batch of 2p + 1 rows. ValueError
-    unless config, spec and disc pair (``check_pairing``)."""
+    """Exact gradient of the configured loss with respect to all angles: one
+    adjoint-plan run, with the bits of that entry in any variance cell or
+    training grid. ValueError unless config, spec and disc pair
+    (``check_pairing``) and ``params`` holds param_count angles."""
     check_pairing(config, spec, disc)
-    jac, f = _shift_outputs(spec, params, observables(config, disc.n_points))
-    return jac @ d_loss_d_outputs(config, f, disc)
+    angles = _check_params(spec, params)
+    return _adjoint_plan([[config]], spec.n_qubits, spec.layers)(angles[None])[1][0, 0]
 
 
 def finite_difference_gradient(

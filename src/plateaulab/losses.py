@@ -280,21 +280,6 @@ def pde_residual(f, pde: PdeKind, disc: Discretization) -> np.ndarray:
     return res
 
 
-def pde_loss(f, pde: PdeKind, disc: Discretization) -> float | np.ndarray:
-    """Mean squared residual over the collocation points, one per row."""
-    res = pde_residual(f, pde, disc)
-    return np.mean(res**2, axis=-1)
-
-
-def data_loss(f, target) -> float | np.ndarray:
-    """Mean squared error between each profile and the one target."""
-    arr = np.asarray(f, dtype=np.float64)
-    tgt = np.asarray(target, dtype=np.float64)
-    if arr.shape[-1:] != tgt.shape:
-        raise ValueError(f"length mismatch: {arr.shape} vs {tgt.shape}")
-    return np.mean((arr - tgt) ** 2, axis=-1)
-
-
 def loss_and_d_outputs(config: LossConfig, f,
                        disc: Discretization) -> tuple[float | np.ndarray, np.ndarray]:
     """Loss of each row of outputs f of ``observables(config, n)`` and its

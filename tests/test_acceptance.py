@@ -54,6 +54,7 @@ from plateaulab.statevector import (
     reduced_density_matrix,
     von_neumann_entropy,
 )
+from shift_rule import shift_gradient
 
 TREND_SEED = 7
 TREND_SAMPLES = 100
@@ -90,6 +91,10 @@ def test_criterion_01_gradient_oracle():
                             lambda q: total_loss(config, spec, q, disc), params, 1e-5
                         )
                         np.testing.assert_allclose(got, fd, atol=1e-6)
+                        # loss_gradient is the adjoint engine; the label's
+                        # shift rule is the tests' whole-circuit oracle.
+                        shift = shift_gradient(config, spec, params, disc)
+                        np.testing.assert_allclose(shift, fd, atol=1e-6)
 
 
 def test_criterion_02_analytic_identity():

@@ -11,7 +11,7 @@ import pytest
 
 from plateaulab import ansatz, experiments, gradients, losses
 from plateaulab.ansatz import CircuitSpec, Topology, entangler_pairs, run_circuit
-from plateaulab.gradients import draw_params, loss_gradient
+from plateaulab.gradients import draw_params
 from plateaulab.losses import (
     Discretization,
     Heat,
@@ -30,6 +30,7 @@ from plateaulab.experiments import (
     train,
 )
 from plateaulab.statevector import reduced_density_matrix, von_neumann_entropy
+from shift_rule import shift_gradient
 
 
 class TestVarianceSweeps:
@@ -191,8 +192,8 @@ class TestTrain:
 
         The replay steps with the adjoint engine's gradient, as training
         does, so it visits the trained angles; at each of them the recorded
-        norm is checked against parameter shift and the loss against a
-        fresh forward run.
+        norm is checked against the whole-circuit parameter-shift rule and the
+        loss against a fresh forward run.
         """
         configs = all_configs() + [LossConfig(LossKind.PDE_CONSTRAINED, pde=Heat())]
         layers, lr = 2, 0.02
@@ -203,7 +204,7 @@ class TestTrain:
                 spec = CircuitSpec(n, layers, cfg.required_topology())
                 params = draw_params(4, n, layers, 0)
                 for loss, norm in zip(trace.losses, trace.grad_norms, strict=True):
-                    grad = loss_gradient(cfg, spec, params, disc)
+                    grad = shift_gradient(cfg, spec, params, disc)
                     assert norm == pytest.approx(float(np.linalg.norm(grad)), abs=1e-12)
                     assert loss == total_loss(cfg, spec, params, disc)
                     _, adjoint = gradients._adjoint_plan([[cfg]], n, layers)(params[None])

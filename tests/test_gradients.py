@@ -1,4 +1,5 @@
-"""Parameter-shift, adjoint, chain-rule and variance-protocol checks."""
+"""Adjoint-engine, chain-rule and variance-protocol checks; the oracle is the
+whole-circuit parameter-shift rule of ``shift_rule``."""
 
 import gc
 import re
@@ -14,14 +15,12 @@ from plateaulab.ansatz import (
     entangler_pairs,
     entangler_permutation,
     run_circuit,
-    run_circuit_batch,
 )
 from plateaulab.experiments import SweepRow, train
 from plateaulab.gradients import (
     draw_params,
     finite_difference_gradient,
     gradient_variance,
-    jacobian_outputs,
     loss_gradient,
 )
 from plateaulab.losses import (
@@ -32,12 +31,12 @@ from plateaulab.losses import (
     LossKind,
     SaintVenant,
     all_configs,
-    d_loss_d_outputs,
     loss_from_outputs,
     observables,
     total_loss,
 )
 from plateaulab.statevector import outputs, probabilities
+from shift_rule import shift_gradient, shift_jacobian
 
 ATA = Topology.ALL_TO_ALL
 NN = Topology.NEAREST_NEIGHBOR
@@ -62,16 +61,33 @@ def run_adjoint(configs, n, layers, angles):
     return gradients._adjoint_plan(config_blocks(configs, angles), n, layers)(angles)[1]
 
 
+def record_plan_runs(monkeypatch):
+    """Record (grid, angles, (losses, grads)) for every run of every plan built."""
+    runs = []
+    real = gradients._adjoint_plan
+
+    def recording(grid, n_qubits, layers):
+        run = real(grid, n_qubits, layers)
+
+        def recorded(angles):
+            runs.append((grid, angles.copy(), run(angles)))
+            return runs[-1][2]
+        return recorded
+
+    monkeypatch.setattr(gradients, "_adjoint_plan", recording)
+    return runs
+
+
 class TestJacobian:
     def test_zero_angles_stationary(self):
         spec = CircuitSpec(2, 1, ATA)
-        jac = jacobian_outputs(spec, np.zeros(4))
+        jac = shift_jacobian(spec, np.zeros(4))
         # d<Z_0>/d(RY on qubit 0) = -sin(0) = 0
         assert abs(jac[0, 0]) < 1e-14
 
     def test_quarter_turn_derivative(self):
         spec = CircuitSpec(2, 1, ATA)
-        jac = jacobian_outputs(spec, np.array([np.pi / 2, 0, 0, 0]))
+        jac = shift_jacobian(spec, np.array([np.pi / 2, 0, 0, 0]))
         # d<Z_0>/d(RY on qubit 0) = -sin(pi/2) = -1
         assert abs(jac[0, 0] + 1.0) < 1e-12
 
@@ -81,14 +97,14 @@ class TestJacobian:
         # any Z-diagonal output.
         rng = np.random.default_rng(40)
         spec = CircuitSpec(3, 1, ATA)
-        jac = jacobian_outputs(spec, rng.uniform(0, 2 * np.pi, spec.param_count))
+        jac = shift_jacobian(spec, rng.uniform(0, 2 * np.pi, spec.param_count))
         np.testing.assert_allclose(jac[:, 3:6], 0.0, atol=1e-14)
 
     def test_earlier_rz_columns_live_and_match_fd(self):
         rng = np.random.default_rng(41)
         spec = CircuitSpec(3, 2, ATA)
         angles = rng.uniform(0, 2 * np.pi, spec.param_count)
-        jac = jacobian_outputs(spec, angles)
+        jac = shift_jacobian(spec, angles)
         assert np.max(np.abs(jac[:, 3:6])) > 1e-3  # layer-1 RZ block
         from plateaulab.ansatz import run_circuit
         from plateaulab.statevector import expect_z
@@ -102,7 +118,7 @@ class TestJacobian:
     def test_entries_bounded_by_one(self):
         rng = np.random.default_rng(42)
         spec = CircuitSpec(4, 2, ATA)
-        jac = jacobian_outputs(spec, rng.uniform(0, 2 * np.pi, spec.param_count))
+        jac = shift_jacobian(spec, rng.uniform(0, 2 * np.pi, spec.param_count))
         assert np.max(np.abs(jac)) <= 1.0 + 1e-12
 
 
@@ -139,17 +155,69 @@ class TestLossGradient:
         grad = loss_gradient(cfg, spec, np.zeros(spec.param_count), Discretization(4))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
+    BIT_CELLS = [(n, layers) for n in (2, 3, 4, 6, 8) for layers in (1, 2, 3)]
+
+    @staticmethod
+    def check_bits_of_each_row(runs, n, layers):
+        disc = Discretization(n)
+        for grid, angles, (_, grads) in runs:
+            for block, block_grads in zip(grid, grads, strict=True):
+                for config, params, grad in zip(block, angles, block_grads, strict=True):
+                    got = loss_gradient(config, spec_for(config, n, layers), params, disc)
+                    assert got.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("n, layers", BIT_CELLS)
+    def test_bits_of_every_variance_block_row(self, n, layers, monkeypatch):
+        runs = record_plan_runs(monkeypatch)
+        gradient_variance(ORACLE_CONFIGS, n, layers, 3, 9)
+        monkeypatch.undo()
+        assert sum(grads.shape[0] * grads.shape[1] for _, _, (_, grads) in runs) \
+            == 3 * len(ORACLE_CONFIGS)
+        self.check_bits_of_each_row(runs, n, layers)
+
+    @pytest.mark.parametrize("n, layers", BIT_CELLS)
+    def test_bits_of_every_training_grid_row(self, n, layers, monkeypatch):
+        runs = record_plan_runs(monkeypatch)
+        train(ORACLE_CONFIGS, n=n, layers=layers, epochs=2, learning_rate=0.05, seed=2)
+        monkeypatch.undo()
+        assert len(runs) == 3
+        self.check_bits_of_each_row(runs, n, layers)
+
+    @pytest.mark.parametrize("config, spec, params, disc, message", [
+        (LossConfig(LossKind.GLOBAL_COST), CircuitSpec(4, 3, ATA), np.zeros(5),
+         Discretization(4), "expected 24 angles, got shape (5,)"),
+        (LossConfig(LossKind.LOCAL_COST), CircuitSpec(4, 1, ATA), np.zeros((1, 8)),
+         Discretization(4), "expected 8 angles, got shape (1, 8)"),
+        (LossConfig(LossKind.GLOBAL_COST), CircuitSpec(4, 1, NN), np.zeros(8),
+         Discretization(4), "global_cost requires topology all_to_all, got nearest_neighbor"),
+        (LossConfig(LossKind.PDE_STRUCTURED), CircuitSpec(4, 1, ATA), np.zeros(8),
+         Discretization(4), "pde_structured requires topology nearest_neighbor, got all_to_all"),
+        (LossConfig(LossKind.GLOBAL_COST), CircuitSpec(4, 1, ATA), np.zeros(8),
+         Discretization(6), "grid has 6 points but circuit has 4 qubits"),
+    ])
+    def test_bad_input_rejected_before_any_kernel(self, config, spec, params, disc, message,
+                                                  monkeypatch):
+        calls = []
+        monkeypatch.setattr(gradients, "_adjoint_plan", lambda *args: calls.append(args))
+        monkeypatch.setattr(gradients, "run_circuit_batch", lambda *args: calls.append(args))
+        for kernel in ("_gate_coefficients", "_apply_ry_inplace", "_apply_rz_inplace"):
+            monkeypatch.setattr(gradients.sv, kernel, lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            loss_gradient(config, spec, params, disc)
+        assert calls == []
+
     def test_local_cost_direct_shift_equals_chain_rule(self):
         # The local cost is output 0 itself, so the Jacobian row must equal
-        # the direct parameter-shift gradient.
+        # the direct parameter-shift gradient, and the engine's gradient.
         rng = np.random.default_rng(43)
         spec = CircuitSpec(3, 2, ATA)
         params = rng.uniform(0, 2 * np.pi, spec.param_count)
-        direct = loss_gradient(
-            LossConfig(LossKind.LOCAL_COST), spec, params, Discretization(3)
-        )
-        via_jacobian = jacobian_outputs(spec, params)[0]
-        np.testing.assert_allclose(direct, via_jacobian, atol=1e-13)
+        config, disc = LossConfig(LossKind.LOCAL_COST), Discretization(3)
+        via_jacobian = shift_jacobian(spec, params)[0]
+        np.testing.assert_allclose(shift_gradient(config, spec, params, disc), via_jacobian,
+                                   atol=1e-13)
+        np.testing.assert_allclose(loss_gradient(config, spec, params, disc), via_jacobian,
+                                   atol=1e-13)
 
 
 class TestFiniteDifferenceOracle:
@@ -327,32 +395,20 @@ class TestGradientVariance:
             expected = adjoint.var(axis=0, ddof=1)
             np.testing.assert_array_equal(variance, expected)
             assert float(np.mean(variance)) == float(np.mean(expected))
-            shift = np.stack([loss_gradient(config, spec, d, Discretization(4)) for d in draws])
+            shift = np.stack([shift_gradient(config, spec, d, Discretization(4)) for d in draws])
             np.testing.assert_allclose(variance, shift.var(axis=0, ddof=1),
                                        rtol=0, atol=1e-12)
 
     def test_first_draws_have_the_same_bits_whatever_k(self, monkeypatch):
         # At n=4, L=2 the all-to-all blocks hold 4 draws, so K=5 splits the
         # first three draws' block differently from K=3.
-        original = gradients._adjoint_plan
-        stacks = []
-
-        def recording(grid, n_qubits, layers):
-            run = original(grid, n_qubits, layers)
-
-            def recorded(angles):
-                losses, grads = run(angles)
-                stacks.append((grid[0][0].required_topology(), grads))
-                return losses, grads
-
-            return recorded
-
-        monkeypatch.setattr(gradients, "_adjoint_plan", recording)
+        stacks = record_plan_runs(monkeypatch)
         runs = []
         for k in (3, 5):
             stacks.clear()
             gradient_variance(all_configs(), 4, 2, k, 0)
-            runs.append({t: np.concatenate([g for u, g in stacks if u is t], axis=1)
+            runs.append({t: np.concatenate([g for grid, _, (_, g) in stacks
+                                            if grid[0][0].required_topology() is t], axis=1)
                          for t in Topology})
         for topology in Topology:
             np.testing.assert_array_equal(runs[1][topology][:, :3], runs[0][topology])
@@ -380,7 +436,7 @@ class TestAdjointGradients:
             stacks = run_adjoint(configs, n, layers, draws)
             assert stacks.shape == (len(configs), 3, spec.param_count)
             for config, stack in zip(configs, stacks):
-                expected = np.stack([loss_gradient(config, spec, d, disc) for d in draws])
+                expected = np.stack([shift_gradient(config, spec, d, disc) for d in draws])
                 np.testing.assert_allclose(stack, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [4, 6, 9, 12])
@@ -577,19 +633,6 @@ class TestOneForwardPass:
         )
 
 
-def shift_reference(config, spec, params, disc):
-    """J^T dL/df by the pi/2 shift rule on the whole circuit: its batch keeps
-    the last layer's RZ phases, which the library's readouts leave out."""
-    p = spec.param_count
-    shifted = np.tile(params, (2 * p + 1, 1))
-    j = np.arange(p)
-    shifted[j, j] += np.pi / 2
-    shifted[p + j, j] -= np.pi / 2
-    probs = probabilities(run_circuit_batch(spec, shifted))
-    f = outputs(observables(config, spec.n_qubits), probs)
-    return (f[:p] - f[p : 2 * p]) @ d_loss_d_outputs(config, f[-1], disc) / 2
-
-
 class TestDeadLastLayerRz:
     """The last layer's n RZ angles, p - n and up, have exact zero gradients
     on every path; every other entry matches the whole circuit's."""
@@ -609,7 +652,7 @@ class TestDeadLastLayerRz:
             spec = spec_for(config, n, layers)
             losses, grads = gradients._adjoint_plan([[config] * 2], n, layers)(draws)
             for b, angles in enumerate(draws):
-                reference = shift_reference(config, spec, angles, disc)
+                reference = shift_gradient(config, spec, angles, disc)
                 self.check(grads[0, b], reference, n)
                 self.check(loss_gradient(config, spec, angles, disc), reference, n)
                 f = outputs(observables(config, n), probabilities(run_circuit(spec, angles)))
@@ -623,28 +666,17 @@ class TestDeadLastLayerRz:
         variances = gradient_variance(ORACLE_CONFIGS, n, layers, len(draws), 1)
         for config, variance in zip(ORACLE_CONFIGS, variances):
             spec = spec_for(config, n, layers)
-            reference = np.var([shift_reference(config, spec, d, disc) for d in draws],
+            reference = np.var([shift_gradient(config, spec, d, disc) for d in draws],
                                axis=0, ddof=1)
             self.check(variance, reference, n)
 
     @pytest.mark.parametrize("n, layers", CELLS)
     def test_training_gradients(self, n, layers, monkeypatch):
-        runs = []
-        real = gradients._adjoint_plan
-
-        def recording(*args):
-            run = real(*args)
-
-            def recorded(angles):
-                runs.append((angles.copy(), run(angles)))
-                return runs[-1][1]
-            return recorded
-
-        monkeypatch.setattr(gradients, "_adjoint_plan", recording)
+        runs = record_plan_runs(monkeypatch)
         train(ORACLE_CONFIGS, n=n, layers=layers, epochs=1, learning_rate=0.05, seed=2)
         assert len(runs) == 2
         disc = Discretization(n)
-        for angles, (_, grads) in runs:
+        for _, angles, (_, grads) in runs:
             for config, params, grad in zip(ORACLE_CONFIGS, angles, grads[0], strict=True):
-                self.check(grad, shift_reference(config, spec_for(config, n, layers),
+                self.check(grad, shift_gradient(config, spec_for(config, n, layers),
                                                  params, disc), n)

@@ -17,13 +17,11 @@ from plateaulab.losses import (
     centered_d1,
     centered_d2,
     d_loss_d_outputs,
-    data_loss,
     default_target,
     loss_and_d_outputs,
     loss_from_outputs,
     observables,
     outputs,
-    pde_loss,
     pde_residual,
     total_loss,
 )
@@ -115,14 +113,22 @@ class TestStencils:
 
 GRADIENT_PENALTY = LossConfig(LossKind.PDE_CONSTRAINED).physics
 
+# The data term alone: a composite at physics weight 0 fits default_target.
+DATA_TERM = LossConfig(LossKind.PDE_CONSTRAINED, physics_weight=0.0)
+
+
+def mean_squared_residual(f, term, disc):
+    """A physics penalty as its own formula, one value per row."""
+    return np.mean(pde_residual(f, term, disc) ** 2, axis=-1)
+
 
 class TestGradientPenalty:
     def test_constant_is_zero(self):
-        assert pde_loss(np.full(4, 0.3), GRADIENT_PENALTY, Discretization(4)) == 0.0
+        assert mean_squared_residual(np.full(4, 0.3), GRADIENT_PENALTY, Discretization(4)) == 0.0
 
     def test_alternating_profile_invisible_to_stencil(self):
         disc = Discretization(4)
-        assert pde_loss([1, -1, 1, -1], GRADIENT_PENALTY, disc) == 0.0
+        assert mean_squared_residual([1, -1, 1, -1], GRADIENT_PENALTY, disc) == 0.0
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(23)
@@ -130,7 +136,7 @@ class TestGradientPenalty:
         f = rng.uniform(-1, 1, 8)
         d1 = stencil_d1_oracle(f, disc.dx)
         want = sum(v**2 for v in d1) / 8
-        assert abs(pde_loss(f, GRADIENT_PENALTY, disc) - want) < 1e-12
+        assert abs(mean_squared_residual(f, GRADIENT_PENALTY, disc) - want) < 1e-12
 
 
 class TestPdeResiduals:
@@ -194,41 +200,43 @@ class TestPdeResiduals:
 class TestPdeLoss:
     @pytest.mark.parametrize("pde", ALL_PDES, ids=lambda p: p.name)
     def test_constant_profile_zero(self, pde):
-        assert pde_loss(np.full(5, 0.1), pde, Discretization(5)) == 0.0
+        assert mean_squared_residual(np.full(5, 0.1), pde, Discretization(5)) == 0.0
 
     def test_heat_loss_composition(self):
         rng = np.random.default_rng(28)
         disc = Discretization(6)
         f = rng.uniform(-1, 1, 6)
         want = 0.01**2 * np.mean(stencil_d2_oracle(f, disc.dx) ** 2)
-        assert abs(pde_loss(f, Heat(), disc) - want) < 1e-12
+        assert abs(mean_squared_residual(f, Heat(), disc) - want) < 1e-12
 
     def test_nonnegative(self):
         rng = np.random.default_rng(29)
         disc = Discretization(6)
         for pde in ALL_PDES:
             for _ in range(5):
-                assert pde_loss(rng.uniform(-1, 1, 6), pde, disc) >= 0.0
+                assert mean_squared_residual(rng.uniform(-1, 1, 6), pde, disc) >= 0.0
 
 
 class TestDataLoss:
+    """The data term: mean squared error to default_target."""
+
     def test_equal_profiles_zero(self):
-        f = np.array([0.1, -0.2, 0.3])
-        assert data_loss(f, f) == 0.0
+        disc = Discretization(3)
+        assert loss_from_outputs(DATA_TERM, default_target(3), disc) == 0.0
 
     def test_constant_offset(self):
-        f = np.array([0.1, -0.2, 0.3])
-        assert abs(data_loss(f + 0.5, f) - 0.25) < 1e-12
+        disc = Discretization(3)
+        assert abs(loss_from_outputs(DATA_TERM, default_target(3) + 0.5, disc) - 0.25) < 1e-12
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(30)
-        f, t = rng.normal(size=6), rng.normal(size=6)
+        f, t = rng.normal(size=6), default_target(6)
         want = sum((a - b) ** 2 for a, b in zip(f, t)) / 6
-        assert abs(data_loss(f, t) - want) < 1e-12
+        assert abs(loss_from_outputs(DATA_TERM, f, Discretization(6)) - want) < 1e-12
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            data_loss(np.zeros(3), np.zeros(4))
+            loss_from_outputs(DATA_TERM, np.zeros(3), Discretization(4))
 
 
 class TestTotalLoss:
@@ -253,9 +261,9 @@ class TestTotalLoss:
         # every physics term, so the loss is the data MSE to the sine target.
         spec = CircuitSpec(4, 1, Topology.ALL_TO_ALL)
         disc = Discretization(4)
-        assert pde_loss(np.ones(4), cfg.physics, disc) == 0.0
+        assert mean_squared_residual(np.ones(4), cfg.physics, disc) == 0.0
         value = total_loss(cfg, spec, np.zeros(spec.param_count), disc)
-        assert value == data_loss(np.ones(4), default_target(4))
+        assert value == np.mean((np.ones(4) - default_target(4)) ** 2)
 
     def test_cost_values_bounded(self):
         rng = np.random.default_rng(31)
@@ -401,7 +409,8 @@ class TestPhysicsTerms:
             up, down = f.copy(), f.copy()
             up[m] += h
             down[m] -= h
-            numeric = (pde_loss(up, term, disc) - pde_loss(down, term, disc)) / (2 * h)
+            numeric = (mean_squared_residual(up, term, disc)
+                       - mean_squared_residual(down, term, disc)) / (2 * h)
             assert abs(got[m] - numeric) < 1e-7 * max(1.0, abs(numeric))
 
 
@@ -459,8 +468,10 @@ def _separate_loss(config, f, disc):
     weighted mean squared residual."""
     if config.kind in (LossKind.GLOBAL_COST, LossKind.LOCAL_COST):
         return np.asarray(f, dtype=np.float64)[..., 0][()]
-    physics = pde_loss(f, config.physics, disc)
-    return data_loss(f, default_target(disc.n_points)) + config.physics_weight * physics
+    f = np.asarray(f, dtype=np.float64)
+    physics = mean_squared_residual(f, config.physics, disc)
+    data = np.mean((f - default_target(disc.n_points)) ** 2, axis=-1)
+    return data + config.physics_weight * physics
 
 
 def _separate_gradient(config, f, disc):
@@ -517,8 +528,8 @@ class TestOneProfile:
     def test_term_and_data_losses_of_one_profile_are_floats(self):
         f, disc = np.linspace(-0.5, 0.5, 4), Discretization(4)
         for term in (GRADIENT_PENALTY, *ALL_PDES):
-            assert isinstance(pde_loss(f, term, disc), float)
-        assert isinstance(data_loss(f, default_target(4)), float)
+            assert isinstance(mean_squared_residual(f, term, disc), float)
+        assert isinstance(loss_from_outputs(DATA_TERM, f, disc), float)
 
     def test_malformed_profiles_rejected(self):
         disc = Discretization(4)
@@ -526,8 +537,8 @@ class TestOneProfile:
         calls = [
             lambda g: centered_d1(g, disc),
             lambda g: centered_d2(g, disc),
-            lambda g: pde_loss(g, Heat(), disc),
-            lambda g: data_loss(g, default_target(4)),
+            lambda g: pde_residual(g, Heat(), disc),
+            lambda g: loss_from_outputs(DATA_TERM, g, disc),
             lambda g: loss_from_outputs(config, g, disc),
             lambda g: d_loss_d_outputs(config, g, disc),
         ]
@@ -536,7 +547,7 @@ class TestOneProfile:
                 with pytest.raises(ValueError):
                     call(bad)
         with pytest.raises(ValueError):
-            data_loss(np.zeros((3, 4)), np.zeros(5))
+            loss_from_outputs(DATA_TERM, np.zeros((3, 4)), Discretization(5))
 
     @pytest.mark.parametrize("kind", [LossKind.GLOBAL_COST, LossKind.LOCAL_COST])
     def test_cost_takes_exactly_one_output(self, kind):

@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 
 from plateaulab.ansatz import CircuitSpec, Topology, run_circuit
 from plateaulab.experiments import DEFAULT_PDES
-from plateaulab.gradients import (
-    _adjoint_plan,
-    finite_difference_gradient,
-    loss_gradient,
-)
+from plateaulab.gradients import finite_difference_gradient, loss_gradient
 from plateaulab.losses import (
     Discretization,
     all_configs,
@@ -29,6 +25,7 @@ from plateaulab.statevector import (
     von_neumann_entropy,
     z_signs,
 )
+from shift_rule import shift_gradient
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -79,14 +76,13 @@ def test_loss_gradient_matches_finite_differences(config, data):
 @pytest.mark.parametrize("config", all_configs(), ids=lambda c: c.name)
 @settings(PROPERTY, max_examples=10)
 @given(data=st.data())
-def test_adjoint_gradient_matches_finite_differences(config, data):
-    # Same step and tolerance as acceptance criterion 1.
+def test_shift_rule_gradient_matches_finite_differences(config, data):
+    # The tests' oracle for loss_gradient, at criterion 1's step and tolerance.
     spec, angles = data.draw(circuits(config.required_topology()))
     disc = Discretization(spec.n_qubits)
     fd = finite_difference_gradient(
         lambda q: total_loss(config, spec, q, disc), angles, 1e-5)
-    got = _adjoint_plan([[config]], spec.n_qubits, spec.layers)(angles[None])[1][0, 0]
-    np.testing.assert_allclose(got, fd, atol=1e-6)
+    np.testing.assert_allclose(shift_gradient(config, spec, angles, disc), fd, atol=1e-6)
 
 
 @PROPERTY

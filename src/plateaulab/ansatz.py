@@ -126,7 +126,7 @@ def _row_gathers(specs: Sequence[CircuitSpec]) -> tuple[np.ndarray, np.ndarray]:
 
 def run_circuit_batch(
     spec: CircuitSpec, angles_batch: np.ndarray, gather: np.ndarray | None = None,
-    *, z_readout: bool = False,
+    *, z_readout: bool = False, coefficients: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Evaluate the circuit for a whole batch of angle vectors at once.
 
@@ -154,6 +154,9 @@ def run_circuit_batch(
     probabilities agree with the full circuit's to rounding, and the
     gradient of any function of them with respect to those n angles is
     exactly zero. The amplitudes then lack those phases.
+
+    ``coefficients`` are ``sv._gate_coefficients(angles_batch)``, for a caller
+    that has them already; by default the batch computes its own.
     """
     angles_batch = np.asarray(angles_batch, dtype=np.float64)
     if angles_batch.ndim != 2 or angles_batch.shape[1] != spec.param_count:
@@ -164,7 +167,9 @@ def run_circuit_batch(
     n = spec.n_qubits
     amps = np.zeros((angles_batch.shape[0], 2**n), dtype=np.complex128)
     amps[:, 0] = 1.0
-    cos_half, sin_pair, phases = sv._gate_coefficients(angles_batch)
+    if coefficients is None:
+        coefficients = sv._gate_coefficients(angles_batch)
+    cos_half, sin_pair, phases = coefficients
     pairs = entangler_pairs(spec)
     # The gate order of ``circuit_gates``.
     for base in range(0, spec.param_count, 2 * n):
@@ -173,13 +178,14 @@ def run_circuit_batch(
             # Before the first entangler qubits above k are still |0>, so
             # qubit k's gates reach only the row prefix [0, 2^(k+1)).
             reach = amps[:, : 2 ** (k + 1)] if base == 0 else amps
-            sv._apply_ry_inplace(reach, k, cos_half[base + k], sin_pair[base + k])
+            sv._apply_ry_inplace(sv._qubit_view(reach, k), cos_half[base + k],
+                                 sin_pair[base + k])
             if phased:
-                sv._apply_rz_inplace(reach, k, phases[base + n + k])
+                sv._apply_rz_inplace(sv._qubit_view(reach, k), phases[base + n + k])
         if gather is None:
-            amps = np.take(amps, entangler_permutation(n, pairs), axis=-1)
+            amps = amps.take(entangler_permutation(n, pairs), axis=-1)
         else:
-            amps = np.take(amps, gather, axis=-1 if gather.ndim == 1 else None)
+            amps = amps.take(gather, axis=-1 if gather.ndim == 1 else None)
     norms = np.sum(sv.probabilities(amps), axis=1)
     if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):  # a NaN norm fails too
         raise ArithmeticError("statevector norm drifted in batch evaluation")

@@ -10,6 +10,7 @@ sample count K or the seed they were called with.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -242,8 +243,9 @@ def train(
         losses, stacks = run(params)
         values[epoch], grads = losses[0], stacks[0]
         _check_finite(grads, configs, "gradient", epoch)
-        # One norm per row: norm(axis=1) sums in another order.
-        norms[epoch] = [float(np.linalg.norm(grad)) for grad in grads]
+        # One norm per row, np.linalg.norm's own sqrt(g . g) for a real
+        # vector: norm(axis=1) sums in another order.
+        norms[epoch] = [math.sqrt(grad.dot(grad)) for grad in grads]
     return [TrainTrace(c.name, v, g)
             for c, v, g in zip(configs, values.T.tolist(), norms.T.tolist())]
 

@@ -119,8 +119,12 @@ def _adjoint_plan(
     entry's loss, with the bits of ``total_loss``, and its row lambda = O phi.
     One (G+1, B, 2^n) array of [phi; lambda] rows is walked back through the
     rotations: at each, dL/dtheta = Im<lambda|P|phi> is read for its
-    generator P (Y_q or Z_q), then the gate at -theta undoes it on every row;
-    one gather undoes each CNOT sub-layer with every row's own undo indices.
+    generator P (Y_q or Z_q), then the gate undoes itself on every row with
+    the forward's coefficients, its sine or phase pair reversed: the bits of
+    the gate at -theta (``sv._gate_coefficients``), so a run makes one
+    coefficient call. Each qubit's kernel view of the rows is built with
+    the plan; one gather undoes each CNOT sub-layer with every row's own
+    undo indices.
     The walk back ends at its last read, that of the circuit's first gate,
     whose undo would feed no read. It skips the last layer's RZ gates, as
     the forward does: their gradient entries are exact zeros. Every
@@ -147,17 +151,20 @@ def _adjoint_plan(
     products = np.empty((n_blocks, n_draws, 2 ** (n + 1)))
     lam = flat[1:].reshape(products.shape)
     blocks = rows.reshape(n_blocks + 1, -1)  # one flat run of B rows per block
-    reads = {}  # (kind, qubit) -> reversed view of phi, signs of -iP, view of chi
+    # (kind, qubit) -> reversed view of phi, signs of -iP, view of chi, and
+    # the kernel view of every row of rows.
+    reads = {}
     for a in range(n):
         phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
-        reads["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi.reshape(phi.shape))
-        reads["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi.reshape(phi.shape))
+        undo_view = sv._qubit_view(rows, a)
+        reads["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi.reshape(phi.shape), undo_view)
+        reads["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi.reshape(phi.shape), undo_view)
     # The rotations are every spec's but the last layer's RZ, angles p - n
     # and up; spec's CNOTs only mark the sub-layers, each one None here.
     last_rz = spec.param_count - n
     schedule = []
     for entangler, gates in groupby(reversed(list(circuit_gates(spec))), key=_is_cnot):
-        schedule += [None] if entangler else [(*gate, reads[gate[:2]])
+        schedule += [None] if entangler else [(gate[0], gate[2], reads[gate[:2]])
                                               for gate in gates if gate[2] < last_rz]
     last_read = schedule[-1]  # the circuit's first gate, RY on qubit 0
 
@@ -166,8 +173,10 @@ def _adjoint_plan(
         if angles.shape != (n_draws, spec.param_count):
             raise ValueError(f"expected angles of shape ({n_draws}, {spec.param_count}), "
                              f"got {angles.shape}")
+        coefficients = sv._gate_coefficients(angles)
         # Through this module's binding, the one bench/tracer.py counts.
-        rows[0] = run_circuit_batch(spec, angles, forward, z_readout=True)
+        rows[0] = run_circuit_batch(spec, angles, forward, z_readout=True,
+                                    coefficients=coefficients)
         probs = probabilities(rows[0])
         losses = np.empty((n_blocks, n_draws))
         # Row-wise einsum, not @, for the reason given in ``outputs``.
@@ -178,26 +187,28 @@ def _adjoint_plan(
         del probs
         grads = np.empty((n_blocks, n_draws, spec.param_count))
         grads[:, :, last_rz:] = 0.0
-        cos_half, sin_pair, phases = sv._gate_coefficients(-angles)  # each gate's inverse
+        # Each gate's inverse: the same cosine, each pair reversed.
+        cos_half, sin_pair, phases = coefficients
+        sin_pair, phases = sin_pair[..., ::-1, :], phases[..., ::-1, :]
         for gate in schedule:
             if gate is None:
                 # In place: flat, lam and the reads are views of rows. With
-                # mode="raise" np.take buffers its output, so the overlap is safe.
-                np.take(blocks, undo, axis=-1, out=rows)
+                # mode="raise" take buffers its output, so the overlap is safe.
+                blocks.take(undo, axis=-1, out=rows)
                 continue
-            kind, a, b, read = gate
+            kind, b, (phi, signs, chi_view, view) = gate
             # dL/dtheta = Im<lam|P|phi> = Re<lam|chi> with chi = -i P phi. Every
             # row sums over a contiguous buffer, so its bits do not depend on
             # the grid's size.
-            np.multiply(*read)
+            np.multiply(phi, signs, out=chi_view)
             np.multiply(lam, chi, out=products)
-            grads[:, :, b] = products.sum(axis=2)
+            np.add.reduce(products, axis=2, out=grads[:, :, b])
             if gate is last_read:
                 break
             if kind == "ry":
-                sv._apply_ry_inplace(rows, a, cos_half[b], sin_pair[b])
+                sv._apply_ry_inplace(view, cos_half[b], sin_pair[b])
             else:
-                sv._apply_rz_inplace(rows, a, phases[b])
+                sv._apply_rz_inplace(view, phases[b])
         return losses, grads
 
     return run

@@ -256,20 +256,20 @@ def _neighbours(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-# np.take, not arr[..., idx]: the fancy index returns a block that is not
+# arr.take, not arr[..., idx]: the fancy index returns a block that is not
 # C-contiguous, and a row's bits downstream depend on its layout.
 def centered_d1(f, disc: Discretization) -> np.ndarray:
     """Periodic centered first difference (f_{k+1} - f_{k-1}) / (2 dx)."""
     arr = _check_profile(f, disc.n_points)
     up, down = _neighbours(disc.n_points)
-    return (np.take(arr, up, axis=-1) - np.take(arr, down, axis=-1)) / (2.0 * disc.dx)
+    return (arr.take(up, axis=-1) - arr.take(down, axis=-1)) / (2.0 * disc.dx)
 
 
 def centered_d2(f, disc: Discretization) -> np.ndarray:
     """Periodic centered second difference (f_{k+1} - 2 f_k + f_{k-1}) / dx^2."""
     arr = _check_profile(f, disc.n_points)
     up, down = _neighbours(disc.n_points)
-    return (np.take(arr, up, axis=-1) - 2.0 * arr + np.take(arr, down, axis=-1)) / disc.dx**2
+    return (arr.take(up, axis=-1) - 2.0 * arr + arr.take(down, axis=-1)) / disc.dx**2
 
 
 def pde_residual(f, pde: PdeKind, disc: Discretization) -> np.ndarray:
@@ -294,8 +294,11 @@ def loss_and_d_outputs(config: LossConfig, f,
     physics = config.physics
     res = pde_residual(arr, physics, disc)
     misfit = arr - default_target(disc.n_points)
-    loss = np.mean(misfit**2, axis=-1) + config.physics_weight * np.mean(res**2, axis=-1)
-    grad = ((2.0 / disc.n_points) * misfit
+    # np.mean's own arithmetic, a sum then one division, without its wrappers.
+    m = disc.n_points
+    loss = (np.add.reduce(misfit**2, axis=-1) / m
+            + config.physics_weight * (np.add.reduce(res**2, axis=-1) / m))
+    grad = ((2.0 / m) * misfit
             + config.physics_weight * physics.d_loss_d_f(arr, res, disc))
     return loss, grad
 

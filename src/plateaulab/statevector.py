@@ -78,7 +78,10 @@ def _check_qubit(n_qubits: int, qubit: int) -> None:
 def _gate_coefficients(angles_batch: np.ndarray) -> tuple[np.ndarray, ...]:
     """cos(a/2) (p, B, 1, 1, 1), the signed RY pair [-sin(a/2), sin(a/2)] and
     the RZ pair [exp(-i a/2), exp(+i a/2)] (p, B, 1, 2, 1) of every angle of a
-    (B, p) batch: entry j broadcasts over the (..., B, hi, bit, lo) kernel views."""
+    (B, p) batch: entry j broadcasts over the (..., B, hi, bit, lo) kernel views.
+    At -a the cosine is the same and each pair is reversed on its pair axis,
+    bit for bit, since numpy's cos is even and its sin odd: the inverse gate
+    needs no call of its own."""
     half = angles_batch.T[:, :, None, None, None] / 2.0
     phase = np.exp(-1j * half)
     return (np.cos(half), np.sin(half) * _RY_SIGNS,
@@ -88,19 +91,23 @@ def _gate_coefficients(angles_batch: np.ndarray) -> tuple[np.ndarray, ...]:
 # The gate kernels act in place on a (..., B, 2^n) block of rows; no 2^n x 2^n
 # matrix is built. A rotation updates the whole (..., hi, bit, lo) view of its
 # qubit, index = hi*2^(q+1) + bit*2^q + lo, so per-row coefficients broadcast
-# over any axes before the rows. They take any (..., 2^m) view with m > q, a
-# row prefix amps[..., :2^m] included; their ``reshape`` must stay a view,
-# since an update to a copy would be lost without any error.
-def _apply_ry_inplace(amps: np.ndarray, qubit: int, cos_half, sin_pair) -> None:
+# over any axes before the rows. ``_qubit_view`` is the one place that view is
+# built: it takes any (..., 2^m) view with m > q, a row prefix amps[..., :2^m]
+# included, and the rotation kernels take its result, so a caller that rotates
+# one buffer many times builds each qubit's view once. Its ``reshape`` must
+# stay a view, since an update to a copy would be lost without any error.
+def _qubit_view(amps: np.ndarray, qubit: int) -> np.ndarray:
+    return amps.reshape(amps.shape[:-1] + (amps.shape[-1] >> (qubit + 1), 2, 2**qubit))
+
+
+def _apply_ry_inplace(view: np.ndarray, cos_half, sin_pair) -> None:
     # Three ufunc calls: ``sin_pair`` acts on the bit-swapped view.
-    view = amps.reshape(amps.shape[:-1] + (amps.shape[-1] >> (qubit + 1), 2, 2**qubit))
     swapped = view[..., ::-1, :] * sin_pair
     view *= cos_half
     view += swapped
 
 
-def _apply_rz_inplace(amps: np.ndarray, qubit: int, phases) -> None:
-    view = amps.reshape(amps.shape[:-1] + (amps.shape[-1] >> (qubit + 1), 2, 2**qubit))
+def _apply_rz_inplace(view: np.ndarray, phases) -> None:
     view *= phases
 
 
@@ -131,7 +138,7 @@ def apply_ry(amps, qubit: int, angle: float) -> np.ndarray:
     _check_real("angle", angle)
     out = _checked_copy(amps, qubit)
     cos_half, sin_pair, _ = _gate_coefficients(np.reshape(angle, (1, 1)))
-    _apply_ry_inplace(out, qubit, cos_half[0, 0], sin_pair[0, 0])
+    _apply_ry_inplace(_qubit_view(out, qubit), cos_half[0, 0], sin_pair[0, 0])
     return out
 
 
@@ -140,7 +147,8 @@ def apply_rz(amps, qubit: int, angle: float) -> np.ndarray:
     must be a finite real number."""
     _check_real("angle", angle)
     out = _checked_copy(amps, qubit)
-    _apply_rz_inplace(out, qubit, _gate_coefficients(np.reshape(angle, (1, 1)))[2][0, 0])
+    phases = _gate_coefficients(np.reshape(angle, (1, 1)))[2]
+    _apply_rz_inplace(_qubit_view(out, qubit), phases[0, 0])
     return out
 
 

@@ -215,9 +215,9 @@ def kernel_walk(spec, batch):
     cos_half, sin_pair, phases = sv._gate_coefficients(batch)
     for kind, a, b in circuit_gates(spec):
         if kind == "ry":
-            sv._apply_ry_inplace(amps, a, cos_half[b], sin_pair[b])
+            sv._apply_ry_inplace(sv._qubit_view(amps, a), cos_half[b], sin_pair[b])
         elif kind == "rz":
-            sv._apply_rz_inplace(amps, a, phases[b])
+            sv._apply_rz_inplace(sv._qubit_view(amps, a), phases[b])
         else:
             sv._apply_cnot_inplace(amps, a, b)
     return amps
@@ -261,8 +261,9 @@ class TestFirstLayerPrefix:
         widths = {"_apply_ry_inplace": [], "_apply_rz_inplace": []}
         for name, seen in widths.items():
             real = getattr(ansatz.sv, name)
-            monkeypatch.setattr(ansatz.sv, name, lambda amps, *args, real=real, seen=seen:
-                                seen.append(amps.shape[-1]) or real(amps, *args))
+            # A kernel takes its qubit's (..., hi, 2, lo) view of the rows.
+            monkeypatch.setattr(ansatz.sv, name, lambda view, *args, real=real, seen=seen:
+                                seen.append(view[0].size) or real(view, *args))
         rng = np.random.default_rng(3)
         run_circuit_batch(spec, rng.uniform(0, 2 * np.pi, (2, spec.param_count)),
                           given_gather(gather, spec, 2))

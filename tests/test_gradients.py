@@ -581,6 +581,23 @@ class TestAdjointPlan:
         run(np.stack([draw_params(0, 3, 2, k) for k in range(len(all_configs()))]))
         assert (calls.count("ry"), calls.count("rz")) == (11, 6)
 
+    @pytest.mark.parametrize("n, layers", [(3, 2), (4, 3)])
+    def test_a_run_makes_one_coefficient_call_and_no_undo_view(self, n, layers,
+                                                               monkeypatch):
+        # The backward sweep undoes each gate with the forward's coefficients
+        # and with views built with the plan: a run's only views are the
+        # forward's, one per rotation kernel, nL RY and n(L - 1) RZ.
+        run = gradients._adjoint_plan([all_configs()], n, layers)
+        calls = []
+        for helper in ("_gate_coefficients", "_qubit_view"):
+            real = getattr(gradients.sv, helper)
+            monkeypatch.setattr(gradients.sv, helper,
+                                lambda *args, helper=helper, real=real:
+                                calls.append(helper) or real(*args))
+        run(np.stack([draw_params(0, n, layers, k) for k in range(len(all_configs()))]))
+        assert calls.count("_gate_coefficients") == 1
+        assert calls.count("_qubit_view") == n * layers + n * (layers - 1)
+
     @pytest.mark.parametrize("n, layers", [(4, 2), (7, 1), (12, 1)])
     def test_configs_of_one_loss_share_one_term(self, n, layers, monkeypatch):
         # The two composites differ only in topology: one loss call serves

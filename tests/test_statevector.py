@@ -371,14 +371,34 @@ def rotate(kind, amps, qubit, angles, inverse=False):
     """Run the in-place RY or RZ kernel on a (B, 2^n) block, one angle per row.
 
     ``amps`` may carry further leading axes, over which the (B,) coefficients
-    broadcast. ``inverse`` passes (cos, -sin pair) or the conjugate phases, as
-    the adjoint backward sweep does to undo the gate.
+    broadcast. ``inverse`` reverses the sine or phase pair, as the adjoint
+    backward sweep does to undo the gate.
     """
     cos_half, sin_pair, phases = (c[0] for c in sv._gate_coefficients(angles[:, None]))
+    if inverse:
+        sin_pair, phases = sin_pair[..., ::-1, :], phases[..., ::-1, :]
+    view = sv._qubit_view(amps, qubit)
     if kind == "ry":
-        sv._apply_ry_inplace(amps, qubit, cos_half, -sin_pair if inverse else sin_pair)
+        sv._apply_ry_inplace(view, cos_half, sin_pair)
     else:
-        sv._apply_rz_inplace(amps, qubit, np.conj(phases) if inverse else phases)
+        sv._apply_rz_inplace(view, phases)
+
+
+class TestInverseCoefficients:
+    """The backward sweep undoes a gate with its forward coefficients, each
+    pair reversed: the bits of the coefficients at -a."""
+
+    @pytest.mark.parametrize("angles", [
+        np.random.default_rng(7).uniform(-60.0, 60.0, (40, 250)),
+        np.array([[0.0, 1e-300, 5e-324, 1e-17, 2.0**-30, -1e-300, -1e-17, 3e-9]]),
+        np.array([[0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi]]),
+    ], ids=["uniform", "tiny", "quarter_turns"])
+    def test_reversed_pairs_are_the_negated_angles(self, angles):
+        cos_half, sin_pair, phases = sv._gate_coefficients(angles)
+        expected = (cos_half, sin_pair[..., ::-1, :], phases[..., ::-1, :])
+        for got, want in zip(sv._gate_coefficients(-angles), expected, strict=True):
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def dense_rotation(kind, n, qubit, angle):

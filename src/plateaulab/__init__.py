@@ -34,7 +34,6 @@ from .losses import (
     centered_d2,
     default_target,
     loss_and_d_outputs,
-    loss_from_outputs,
     observables,
     pde_residual,
     total_loss,

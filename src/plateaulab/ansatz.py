@@ -84,10 +84,6 @@ def circuit_gates(spec: CircuitSpec) -> Iterator[tuple]:
             yield ("cnot", control, target)
 
 
-def _is_cnot(gate: tuple) -> bool:
-    return gate[0] == "cnot"
-
-
 def _check_params(spec: CircuitSpec, params) -> np.ndarray:
     angles = np.asarray(params, dtype=np.float64)
     if angles.shape != (spec.param_count,):
@@ -177,15 +173,12 @@ def run_circuit_batch(
         for k in range(n):
             # Before the first entangler qubits above k are still |0>, so
             # qubit k's gates reach only the row prefix [0, 2^(k+1)).
-            reach = amps[:, : 2 ** (k + 1)] if base == 0 else amps
-            sv._apply_ry_inplace(sv._qubit_view(reach, k), cos_half[base + k],
-                                 sin_pair[base + k])
+            view = sv._qubit_view(amps[:, : 2 ** (k + 1)] if base == 0 else amps, k)
+            sv._apply_ry_inplace(view, cos_half[base + k], sin_pair[base + k])
             if phased:
-                sv._apply_rz_inplace(sv._qubit_view(reach, k), phases[base + n + k])
-        if gather is None:
-            amps = amps.take(entangler_permutation(n, pairs), axis=-1)
-        else:
-            amps = amps.take(gather, axis=-1 if gather.ndim == 1 else None)
+                sv._apply_rz_inplace(view, phases[base + n + k])
+        index = entangler_permutation(n, pairs) if gather is None else gather
+        amps = amps.take(index, axis=-1 if index.ndim == 1 else None)
     norms = np.sum(sv.probabilities(amps), axis=1)
     if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):  # a NaN norm fails too
         raise ArithmeticError("statevector norm drifted in batch evaluation")

@@ -23,7 +23,6 @@ from . import statevector as sv
 from .ansatz import (
     CircuitSpec,
     _check_params,
-    _is_cnot,
     _row_gathers,
     circuit_gates,
     run_circuit_batch,
@@ -163,7 +162,8 @@ def _adjoint_plan(
     # and up; spec's CNOTs only mark the sub-layers, each one None here.
     last_rz = spec.param_count - n
     schedule = []
-    for entangler, gates in groupby(reversed(list(circuit_gates(spec))), key=_is_cnot):
+    for entangler, gates in groupby(reversed(list(circuit_gates(spec))),
+                                    key=lambda gate: gate[0] == "cnot"):
         schedule += [None] if entangler else [(gate[0], gate[2], reads[gate[:2]])
                                               for gate in gates if gate[2] < last_rz]
     last_read = schedule[-1]  # the circuit's first gate, RY on qubit 0

@@ -303,11 +303,6 @@ def loss_and_d_outputs(config: LossConfig, f,
     return loss, grad
 
 
-def loss_from_outputs(config: LossConfig, f, disc: Discretization) -> float | np.ndarray:
-    """The loss of ``loss_and_d_outputs``."""
-    return loss_and_d_outputs(config, f, disc)[0]
-
-
 def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
     """The gradient dL/df of ``loss_and_d_outputs``."""
     return loss_and_d_outputs(config, f, disc)[1]
@@ -321,7 +316,7 @@ def total_loss(config: LossConfig, spec: CircuitSpec, params, disc: Discretizati
     angles = _check_params(spec, params)
     probs = probabilities(run_circuit_batch(spec, angles[None], z_readout=True)[0])
     f = outputs(observables(config, spec.n_qubits), probs)
-    return loss_from_outputs(config, f, disc)
+    return loss_and_d_outputs(config, f, disc)[0]
 
 
 def check_pairing(config: LossConfig, spec: CircuitSpec, disc: Discretization) -> None:

@@ -15,26 +15,10 @@ from plateaulab.ansatz import (
     run_circuit_batch,
 )
 from plateaulab.statevector import expect_z
+from dense_matrices import dense_cnot, dense_rotation
 
 NN = Topology.NEAREST_NEIGHBOR
 ATA = Topology.ALL_TO_ALL
-
-
-def dense_gate(matrix_2x2, qubit, n):
-    """Embed a one-qubit matrix at the given position (qubit 0 = LSB)."""
-    out = np.array([[1.0 + 0j]])
-    for q in reversed(range(n)):
-        out = np.kron(out, matrix_2x2 if q == qubit else np.eye(2))
-    return out
-
-
-def dense_cnot(control, target, n):
-    dim = 2**n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        flipped = b ^ (1 << target) if (b >> control) & 1 else b
-        mat[flipped, b] = 1.0
-    return mat
 
 
 def dense_circuit_state(spec, angles):
@@ -43,16 +27,10 @@ def dense_circuit_state(spec, angles):
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     for kind, a, b in circuit_gates(spec):
-        if kind == "ry":
-            t = angles[b]
-            mat = dense_gate(
-                np.array([[np.cos(t / 2), -np.sin(t / 2)],
-                          [np.sin(t / 2), np.cos(t / 2)]]), a, n)
-        elif kind == "rz":
-            t = angles[b]
-            mat = dense_gate(np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)]), a, n)
+        if kind == "cnot":
+            mat = dense_cnot(n, a, b)
         else:
-            mat = dense_cnot(a, b, n)
+            mat = dense_rotation(kind, n, a, angles[b])
         state = mat @ state
     return state
 

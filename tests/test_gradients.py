@@ -31,7 +31,7 @@ from plateaulab.losses import (
     LossKind,
     SaintVenant,
     all_configs,
-    loss_from_outputs,
+    loss_and_d_outputs,
     observables,
     total_loss,
 )
@@ -586,7 +586,7 @@ class TestAdjointPlan:
                                                                monkeypatch):
         # The backward sweep undoes each gate with the forward's coefficients
         # and with views built with the plan: a run's only views are the
-        # forward's, one per rotation kernel, nL RY and n(L - 1) RZ.
+        # forward's, one per (layer, qubit) for its RY and RZ kernels, nL.
         run = gradients._adjoint_plan([all_configs()], n, layers)
         calls = []
         for helper in ("_gate_coefficients", "_qubit_view"):
@@ -596,7 +596,7 @@ class TestAdjointPlan:
                                 calls.append(helper) or real(*args))
         run(np.stack([draw_params(0, n, layers, k) for k in range(len(all_configs()))]))
         assert calls.count("_gate_coefficients") == 1
-        assert calls.count("_qubit_view") == n * layers + n * (layers - 1)
+        assert calls.count("_qubit_view") == n * layers
 
     @pytest.mark.parametrize("n, layers", [(4, 2), (7, 1), (12, 1)])
     def test_configs_of_one_loss_share_one_term(self, n, layers, monkeypatch):
@@ -673,7 +673,7 @@ class TestDeadLastLayerRz:
                 self.check(grads[0, b], reference, n)
                 self.check(loss_gradient(config, spec, angles, disc), reference, n)
                 f = outputs(observables(config, n), probabilities(run_circuit(spec, angles)))
-                assert losses[0, b] == pytest.approx(loss_from_outputs(config, f, disc),
+                assert losses[0, b] == pytest.approx(loss_and_d_outputs(config, f, disc)[0],
                                                      rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("n, layers", CELLS)

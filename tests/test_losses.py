@@ -19,7 +19,6 @@ from plateaulab.losses import (
     d_loss_d_outputs,
     default_target,
     loss_and_d_outputs,
-    loss_from_outputs,
     observables,
     outputs,
     pde_residual,
@@ -222,21 +221,21 @@ class TestDataLoss:
 
     def test_equal_profiles_zero(self):
         disc = Discretization(3)
-        assert loss_from_outputs(DATA_TERM, default_target(3), disc) == 0.0
+        assert loss_and_d_outputs(DATA_TERM, default_target(3), disc)[0] == 0.0
 
     def test_constant_offset(self):
         disc = Discretization(3)
-        assert abs(loss_from_outputs(DATA_TERM, default_target(3) + 0.5, disc) - 0.25) < 1e-12
+        assert abs(loss_and_d_outputs(DATA_TERM, default_target(3) + 0.5, disc)[0] - 0.25) < 1e-12
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(30)
         f, t = rng.normal(size=6), default_target(6)
         want = sum((a - b) ** 2 for a, b in zip(f, t)) / 6
-        assert abs(loss_from_outputs(DATA_TERM, f, Discretization(6)) - want) < 1e-12
+        assert abs(loss_and_d_outputs(DATA_TERM, f, Discretization(6))[0] - want) < 1e-12
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            loss_from_outputs(DATA_TERM, np.zeros(3), Discretization(4))
+            loss_and_d_outputs(DATA_TERM, np.zeros(3), Discretization(4))
 
 
 class TestTotalLoss:
@@ -339,8 +338,8 @@ class TestOutputLossGradient:
             up[m] += h
             down[m] -= h
             numeric = (
-                loss_from_outputs(config, up, disc)
-                - loss_from_outputs(config, down, disc)
+                loss_and_d_outputs(config, up, disc)[0]
+                - loss_and_d_outputs(config, down, disc)[0]
             ) / (2 * h)
             assert abs(got[m] - numeric) < 1e-7
 
@@ -348,8 +347,6 @@ class TestOutputLossGradient:
         """Value and gradient both reject a profile whose residual is undefined."""
         config = LossConfig(LossKind.PDE_CONSTRAINED, pde=SaintVenant(), physics_weight=0.0)
         f, disc = np.full(4, -3.0), Discretization(4)
-        with pytest.raises(ArithmeticError):
-            loss_from_outputs(config, f, disc)
         with pytest.raises(ArithmeticError):
             d_loss_d_outputs(config, f, disc)
         with pytest.raises(ArithmeticError):
@@ -448,7 +445,7 @@ class TestBlocks:
         for probs in _blocks(rng, 2**n):
             _assert_rows_match_1d(lambda p: outputs(obs, p), probs)
         for f in _blocks(rng, len(obs)):
-            _assert_rows_match_1d(lambda g: loss_from_outputs(config, g, disc), f)
+            _assert_rows_match_1d(lambda g: loss_and_d_outputs(config, g, disc)[0], f)
             _assert_rows_match_1d(lambda g: d_loss_d_outputs(config, g, disc), f)
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -501,8 +498,6 @@ class TestLossAndDOutputs:
                 assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
                 assert grad.shape == want_grad.shape
                 assert grad.tobytes() == want_grad.tobytes()
-                assert np.asarray(loss_from_outputs(config, f, disc)).tobytes() \
-                    == np.asarray(loss).tobytes()
                 assert d_loss_d_outputs(config, f, disc).tobytes() == grad.tobytes()
 
     def test_one_residual_per_call(self, monkeypatch):
@@ -523,13 +518,13 @@ class TestOneProfile:
     )
     def test_loss_of_one_profile_is_a_float(self, config):
         f = np.linspace(-0.5, 0.5, len(observables(config, 4)))
-        assert isinstance(loss_from_outputs(config, f, Discretization(4)), float)
+        assert isinstance(loss_and_d_outputs(config, f, Discretization(4))[0], float)
 
     def test_term_and_data_losses_of_one_profile_are_floats(self):
         f, disc = np.linspace(-0.5, 0.5, 4), Discretization(4)
         for term in (GRADIENT_PENALTY, *ALL_PDES):
             assert isinstance(mean_squared_residual(f, term, disc), float)
-        assert isinstance(loss_from_outputs(DATA_TERM, f, disc), float)
+        assert isinstance(loss_and_d_outputs(DATA_TERM, f, disc)[0], float)
 
     def test_malformed_profiles_rejected(self):
         disc = Discretization(4)
@@ -538,8 +533,8 @@ class TestOneProfile:
             lambda g: centered_d1(g, disc),
             lambda g: centered_d2(g, disc),
             lambda g: pde_residual(g, Heat(), disc),
-            lambda g: loss_from_outputs(DATA_TERM, g, disc),
-            lambda g: loss_from_outputs(config, g, disc),
+            lambda g: loss_and_d_outputs(DATA_TERM, g, disc)[0],
+            lambda g: loss_and_d_outputs(config, g, disc)[0],
             lambda g: d_loss_d_outputs(config, g, disc),
         ]
         for bad in (np.float64(0.3), np.zeros((3, 5))):
@@ -547,16 +542,17 @@ class TestOneProfile:
                 with pytest.raises(ValueError):
                     call(bad)
         with pytest.raises(ValueError):
-            loss_from_outputs(DATA_TERM, np.zeros((3, 4)), Discretization(5))
+            loss_and_d_outputs(DATA_TERM, np.zeros((3, 4)), Discretization(5))
 
     @pytest.mark.parametrize("kind", [LossKind.GLOBAL_COST, LossKind.LOCAL_COST])
     def test_cost_takes_exactly_one_output(self, kind):
         config, disc = LossConfig(kind), Discretization(4)
         for bad in ([0.3, 0.5, 0.7, 0.9, 1.1], np.zeros(4), np.float64(0.3), np.zeros((3, 2))):
-            for call in (loss_from_outputs, d_loss_d_outputs):
+            for call in (loss_and_d_outputs, d_loss_d_outputs):
                 with pytest.raises(ValueError):
                     call(config, bad, disc)
-        assert loss_from_outputs(config, [0.3], disc) == 0.3
-        np.testing.assert_array_equal(loss_from_outputs(config, [[0.3], [0.5]], disc), [0.3, 0.5])
+        assert loss_and_d_outputs(config, [0.3], disc)[0] == 0.3
+        np.testing.assert_array_equal(loss_and_d_outputs(config, [[0.3], [0.5]], disc)[0],
+                                      [0.3, 0.5])
         np.testing.assert_array_equal(d_loss_d_outputs(config, np.zeros((3, 1)), disc),
                                       np.ones((3, 1)))

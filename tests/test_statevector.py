@@ -20,6 +20,7 @@ from plateaulab.statevector import (
     von_neumann_entropy,
     z_signs,
 )
+from dense_matrices import dense_cnot, dense_rotation
 
 
 def random_state(n, rng):
@@ -401,16 +402,6 @@ class TestInverseCoefficients:
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def dense_rotation(kind, n, qubit, angle):
-    """The 2^n x 2^n matrix of the rotation on ``qubit`` (bit ``qubit`` of the index)."""
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    if kind == "ry":
-        gate = [[c, -s], [s, c]]
-    else:
-        gate = np.diag(np.exp([-0.5j * angle, 0.5j * angle]))
-    return np.kron(np.kron(np.eye(2 ** (n - 1 - qubit)), gate), np.eye(2**qubit))
-
-
 @pytest.mark.parametrize("n", range(2, 13))
 @pytest.mark.parametrize("kind", ["ry", "rz"])
 class TestRotationKernels:
@@ -482,14 +473,6 @@ class TestRotationKernels:
             rotate(kind, contiguous, qubit, angles)
             assert out[:, :width].tobytes() == contiguous.tobytes()
             assert out[:, width:].tobytes() == amps[:, width:].tobytes()
-
-
-def dense_cnot(n, control, target):
-    """The 2^n x 2^n permutation matrix of CNOT, built index by index."""
-    matrix = np.zeros((2**n, 2**n))
-    for i in range(2**n):
-        matrix[i ^ (((i >> control) & 1) << target), i] = 1.0
-    return matrix
 
 
 class TestCnotKernel:

@@ -185,6 +185,24 @@ class TestBatchEvaluator:
         with pytest.raises(ValueError):
             run_circuit_batch(spec, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("z_readout", [False, True])
+    def test_one_view_per_layer_and_qubit(self, z_readout, monkeypatch):
+        # A (layer, qubit)'s RY and RZ rotate the one view; z_readout drops
+        # the last layer's RZ kernels, not its views.
+        spec = CircuitSpec(3, 2, ATA)
+        seen = {"_qubit_view": [], "_apply_ry_inplace": [], "_apply_rz_inplace": []}
+        for name, calls in seen.items():
+            real = getattr(ansatz.sv, name)
+            monkeypatch.setattr(ansatz.sv, name, lambda *args, real=real, calls=calls:
+                                calls.append(args) or real(*args))
+        run_circuit_batch(spec, np.zeros((2, spec.param_count)), z_readout=z_readout)
+        assert [qubit for _, qubit in seen["_qubit_view"]] == [0, 1, 2] * spec.layers
+        ry_views = [args[0] for args in seen["_apply_ry_inplace"]]
+        rz_views = [args[0] for args in seen["_apply_rz_inplace"]]
+        assert len(ry_views) == spec.n_qubits * spec.layers
+        assert len(rz_views) == spec.n_qubits * (spec.layers - z_readout)
+        assert all(rz is ry for ry, rz in zip(ry_views, rz_views))
+
 
 def kernel_walk(spec, batch):
     """Reference: each gate's own kernel on the amplitudes, CNOTs included."""

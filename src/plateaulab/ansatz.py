@@ -167,19 +167,24 @@ def run_circuit_batch(
         coefficients = sv._gate_coefficients(angles_batch)
     cos_half, sin_pair, phases = coefficients
     pairs = entangler_pairs(spec)
+    # Before the first entangler qubits above k are still |0>, so qubit k's
+    # gates reach only the row prefix [0, 2^(k+1)): a (k+1)-qubit register.
+    prefix_kernels = [sv._rotation_kernels(k + 1, k) for k in range(n)]
+    row_kernels = [sv._rotation_kernels(n, k) for k in range(n)]
     # The gate order of ``circuit_gates``.
     for base in range(0, spec.param_count, 2 * n):
         phased = not (z_readout and base + 2 * n == spec.param_count)
         for k in range(n):
-            # Before the first entangler qubits above k are still |0>, so
-            # qubit k's gates reach only the row prefix [0, 2^(k+1)).
             view = sv._qubit_view(amps[:, : 2 ** (k + 1)] if base == 0 else amps, k)
-            sv._apply_ry_inplace(view, cos_half[base + k], sin_pair[base + k])
+            ry, rz = prefix_kernels[k] if base == 0 else row_kernels[k]
+            getattr(sv, ry)(view, cos_half[base + k], sin_pair[base + k])
             if phased:
-                sv._apply_rz_inplace(view, phases[base + n + k])
+                getattr(sv, rz)(view, phases[base + n + k])
         index = entangler_permutation(n, pairs) if gather is None else gather
         amps = amps.take(index, axis=-1 if index.ndim == 1 else None)
-    norms = np.sum(sv.probabilities(amps), axis=1)
+    # One pass over the float view: re^2 + im^2 summed per row.
+    flat = amps.view(np.float64)
+    norms = np.einsum("bi,bi->b", flat, flat)
     if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):  # a NaN norm fails too
         raise ArithmeticError("statevector norm drifted in batch evaluation")
     return amps

@@ -343,3 +343,69 @@ def test_nan_angle_fails_the_norm_check():
     x[1] = np.nan
     with pytest.raises(ArithmeticError):
         run_circuit_batch(spec, x[None])
+
+
+@pytest.mark.parametrize("n", [4, 11])
+@pytest.mark.parametrize("drift, fails", [(3e-10, True), (3e-11, False)])
+def test_norm_check_tolerance(n, drift, fails):
+    # Row 1's first gate, RY at angle 0 on |0>, leaves (c, 0) with its cosine
+    # c scaled to 1 + drift / 2, so the row's squared norm is 1 + drift to
+    # first order; every later gate is unitary.
+    spec = CircuitSpec(n, 2, ATA)
+    batch = np.random.default_rng(n).uniform(0, 2 * np.pi, (3, spec.param_count))
+    batch[1, 0] = 0.0
+    cos_half, sin_pair, phases = sv._gate_coefficients(batch)
+    cos_half[0, 1] *= 1 + drift / 2
+    coefficients = (cos_half, sin_pair, phases)
+    if fails:
+        with pytest.raises(ArithmeticError, match="norm drifted"):
+            run_circuit_batch(spec, batch, coefficients=coefficients)
+    else:
+        norms = np.sum(sv.probabilities(
+            run_circuit_batch(spec, batch, coefficients=coefficients)), axis=1)
+        assert abs(norms[1] - 1.0 - drift) <= 1e-14
+
+
+class TestLongLoopSelection:
+    """A forward batch runs the long-loop kernels on exactly the whole-row
+    views of qubits 0 and 1 whose hi reaches ``sv._LONG_LOOP_MIN_HI``; the
+    first layer's prefix views never take them."""
+
+    KERNELS = ("_apply_ry_inplace", "_apply_rz_inplace",
+               "_apply_ry_qubit0", "_apply_rz_qubit0", "_apply_ry_qubit1")
+
+    @classmethod
+    def long_calls(cls, monkeypatch, spec):
+        """(layer, qubit, kernel) of each long-loop call of a forward batch."""
+        calls = []
+        for name in cls.KERNELS:
+            real = getattr(ansatz.sv, name)
+            monkeypatch.setattr(ansatz.sv, name, lambda view, *args, real=real, name=name:
+                                calls.append((name, view)) or real(view, *args))
+        rng = np.random.default_rng(spec.n_qubits)
+        run_circuit_batch(spec, rng.uniform(0, 2 * np.pi, (2, spec.param_count)))
+        # RY then RZ per (layer, qubit), in circuit order.
+        assert len(calls) == 2 * spec.n_qubits * spec.layers
+        found = []
+        for i, (name, view) in enumerate(calls):
+            layer, qubit = divmod(i // 2, spec.n_qubits)
+            assert view.shape[-1] == 2**qubit
+            if name not in cls.KERNELS[:2]:
+                found.append((layer, qubit, name))
+        return found
+
+    @pytest.mark.parametrize("topology", [NN, ATA])
+    def test_qubits_0_and_1_after_the_first_layer_at_n_12(self, topology, monkeypatch):
+        expected = [(layer, qubit, name) for layer in (1, 2) for qubit, name in
+                    [(0, "_apply_ry_qubit0"), (0, "_apply_rz_qubit0"), (1, "_apply_ry_qubit1")]]
+        assert self.long_calls(monkeypatch, CircuitSpec(12, 3, topology)) == expected
+
+    def test_qubit_0_only_at_n_10(self, monkeypatch):
+        # hi = 512 at qubit 0 and 256 at qubit 1.
+        expected = [(layer, 0, name) for layer in (1, 2)
+                    for name in ("_apply_ry_qubit0", "_apply_rz_qubit0")]
+        assert self.long_calls(monkeypatch, CircuitSpec(10, 3, ATA)) == expected
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_none_at_n_9_or_less(self, n, monkeypatch):
+        assert self.long_calls(monkeypatch, CircuitSpec(n, 3, ATA)) == []

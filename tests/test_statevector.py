@@ -367,6 +367,63 @@ class TestBlocks:
         with pytest.raises(ArithmeticError):
             von_neumann_entropy(entries)
 
+    @pytest.mark.parametrize("rho", [
+        [[np.inf, 0.0], [0.0, 0.5]],
+        [[0.5, np.inf], [np.inf, 0.5]],
+        [[0.5, 0.0], [0.0, np.nan]],
+    ], ids=["inf_diagonal", "inf_pair", "nan"])
+    def test_non_finite_entries_rejected(self, rho):
+        # allclose counts equal infinities as close, and the eigenvalue floor
+        # would drop NaN eigenvalues, leaving an entropy of 0.
+        with pytest.raises(ArithmeticError, match="non-finite entries"):
+            von_neumann_entropy(rho)
+        with pytest.raises(ArithmeticError, match="non-finite entries"):
+            von_neumann_entropy(np.stack([np.eye(2) / 2, rho]))
+
+
+def asymmetric(entries, offset):
+    """Hermitian ``entries`` with ``offset`` added to entry (0, 1) only."""
+    rho = np.array(entries, dtype=complex)
+    rho[..., 0, 1] += offset
+    return rho
+
+
+class TestHermiticityCheck:
+    """``von_neumann_entropy`` rejects a stack exactly when
+    ``np.allclose(rho, rho^H, atol=1e-10)`` does."""
+
+    pure = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    # Zero off-diagonal entries: allclose's rtol adds nothing to atol there.
+    mixed = np.diag([0.75, 0.25])
+    # At |entry| = 1e3 allclose's rtol of 1e-5 admits a gap of about 1e-2.
+    large = np.array([[1e3, 6e2 - 8e2j], [6e2 + 8e2j, 1e3]])
+
+    @pytest.mark.parametrize("rho", [
+        np.eye(4) / 4,
+        pure,
+        np.stack([pure, mixed, pure.conj()]),
+        asymmetric(mixed, 0.9e-10),
+        asymmetric(mixed, 0.9e-10j),
+        asymmetric(mixed, 1.1e-10),
+        asymmetric(mixed, -1.1e-10j),
+        asymmetric(mixed, 4e-11 + 4e-11j),
+        asymmetric(mixed, 6e-11 + 6e-11j),
+        asymmetric(mixed, 8e-11 + 8e-11j),
+        asymmetric(large, 5e-3),
+        asymmetric(large, 5e-3j),
+        asymmetric(large, 5e-2),
+        np.stack([pure, asymmetric(mixed, 1.1e-10), pure]),
+        np.stack([mixed, mixed, asymmetric(mixed, 3e-10j)]),
+        np.stack([pure, asymmetric(mixed, 0.9e-10)]),
+    ])
+    def test_decides_as_allclose(self, rho):
+        rho_h = np.swapaxes(rho.conj(), -1, -2)
+        if np.allclose(rho, rho_h, atol=1e-10):
+            von_neumann_entropy(rho)
+        else:
+            with pytest.raises(ArithmeticError, match="not Hermitian"):
+                von_neumann_entropy(rho)
+
 
 def rotate(kind, amps, qubit, angles, inverse=False):
     """Run the in-place RY or RZ kernel on a (B, 2^n) block, one angle per row.
@@ -473,6 +530,41 @@ class TestRotationKernels:
             rotate(kind, contiguous, qubit, angles)
             assert out[:, :width].tobytes() == contiguous.tobytes()
             assert out[:, width:].tobytes() == amps[:, width:].tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("lead", [(1,), (5,), (3, 1), (3, 5)], ids=str)
+class TestLongLoopKernels:
+    """The long-loop kernels of qubits 0 and 1 give the bits of the kernels
+    they replace, on (B,) forward blocks and (G+1, B) backward stacks, with
+    each coefficient pair and with its reversal, the inverse gate's."""
+
+    @staticmethod
+    def gates(lead):
+        rng = np.random.default_rng(80 + len(lead))
+        angles = rng.uniform(-2 * np.pi, 2 * np.pi, (lead[-1], 4))
+        cos_half, sin_pair, phases = sv._gate_coefficients(angles)
+        for j in range(angles.shape[1]):
+            for pair in (slice(None), slice(None, None, -1)):
+                yield cos_half[j], sin_pair[j][..., pair, :], phases[j][..., pair, :]
+
+    @pytest.mark.parametrize("qubit, long_ry, long_rz", [
+        (0, "_apply_ry_qubit0", "_apply_rz_qubit0"),
+        (1, "_apply_ry_qubit1", None),
+    ])
+    def test_bits_match_the_kernels_they_replace(self, n, lead, qubit, long_ry, long_rz):
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=lead + (2**n,)) + 1j * rng.normal(size=lead + (2**n,))
+        today, long = amps.copy(), amps.copy()
+        today_view, long_view = sv._qubit_view(today, qubit), sv._qubit_view(long, qubit)
+        for cos_half, sin_pair, phases in self.gates(lead):
+            sv._apply_ry_inplace(today_view, cos_half, sin_pair)
+            getattr(sv, long_ry)(long_view, cos_half, sin_pair)
+            assert long.tobytes() == today.tobytes()
+            sv._apply_rz_inplace(today_view, phases)
+            getattr(sv, long_rz or "_apply_rz_inplace")(long_view, phases)
+            assert long.tobytes() == today.tobytes()
+        assert not np.array_equal(long, amps)
 
 
 class TestCnotKernel:

@@ -169,17 +169,14 @@ def run_circuit_batch(
     pairs = entangler_pairs(spec)
     # Before the first entangler qubits above k are still |0>, so qubit k's
     # gates reach only the row prefix [0, 2^(k+1)): a (k+1)-qubit register.
-    prefix_kernels = [sv._rotation_kernels(k + 1, k) for k in range(n)]
-    row_kernels = [sv._rotation_kernels(n, k) for k in range(n)]
     # The gate order of ``circuit_gates``.
     for base in range(0, spec.param_count, 2 * n):
         phased = not (z_readout and base + 2 * n == spec.param_count)
         for k in range(n):
             view = sv._qubit_view(amps[:, : 2 ** (k + 1)] if base == 0 else amps, k)
-            ry, rz = prefix_kernels[k] if base == 0 else row_kernels[k]
-            getattr(sv, ry)(view, cos_half[base + k], sin_pair[base + k])
+            sv._apply_ry_inplace(view, cos_half[base + k], sin_pair[base + k])
             if phased:
-                getattr(sv, rz)(view, phases[base + n + k])
+                sv._apply_rz_inplace(view, phases[base + n + k])
         index = entangler_permutation(n, pairs) if gather is None else gather
         amps = amps.take(index, axis=-1 if index.ndim == 1 else None)
     # One pass over the float view: re^2 + im^2 summed per row.

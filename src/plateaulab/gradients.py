@@ -150,18 +150,14 @@ def _adjoint_plan(
     products = np.empty((n_blocks, n_draws, 2 ** (n + 1)))
     lam = flat[1:].reshape(products.shape)
     blocks = rows.reshape(n_blocks + 1, -1)  # one flat run of B rows per block
-    # (kind, qubit) -> reversed view of phi, signs of -iP, view of chi, the
-    # kernel view of every row of rows, and the name of its kernel in sv
-    # (``sv._rotation_kernels``), looked up there at call time.
+    # (kind, qubit) -> reversed view of phi, signs of -iP, view of chi and
+    # the kernel view of every row of rows.
     reads = {}
     for a in range(n):
         phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
         undo_view = sv._qubit_view(rows, a)
-        ry, rz = sv._rotation_kernels(n, a)
-        reads["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi.reshape(phi.shape),
-                          undo_view, ry)
-        reads["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi.reshape(phi.shape),
-                          undo_view, rz)
+        reads["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi.reshape(phi.shape), undo_view)
+        reads["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi.reshape(phi.shape), undo_view)
     # The rotations are every spec's but the last layer's RZ, angles p - n
     # and up; spec's CNOTs only mark the sub-layers, each one None here.
     last_rz = spec.param_count - n
@@ -200,7 +196,7 @@ def _adjoint_plan(
                 # mode="raise" take buffers its output, so the overlap is safe.
                 blocks.take(undo, axis=-1, out=rows)
                 continue
-            kind, b, (phi, signs, chi_view, view, kernel) = gate
+            kind, b, (phi, signs, chi_view, view) = gate
             # dL/dtheta = Im<lam|P|phi> = Re<lam|chi> with chi = -i P phi. Every
             # row sums over a contiguous buffer, so its bits do not depend on
             # the grid's size.
@@ -210,9 +206,9 @@ def _adjoint_plan(
             if gate is last_read:
                 break
             if kind == "ry":
-                getattr(sv, kernel)(view, cos_half[b], sin_pair[b])
+                sv._apply_ry_inplace(view, cos_half[b], sin_pair[b])
             else:
-                getattr(sv, kernel)(view, phases[b])
+                sv._apply_rz_inplace(view, phases[b])
         return losses, grads
 
     return run

@@ -106,65 +106,45 @@ def _qubit_view(amps: np.ndarray, qubit: int) -> np.ndarray:
     return amps.reshape(amps.shape[:-1] + (amps.shape[-1] >> (qubit + 1), 2, 2**qubit))
 
 
+# Long loops for qubits 0 and 1. numpy runs the last axis of an elementwise
+# loop as its inner loop, and RY's swapped product and RZ's phases vary along
+# the bit axis, so on qubit q the inner loop is lo = 2^q elements long, run
+# hi = 2^(n-1-q) times per row. From hi = _LONG_LOOP_MIN_HI the kernels below
+# put the hi axis innermost for qubits 0 and 1, with each element's
+# arithmetic, and so its bits, unchanged. That takes two or three ufunc calls
+# where one would do, which loses on short rows: for one row (2 vCPUs, numpy
+# 2.4) qubit 0's RZ took 5.2 against 3.6 us at hi = 256 and 4.0 against
+# 4.6 us at hi = 512, and its RY 8.2 against 8.0 and 6.8 against 8.7 us.
+# Qubit 1's RZ, and qubits 2 and up, ran no faster in this order at any width
+# tried, so they keep the one-call loop. The kernels read the view's shape,
+# and this constant, at each call.
+_LONG_LOOP_MIN_HI = 512
+
+
 def _apply_ry_inplace(view: np.ndarray, cos_half, sin_pair) -> None:
-    # Three ufunc calls: ``sin_pair`` acts on the bit-swapped view.
-    swapped = view[..., ::-1, :] * sin_pair
+    # ``sin_pair`` acts on the bit-swapped view. hi is tested first, so a
+    # small register reads one shape entry.
+    if view.shape[-3] < _LONG_LOOP_MIN_HI or view.shape[-1] > 2:
+        swapped = view[..., ::-1, :] * sin_pair
+    elif view.shape[-1] == 1:
+        # Qubit 0: one product per bit half, each an inner loop along hi.
+        swapped = np.empty_like(view)
+        np.multiply(view[..., 1, :], sin_pair[..., 0, :], out=swapped[..., 0, :])
+        np.multiply(view[..., 0, :], sin_pair[..., 1, :], out=swapped[..., 1, :])
+    else:
+        # Qubit 1: the product in C order of the (..., lo, bit, hi) transpose.
+        swapped = np.multiply(view.swapaxes(-1, -3)[..., ::-1, :], sin_pair.swapaxes(-1, -3),
+                              order="C").swapaxes(-1, -3)
     view *= cos_half
     view += swapped
 
 
 def _apply_rz_inplace(view: np.ndarray, phases) -> None:
-    view *= phases
-
-
-# Long loops for qubits 0 and 1. numpy runs the last axis of an elementwise
-# loop as its inner loop, and RY's swapped product and RZ's phases vary along
-# the bit axis, so on qubit q the inner loop is lo = 2^q elements long, run
-# 2^(n-1-q) times per row. The kernels below put the hi axis innermost for
-# qubits 0 and 1, with each element's arithmetic, and so its bits, unchanged.
-# They make two or three ufunc calls where one would do, which loses on short
-# rows: for one row (2 vCPUs, numpy 2.4) qubit 0's RZ took 5.2 against 3.6 us
-# at hi = 256 and 4.0 against 4.6 us at hi = 512, and its RY 8.2 against 8.0
-# and 6.8 against 8.7 us. Qubit 1's RZ, and qubits 2 and up, ran no faster in
-# this order at any width tried, so they keep the kernels above.
-_LONG_LOOP_MIN_HI = 512
-
-
-def _apply_ry_qubit0(view: np.ndarray, cos_half, sin_pair) -> None:
-    # RY on the (..., hi, 2, 1) view of qubit 0: the bit-swapped product as
-    # one product per bit half, each an inner loop along hi.
-    swapped = np.empty_like(view)
-    np.multiply(view[..., 1, :], sin_pair[..., 0, :], out=swapped[..., 0, :])
-    np.multiply(view[..., 0, :], sin_pair[..., 1, :], out=swapped[..., 1, :])
-    view *= cos_half
-    view += swapped
-
-
-def _apply_rz_qubit0(view: np.ndarray, phases) -> None:
-    view[..., 0, :] *= phases[..., 0, :]
-    view[..., 1, :] *= phases[..., 1, :]
-
-
-def _apply_ry_qubit1(view: np.ndarray, cos_half, sin_pair) -> None:
-    # RY on the (..., hi, 2, 2) view of qubit 1: the bit-swapped product in
-    # C order of the (..., lo, bit, hi) transpose, so hi runs innermost.
-    swapped = np.multiply(view.swapaxes(-1, -3)[..., ::-1, :], sin_pair.swapaxes(-1, -3),
-                          order="C").swapaxes(-1, -3)
-    view *= cos_half
-    view += swapped
-
-
-def _rotation_kernels(n_qubits: int, qubit: int) -> tuple[str, str]:
-    """Names in this module of the RY and RZ kernels for ``qubit``'s view of
-    whole rows of ``n_qubits``-qubit states: the long-loop kernel where one
-    exists for ``qubit`` and hi = 2^(n-1-qubit) >= _LONG_LOOP_MIN_HI. A caller
-    picks them once per batch or plan and looks each name up here when it
-    calls, so a wrapped kernel sees every call."""
-    if qubit > 1 or 2 ** (n_qubits - 1 - qubit) < _LONG_LOOP_MIN_HI:
-        return "_apply_ry_inplace", "_apply_rz_inplace"
-    if qubit == 0:
-        return "_apply_ry_qubit0", "_apply_rz_qubit0"
-    return "_apply_ry_qubit1", "_apply_rz_inplace"
+    if view.shape[-3] >= _LONG_LOOP_MIN_HI and view.shape[-1] == 1:
+        view[..., 0, :] *= phases[..., 0, :]
+        view[..., 1, :] *= phases[..., 1, :]
+    else:
+        view *= phases
 
 
 def _apply_cnot_inplace(amps: np.ndarray, control: int, target: int) -> None:

@@ -366,46 +366,19 @@ def test_norm_check_tolerance(n, drift, fails):
         assert abs(norms[1] - 1.0 - drift) <= 1e-14
 
 
-class TestLongLoopSelection:
-    """A forward batch runs the long-loop kernels on exactly the whole-row
-    views of qubits 0 and 1 whose hi reaches ``sv._LONG_LOOP_MIN_HI``; the
-    first layer's prefix views never take them."""
-
-    KERNELS = ("_apply_ry_inplace", "_apply_rz_inplace",
-               "_apply_ry_qubit0", "_apply_rz_qubit0", "_apply_ry_qubit1")
-
-    @classmethod
-    def long_calls(cls, monkeypatch, spec):
-        """(layer, qubit, kernel) of each long-loop call of a forward batch."""
-        calls = []
-        for name in cls.KERNELS:
-            real = getattr(ansatz.sv, name)
-            monkeypatch.setattr(ansatz.sv, name, lambda view, *args, real=real, name=name:
-                                calls.append((name, view)) or real(view, *args))
-        rng = np.random.default_rng(spec.n_qubits)
-        run_circuit_batch(spec, rng.uniform(0, 2 * np.pi, (2, spec.param_count)))
-        # RY then RZ per (layer, qubit), in circuit order.
-        assert len(calls) == 2 * spec.n_qubits * spec.layers
-        found = []
-        for i, (name, view) in enumerate(calls):
-            layer, qubit = divmod(i // 2, spec.n_qubits)
-            assert view.shape[-1] == 2**qubit
-            if name not in cls.KERNELS[:2]:
-                found.append((layer, qubit, name))
-        return found
-
-    @pytest.mark.parametrize("topology", [NN, ATA])
-    def test_qubits_0_and_1_after_the_first_layer_at_n_12(self, topology, monkeypatch):
-        expected = [(layer, qubit, name) for layer in (1, 2) for qubit, name in
-                    [(0, "_apply_ry_qubit0"), (0, "_apply_rz_qubit0"), (1, "_apply_ry_qubit1")]]
-        assert self.long_calls(monkeypatch, CircuitSpec(12, 3, topology)) == expected
-
-    def test_qubit_0_only_at_n_10(self, monkeypatch):
-        # hi = 512 at qubit 0 and 256 at qubit 1.
-        expected = [(layer, 0, name) for layer in (1, 2)
-                    for name in ("_apply_ry_qubit0", "_apply_rz_qubit0")]
-        assert self.long_calls(monkeypatch, CircuitSpec(10, 3, ATA)) == expected
-
-    @pytest.mark.parametrize("n", range(2, 10))
-    def test_none_at_n_9_or_less(self, n, monkeypatch):
-        assert self.long_calls(monkeypatch, CircuitSpec(n, 3, ATA)) == []
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("topology", [NN, ATA])
+def test_every_loop_shape_gives_the_forward_bits(n, topology, monkeypatch):
+    # The rotation kernels choose their loop shape from each view's hi and
+    # sv._LONG_LOOP_MIN_HI. At 1 every view of qubits 0 and 1 takes a long
+    # loop, the first layer's prefix views included; 2^13 exceeds every hi.
+    rng = np.random.default_rng(n)
+    thresholds = (1, sv._LONG_LOOP_MIN_HI, 2**13)
+    for layers in (1, 2, 3):
+        spec = CircuitSpec(n, layers, topology)
+        batch = rng.uniform(0, 2 * np.pi, (3, spec.param_count))
+        out = {}
+        for threshold in thresholds:
+            monkeypatch.setattr(sv, "_LONG_LOOP_MIN_HI", threshold)
+            out[threshold] = run_circuit_batch(spec, batch).tobytes()
+        assert len(set(out.values())) == 1

@@ -581,36 +581,20 @@ class TestAdjointPlan:
         run(np.stack([draw_params(0, 3, 2, k) for k in range(len(all_configs()))]))
         assert (calls.count("ry"), calls.count("rz")) == (11, 6)
 
-    LONG_KERNELS = ("_apply_ry_qubit0", "_apply_rz_qubit0", "_apply_ry_qubit1")
-
-    def long_calls(self, monkeypatch, n, layers):
-        """(sweep, qubit, kernel) of each long-loop call of one plan run,
-        the plan built before the kernels are wrapped."""
-        run = self.mixed_plan(n, layers)
-        calls = []
-        for name in ("_apply_ry_inplace", "_apply_rz_inplace", *self.LONG_KERNELS):
-            real = getattr(gradients.sv, name)
-            monkeypatch.setattr(gradients.sv, name, lambda view, *args, real=real, name=name:
-                                calls.append((name, view)) or real(view, *args))
-        run(np.stack([draw_params(0, n, layers, k) for k in range(len(all_configs()))]))
-        # Forward views are (B, hi, 2, lo), the backward's (G + 1, B, hi, 2, lo).
-        return [("forward" if view.ndim == 4 else "backward", view.shape[-1].bit_length() - 1,
-                 name) for name, view in calls if name in self.LONG_KERNELS]
-
-    def test_long_loops_where_the_rule_names_them_at_n_11(self, monkeypatch):
-        # hi = 1024 at qubit 0 and 512 at qubit 1. The forward runs layer 1's
-        # RY on both, not its RZ (z_readout) and not layer 0's prefix views.
-        # The backward undoes layer 1's RY on qubits 1 and 0, then layer 0's
-        # RZ and RY from qubit 1 down; the first gate, RY on qubit 0, is
-        # read, not undone, and qubit 1's RZ keeps its kernel.
-        assert self.long_calls(monkeypatch, 11, 2) == [
-            ("forward", 0, "_apply_ry_qubit0"), ("forward", 1, "_apply_ry_qubit1"),
-            ("backward", 1, "_apply_ry_qubit1"), ("backward", 0, "_apply_ry_qubit0"),
-            ("backward", 1, "_apply_ry_qubit1"), ("backward", 0, "_apply_rz_qubit0")]
-
-    @pytest.mark.parametrize("n", [4, 9])
-    def test_no_long_loops_at_n_9_or_less(self, n, monkeypatch):
-        assert self.long_calls(monkeypatch, n, 3) == []
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_loop_shape_gives_the_run_bits(self, n, monkeypatch):
+        # A run's kernels read gradients.sv._LONG_LOOP_MIN_HI at each call,
+        # so one plan runs under each threshold. At 1 every view of qubits 0
+        # and 1 takes a long loop, forward and backward; 2^13 exceeds every hi.
+        thresholds = (1, gradients.sv._LONG_LOOP_MIN_HI, 2**13)
+        for layers in (1, 2):
+            run = self.mixed_plan(n, layers)
+            angles = np.stack([draw_params(0, n, layers, k) for k in range(len(all_configs()))])
+            out = {}
+            for threshold in thresholds:
+                monkeypatch.setattr(gradients.sv, "_LONG_LOOP_MIN_HI", threshold)
+                out[threshold] = b"".join(array.tobytes() for array in run(angles))
+            assert len(set(out.values())) == 1
 
     @pytest.mark.parametrize("n, layers", [(3, 2), (4, 3)])
     def test_a_run_makes_one_coefficient_call_and_no_undo_view(self, n, layers,

@@ -532,39 +532,52 @@ class TestRotationKernels:
             assert out[:, width:].tobytes() == amps[:, width:].tobytes()
 
 
+# Above the hi of any register, so every kernel call runs its one-call loop.
+ONE_CALL_LOOPS = 2**13
+
+
 @pytest.mark.parametrize("n", [10, 11, 12])
 @pytest.mark.parametrize("lead", [(1,), (5,), (3, 1), (3, 5)], ids=str)
-class TestLongLoopKernels:
-    """The long-loop kernels of qubits 0 and 1 give the bits of the kernels
-    they replace, on (B,) forward blocks and (G+1, B) backward stacks, with
-    each coefficient pair and with its reversal, the inverse gate's."""
+@pytest.mark.parametrize("qubit", [0, 1, 2])
+def test_loop_shapes_have_the_bits_of_the_one_call_loop(n, lead, qubit, monkeypatch):
+    # The kernels choose a loop shape from the view and sv._LONG_LOOP_MIN_HI,
+    # read at each call. At the default threshold qubits 0 and 1 of these
+    # registers take long loops where hi reaches it, qubit 2 never does; each
+    # call must give the bits of the one-call loop on (B,) forward blocks and
+    # (G+1, B) backward stacks, with each coefficient pair and with its
+    # reversal, the inverse gate's.
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=lead + (2**n,)) + 1j * rng.normal(size=lead + (2**n,))
+    angles = np.random.default_rng(80 + len(lead)).uniform(-2 * np.pi, 2 * np.pi,
+                                                           (lead[-1], 4))
+    cos_half, sin_pair, phases = sv._gate_coefficients(angles)
+    one_call, chosen = amps.copy(), amps.copy()
+    views = [(ONE_CALL_LOOPS, sv._qubit_view(one_call, qubit)),
+             (sv._LONG_LOOP_MIN_HI, sv._qubit_view(chosen, qubit))]
+    for j in range(angles.shape[1]):
+        for pair in (slice(None), slice(None, None, -1)):
+            for kernel, args in ((sv._apply_ry_inplace, (cos_half[j], sin_pair[j][..., pair, :])),
+                                 (sv._apply_rz_inplace, (phases[j][..., pair, :],))):
+                for threshold, view in views:
+                    monkeypatch.setattr(sv, "_LONG_LOOP_MIN_HI", threshold)
+                    kernel(view, *args)
+                assert chosen.tobytes() == one_call.tobytes()
+    assert not np.array_equal(chosen, amps)
 
-    @staticmethod
-    def gates(lead):
-        rng = np.random.default_rng(80 + len(lead))
-        angles = rng.uniform(-2 * np.pi, 2 * np.pi, (lead[-1], 4))
-        cos_half, sin_pair, phases = sv._gate_coefficients(angles)
-        for j in range(angles.shape[1]):
-            for pair in (slice(None), slice(None, None, -1)):
-                yield cos_half[j], sin_pair[j][..., pair, :], phases[j][..., pair, :]
 
-    @pytest.mark.parametrize("qubit, long_ry, long_rz", [
-        (0, "_apply_ry_qubit0", "_apply_rz_qubit0"),
-        (1, "_apply_ry_qubit1", None),
-    ])
-    def test_bits_match_the_kernels_they_replace(self, n, lead, qubit, long_ry, long_rz):
-        rng = np.random.default_rng(n)
-        amps = rng.normal(size=lead + (2**n,)) + 1j * rng.normal(size=lead + (2**n,))
-        today, long = amps.copy(), amps.copy()
-        today_view, long_view = sv._qubit_view(today, qubit), sv._qubit_view(long, qubit)
-        for cos_half, sin_pair, phases in self.gates(lead):
-            sv._apply_ry_inplace(today_view, cos_half, sin_pair)
-            getattr(sv, long_ry)(long_view, cos_half, sin_pair)
-            assert long.tobytes() == today.tobytes()
-            sv._apply_rz_inplace(today_view, phases)
-            getattr(sv, long_rz or "_apply_rz_inplace")(long_view, phases)
-            assert long.tobytes() == today.tobytes()
-        assert not np.array_equal(long, amps)
+@pytest.mark.parametrize("n", range(2, 13))
+def test_public_gates_take_every_loop_shape_with_the_same_bits(n, monkeypatch):
+    # At threshold 1 every view of qubits 0 and 1 takes a long loop, down
+    # to n = 2; the public gates call the kernels the circuits do.
+    rng = np.random.default_rng(90 + n)
+    block = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+    out = {}
+    for threshold in (1, ONE_CALL_LOOPS):
+        monkeypatch.setattr(sv, "_LONG_LOOP_MIN_HI", threshold)
+        out[threshold] = [gate(amps, qubit, 0.7 + qubit).tobytes()
+                          for gate in (apply_ry, apply_rz) for amps in (block, block[1])
+                          for qubit in range(n)]
+    assert out[1] == out[ONE_CALL_LOOPS]
 
 
 class TestCnotKernel:

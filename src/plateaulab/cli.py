@@ -49,6 +49,16 @@ SUBCOMMANDS = {
 }
 
 
+# Companion tables by subcommand, in output order: sibling CSV files named
+# by _companion_path, side-keys of the JSON document.
+COMPANIONS = {"sweep-qubits": ("fits", "reference")}
+
+
+def _companion_path(path: Path, name: str) -> Path:
+    """CSV path of companion ``name`` of the table at ``path``: <stem>_<name>.csv."""
+    return path.with_name(f"{path.stem}_{name}.csv")
+
+
 @dataclass
 class RunConfig:
     """One resolved run, holding its own ``qubits`` and ``layers`` lists. A
@@ -76,6 +86,12 @@ class RunConfig:
     def as_dict(self) -> dict:
         """Every field but ``out``, in field order: the JSON ``config`` block."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+
+    def output_paths(self) -> list[Path]:
+        """Every file the run writes: ``out``, then in CSV mode its companions."""
+        out = Path(self.out)
+        names = COMPANIONS.get(self.experiment, ()) if self.format == "csv" else ()
+        return [out, *(_companion_path(out, name) for name in names)]
 
 
 @dataclass
@@ -262,7 +278,7 @@ def emit_table(table: Table, fmt: str, path) -> list[Path]:
     if fmt == "csv":
         texts = {path: _csv_text(table)}
         for name, side in table.companions.items():
-            texts[path.with_name(f"{path.stem}_{name}.csv")] = _csv_text(side)
+            texts[_companion_path(path, name)] = _csv_text(side)
     elif fmt == "json":
         doc = {"experiment": table.experiment, "config": table.config,
                "rows": _json_rows(table)}
@@ -293,10 +309,10 @@ def _attach_qubit_sweep_companions(table: Table) -> None:
                              fit.exponent, fit.residual_norm))
     ref_rows = emit_reference_lines(sorted({r["n"] for r in table.records}),
                                     table.records[0]["mean_variance"])
-    table.companions["fits"] = make_table(table.experiment, FIT_COLUMNS, fit_rows,
-                                          table.config)
-    table.companions["reference"] = make_table(table.experiment, REFERENCE_COLUMNS,
-                                               ref_rows, table.config)
+    fits, reference = COMPANIONS["sweep-qubits"]
+    table.companions[fits] = make_table(table.experiment, FIT_COLUMNS, fit_rows, table.config)
+    table.companions[reference] = make_table(table.experiment, REFERENCE_COLUMNS, ref_rows,
+                                             table.config)
 
 
 def run_experiment(run: RunConfig) -> Table:
@@ -365,10 +381,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             runs = _expand(run)
             for sub in runs:  # a bad output path fails before any computation
-                if not Path(sub.out).parent.is_dir():
-                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), sub.out)
-                if Path(sub.out).is_dir():
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), sub.out)
+                for path in sub.output_paths():
+                    if not path.parent.is_dir():
+                        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                                str(path))
+                    if path.is_dir():
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                                str(path))
             written = [path for sub in runs
                        for path in emit_table(run_experiment(sub), sub.format, sub.out)]
     except OSError as exc:

@@ -84,32 +84,6 @@ class TestGateCount:
         assert sum(1 for g in gates if g[0] in ("ry", "rz")) == 8
         assert sum(1 for g in gates if g[0] == "cnot") == 3
 
-    def test_instrumented_tally_matches_formula(self, monkeypatch):
-        """Count the kernels run_circuit actually invokes."""
-        counts = {"n": 0}
-        real_ry = ansatz.sv._apply_ry_inplace
-        real_rz = ansatz.sv._apply_rz_inplace
-        real_cnot = ansatz.sv._apply_cnot_inplace
-
-        def wrap(fn):
-            def inner(*args):
-                counts["n"] += 1
-                return fn(*args)
-            return inner
-
-        monkeypatch.setattr(ansatz.sv, "_apply_ry_inplace", wrap(real_ry))
-        monkeypatch.setattr(ansatz.sv, "_apply_rz_inplace", wrap(real_rz))
-        monkeypatch.setattr(ansatz.sv, "_apply_cnot_inplace", wrap(real_cnot))
-
-        rng = np.random.default_rng(0)
-        for n in (4, 6, 8):
-            for layers in range(1, 6):
-                for topo in (NN, ATA):
-                    spec = CircuitSpec(n, layers, topo)
-                    counts["n"] = 0
-                    run_circuit(spec, rng.uniform(0, 2 * np.pi, spec.param_count))
-                    assert counts["n"] == gate_count(spec)
-
 
 class TestRunCircuit:
     def test_all_zero_angles_gives_zero_state(self):

@@ -231,16 +231,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "I/O error" in err and str(missing_dir) in err
 
-    def test_out_naming_a_directory_fails_before_any_experiment(self, tmp_path, capsys,
-                                                                monkeypatch):
+    @pytest.mark.parametrize("argv, out, directory", [
+        (["sweep-pde", "--qubits", "4", "--layers", "1", "--samples", "2"], ".", "."),
+        # A companion file of a CSV run, alone and inside --all.
+        (["sweep-qubits", "--qubits", "4", "6", "--layers", "1", "--samples", "2"],
+         "q.csv", "q_fits.csv"),
+        (["--all"], "out", "out/sweep_qubits_reference.csv"),
+    ], ids=["out", "companion", "all_companion"])
+    def test_out_naming_a_directory_fails_before_any_experiment(
+            self, argv, out, directory, tmp_path, capsys, monkeypatch):
         runs = []
         monkeypatch.setattr(cli, "run_experiment", runs.append)
-        code = main(["sweep-pde", "--qubits", "4", "--layers", "1",
-                     "--samples", "2", "--out", str(tmp_path)])
+        (tmp_path / directory).mkdir(parents=True, exist_ok=True)
+        code = main([*argv, "--out", str(tmp_path / out)])
         assert code == 2
         assert runs == []
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
         err = capsys.readouterr().err
-        assert err == f"plateaulab: I/O error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert err == (f"plateaulab: I/O error: [Errno 21] Is a directory: "
+                       f"'{tmp_path / directory}'\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep-qubits", "--qubits", "4", "--layers", "2",

@@ -4,14 +4,13 @@ Each case runs one cheap ``plateaulab`` invocation and compares every file
 it writes with the copy under ``tests/golden/``. A change that is meant to
 alter output regenerates the copies by running the same argv with
 ``--out tests/golden/<name>`` and says in its change log why the bytes moved.
-The ``*_max.csv`` copies are not cases here: the CI step "Largest register,
-several draw blocks" writes them at n = 11-12 and compares them with ``cmp``,
-as it does ``converge_n12_l2.csv``, which is also a case here.
-``all_seed0/`` holds the eight tables of ``--all --seed 0``, every experiment
-at its default settings; CI also writes them with the installed script and
-compares the directory with ``diff -r``. ``all_seed0_json/`` holds the six
-tables of ``--all --seed 0 --format json``, whose ``config`` blocks record
-each run's resolved fields; CI compares it the same way.
+``CASES`` is the one list of golden runs; CI reruns this module with every
+AVX-512 dispatch target switched off. ``all_seed0/`` holds the eight tables
+of ``--all --seed 0``, every experiment at its default settings; CI also
+writes them with the installed script, seeded through ``$PLATEAULAB_SEED``,
+and compares the directory with ``diff -r``. ``all_seed0_json/`` holds the
+six tables of ``--all --seed 0 --format json``, whose ``config`` blocks
+record each run's resolved fields.
 """
 
 from __future__ import annotations
@@ -81,12 +80,26 @@ CASES = [
     ("entanglement_blocks.csv",
      ["entanglement", "--qubits", "4", "--layers", "1", "--samples", "10"], []),
     # Training's one block of both topologies: odd n, two layers and a seed
-    # other than 0; and the per-row gather between rotation layers at the
-    # largest register, which CI's largest-register step also compares.
+    # other than 0.
     ("converge_n5_l2_seed3.csv",
      ["converge", "--qubits", "5", "--layers", "2", "--epochs", "100", "--seed", "3"], []),
+    # The largest register, where no other test reaches the adjoint gradient
+    # path with several draw blocks per topology: 40 draws at n = 12, L = 1
+    # run the all-to-all configs in 7 blocks, and the PDE sweep runs Heat,
+    # Burgers and SaintVenant there on whole blocks of rows. No other test
+    # trains at the largest register (at L = 2 the forward gathers rows
+    # between rotation layers) or takes entropies there: 40 draws at
+    # n = 12, L = 1 run in two blocks.
+    ("sweep_max.csv",
+     ["sweep-qubits", "--qubits", "11", "12", "--layers", "1", "--samples", "40"],
+     ["sweep_max_fits.csv", "sweep_max_reference.csv"]),
+    ("sweep_pde_max.csv",
+     ["sweep-pde", "--qubits", "12", "--layers", "1", "--samples", "40"], []),
+    ("converge_max.csv", ["converge", "--qubits", "12", "--layers", "1", "--epochs", "2"], []),
     ("converge_n12_l2.csv",
      ["converge", "--qubits", "12", "--layers", "2", "--epochs", "2"], []),
+    ("entanglement_max.csv",
+     ["entanglement", "--qubits", "11", "12", "--layers", "1", "5", "--samples", "40"], []),
 ]
 
 

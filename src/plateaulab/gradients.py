@@ -57,10 +57,13 @@ def loss_gradient(
 def finite_difference_gradient(
     loss: Callable[[np.ndarray], float], params, h: float
 ) -> np.ndarray:
-    """Central finite-difference gradient of an arbitrary scalar function;
-    the step ``h`` must be a finite real number > 0."""
+    """Central finite-difference gradient of an arbitrary scalar function at
+    a 1-D array of angles; the step ``h`` must be a finite real number > 0.
+    Both are checked before any loss call (ValueError)."""
     sv._check_real("h", h, 0, strict=True)
     angles = np.asarray(params, dtype=np.float64)
+    if angles.ndim != 1:
+        raise ValueError(f"expected a 1-D array of angles, got shape {angles.shape}")
     grad = np.empty(angles.size)
     for j in range(angles.size):
         up = angles.copy()
@@ -90,6 +93,14 @@ _MINUS_I_Y_SIGNS = sv._RY_SIGNS[:, :, None]
 # -iZ maps phi_0 to -i phi_0 and phi_1 to i phi_1, and -i(x + iy) = y - ix;
 # reverse the re/im axis.
 _MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
+# The same signs on phi's unreversed float view, as complex numbers whose
+# float view gives both parts: -Z_q on both parts for Y, Z_q times (+1, -1)
+# for Z.
+_READ_SIGNS = np.array([-1.0 - 1.0j, 1.0 - 1.0j])
+# A run's batches of reads share one products buffer of at most this many
+# floats (64 KiB), or of one read where a read's products alone exceed it. A
+# 512 KiB budget made the n = 10 all-to-all variance cells slower.
+_READ_BATCH_FLOATS = 8192
 
 
 def _adjoint_plan(
@@ -117,18 +128,28 @@ def _adjoint_plan(
     ``loss_and_d_outputs`` call on the outputs f of all its rows gives each
     entry's loss, with the bits of ``total_loss``, and its row lambda = O phi.
     One (G+1, B, 2^n) array of [phi; lambda] rows is walked back through the
-    rotations: at each, dL/dtheta = Im<lambda|P|phi> is read for its
-    generator P (Y_q or Z_q), then the gate undoes itself on every row with
-    the forward's coefficients, its sine or phase pair reversed: the bits of
-    the gate at -theta (``sv._gate_coefficients``), so a run makes one
-    coefficient call. Each qubit's kernel view of the rows is built with
-    the plan; one gather undoes each CNOT sub-layer with every row's own
-    undo indices.
+    rotations: at each, dL/dtheta = Im<lambda|P|phi> = Re<lambda|-iP phi> is
+    read for its generator P (Y_q or Z_q), then the gate undoes itself on
+    every row with the forward's coefficients, its sine or phase pair
+    reversed: the bits of the gate at -theta (``sv._gate_coefficients``), so
+    a run makes one coefficient call. Each qubit's kernel view of the rows
+    is built with the plan; one gather undoes each CNOT sub-layer with every
+    row's own undo indices.
+    A read writes the products of lambda with phi's float view, reversed
+    along P's axis, into its slot of one products buffer. The reads fill it
+    in batches of as many as fit in ``_READ_BATCH_FLOATS`` floats; each
+    batch, the last one possibly partial, then takes one multiply by its
+    reads' +-1 signs of -iP (rows of ``sv.z_signs``) and one row sum per
+    (read, block, row) into a read-ordered buffer, and one take per run puts
+    the entries in parameter order. Where the buffer holds one read, a read
+    forms chi = -iP phi first and multiplies lambda by it, which is faster
+    there than the strided product over G blocks; a +-1 factor commutes with
+    an IEEE product, so both forms give the same bits.
     The walk back ends at its last read, that of the circuit's first gate,
     whose undo would feed no read. It skips the last layer's RZ gates, as
-    the forward does: their gradient entries are exact zeros. Every
-    contraction is row-wise, so an entry's loss and gradient have the same
-    bits in any grid.
+    the forward does: their gradient entries are exact zeros. Every row sum
+    runs over one contiguous row, so an entry's loss and gradient have the
+    same bits in any grid and at any batch length.
     """
     specs = []
     for b, column in enumerate(zip(*grid, strict=True)):
@@ -146,26 +167,70 @@ def _adjoint_plan(
     forward, undo = _row_gathers(specs)
     rows = np.empty((n_blocks + 1, n_draws, 2**n), dtype=np.complex128)
     flat = rows.view(np.float64).reshape(n_blocks + 1, n_draws, 2**n, 2)
-    chi = np.empty((n_draws, 2 ** (n + 1)))
-    products = np.empty((n_blocks, n_draws, 2 ** (n + 1)))
-    lam = flat[1:].reshape(products.shape)
     blocks = rows.reshape(n_blocks + 1, -1)  # one flat run of B rows per block
-    # (kind, qubit) -> reversed view of phi, signs of -iP, view of chi and
-    # the kernel view of every row of rows.
-    reads = {}
-    for a in range(n):
-        phi = flat[0].reshape(n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
-        undo_view = sv._qubit_view(rows, a)
-        reads["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi.reshape(phi.shape), undo_view)
-        reads["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi.reshape(phi.shape), undo_view)
     # The rotations are every spec's but the last layer's RZ, angles p - n
     # and up; spec's CNOTs only mark the sub-layers, each one None here.
     last_rz = spec.param_count - n
-    schedule = []
+    walk = []
     for entangler, gates in groupby(reversed(list(circuit_gates(spec))),
                                     key=lambda gate: gate[0] == "cnot"):
-        schedule += [None] if entangler else [(gate[0], gate[2], reads[gate[:2]])
-                                              for gate in gates if gate[2] < last_rz]
+        walk += [None] if entangler else [gate for gate in gates if gate[2] < last_rz]
+    reads = [gate for gate in walk if gate]
+    batch = min(len(reads), max(1, _READ_BATCH_FLOATS // (n_blocks * n_draws * 2 ** (n + 1))))
+    products = np.empty((batch, n_blocks, n_draws, 2 ** (n + 1)))
+    read_grads = np.zeros((len(reads) + 1, n_blocks, n_draws))  # the last row stays 0
+    # Entry j of a gradient is row order[j] of read_grads.
+    order = np.full(spec.param_count, len(reads))
+    order[[gate[2] for gate in reads]] = np.arange(len(reads))
+    by_param = read_grads.transpose(1, 2, 0)
+    lam = flat[1:]
+    if batch > 1:
+        # Row (kind, qubit) of sign_table: that read's signs of -iP on phi's
+        # unreversed float view, as int8 (+-1 is exact in any dtype) to keep
+        # the 2n rows small; read r takes row sign_index[r].
+        sign_table = (_READ_SIGNS[:, None, None] * sv.z_signs(n)).view(np.float64).astype(
+            np.int8).reshape(2 * n, 1, 1, -1)
+        sign_index = np.array([a + n * (kind == "rz") for kind, a, _ in reads])
+    else:
+        chi = np.empty((n_draws, 2 ** (n + 1)))
+        lone = (lam.reshape(products.shape[1:]), chi, products[0])  # lambda * chi
+    # (kind, qubit) -> the read's operands and the kernel view of every row
+    # of rows. A batched read takes its slot of the last operand, products in
+    # phi's shape; a lone read forms chi first.
+    reads_of = {}
+    for a in range(n):
+        shape = (n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
+        phi = flat[0].reshape(shape)
+        undo_view = sv._qubit_view(rows, a)
+        if batch > 1:
+            lam_view = lam.reshape(n_blocks, *shape)
+            slots = products.reshape(batch, n_blocks, *shape)
+            reads_of["ry", a] = (lam_view, phi[:, :, ::-1], slots), undo_view
+            reads_of["rz", a] = (lam_view, phi[..., ::-1], slots), undo_view
+        else:
+            chi_view = chi.reshape(shape)
+            reads_of["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi_view), undo_view
+            reads_of["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi_view), undo_view
+    schedule, r = [], 0  # r: the next read's row of read_grads
+    for gate in walk:
+        if gate is None:
+            schedule.append(None)
+            continue
+        kind, a, b = gate
+        operands, undo_view = reads_of[kind, a]
+        k = r % batch  # the read's slot of products
+        if batch > 1:
+            multiplies = ((operands[0], operands[1], operands[2][k]),)
+        else:
+            multiplies = (operands, lone)
+        r += 1
+        # A batch's signs and row sums follow its last read.
+        flush = None
+        if k == batch - 1 or r == len(reads):
+            first = r - k - 1
+            flush = (products if k == batch - 1 else products[:k + 1],
+                     sign_index[first:r] if batch > 1 else None, read_grads[first:r])
+        schedule.append((kind, b, multiplies, flush, undo_view))
     last_read = schedule[-1]  # the circuit's first gate, RY on qubit 0
 
     def run(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,31 +250,30 @@ def _adjoint_plan(
             weights = np.einsum("bm,mi->bi", d_loss, obs)
             flat[g + 1, cols] = flat[0, cols] * weights[:, :, None]
         del probs
-        grads = np.empty((n_blocks, n_draws, spec.param_count))
-        grads[:, :, last_rz:] = 0.0
         # Each gate's inverse: the same cosine, each pair reversed.
         cos_half, sin_pair, phases = coefficients
         sin_pair, phases = sin_pair[..., ::-1, :], phases[..., ::-1, :]
         for gate in schedule:
             if gate is None:
-                # In place: flat, lam and the reads are views of rows. With
+                # In place: the reads' operands are views of rows. With
                 # mode="raise" take buffers its output, so the overlap is safe.
                 blocks.take(undo, axis=-1, out=rows)
                 continue
-            kind, b, (phi, signs, chi_view, view) = gate
-            # dL/dtheta = Im<lam|P|phi> = Re<lam|chi> with chi = -i P phi. Every
-            # row sums over a contiguous buffer, so its bits do not depend on
-            # the grid's size.
-            np.multiply(phi, signs, out=chi_view)
-            np.multiply(lam, chi, out=products)
-            np.add.reduce(products, axis=2, out=grads[:, :, b])
+            kind, b, multiplies, flush, view = gate
+            for x, y, out in multiplies:
+                np.multiply(x, y, out=out)
+            if flush:
+                block, signs, out = flush
+                if signs is not None:
+                    block *= sign_table.take(signs, axis=0)
+                np.add.reduce(block, axis=-1, out=out)
             if gate is last_read:
                 break
             if kind == "ry":
                 sv._apply_ry_inplace(view, cos_half[b], sin_pair[b])
             else:
                 sv._apply_rz_inplace(view, phases[b])
-        return losses, grads
+        return losses, by_param.take(order, axis=-1)
 
     return run
 

@@ -245,6 +245,14 @@ class TestFiniteDifferenceOracle:
         with pytest.raises(ValueError, match="^h must be a finite real number > 0"):
             finite_difference_gradient(lambda q: 0.0, np.zeros(2), h)
 
+    @pytest.mark.parametrize("shape", [(), (1, 4), (2, 3)])
+    def test_params_of_another_shape_rejected_before_any_loss_call(self, shape):
+        calls = []
+        message = f"^expected a 1-D array of angles, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            finite_difference_gradient(lambda q: calls.append(q) or 0.0, np.zeros(shape), 1e-5)
+        assert calls == []
+
 
 class TestDrawParams:
     def test_shape_and_range(self):
@@ -595,6 +603,28 @@ class TestAdjointPlan:
                 monkeypatch.setattr(gradients.sv, "_LONG_LOOP_MIN_HI", threshold)
                 out[threshold] = b"".join(array.tobytes() for array in run(angles))
             assert len(set(out.values())) == 1
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_read_batch_gives_the_run_bits(self, n, monkeypatch):
+        # A plan reads gradients._READ_BATCH_FLOATS when it is built, so one
+        # plan is built per batch length: 1 read (the chi form), 2, 3 and all
+        # n(2L - 1) reads. Where 2 or 3 does not divide that count, the last
+        # batch is partial.
+        grids = ([all_configs()],  # training's mixed grid, G = 1
+                 [[config] * 2 for config in all_configs()
+                  if config.required_topology() is ATA])  # a variance cell, G = 3
+        assert len(grids[1]) == 3
+        for layers in (1, 2):
+            for grid in grids:
+                angles = np.stack([draw_params(0, n, layers, k) for k in range(len(grid[0]))])
+                out = {b"".join(array.tobytes()
+                                for array in gradients._adjoint_plan(grid, n, layers)(angles))}
+                floats = len(grid) * len(grid[0]) * 2 ** (n + 1)  # one read's products
+                for batch in (1, 2, 3, n * (2 * layers - 1)):
+                    monkeypatch.setattr(gradients, "_READ_BATCH_FLOATS", batch * floats)
+                    run = gradients._adjoint_plan(grid, n, layers)
+                    out.add(b"".join(array.tobytes() for array in run(angles)))
+                assert len(out) == 1
 
     @pytest.mark.parametrize("n, layers", [(3, 2), (4, 3)])
     def test_a_run_makes_one_coefficient_call_and_no_undo_view(self, n, layers,

@@ -166,7 +166,7 @@ def run_circuit_batch(
     if coefficients is None:
         coefficients = sv._gate_coefficients(angles_batch)
     cos_half, sin_pair, phases = coefficients
-    pairs = entangler_pairs(spec)
+    pairs = entangler_pairs(spec) if gather is None else None
     # Before the first entangler qubits above k are still |0>, so qubit k's
     # gates reach only the row prefix [0, 2^(k+1)): a (k+1)-qubit register.
     # The gate order of ``circuit_gates``.

@@ -86,16 +86,10 @@ def draw_params(seed: int, n_qubits: int, layers: int, index: int) -> np.ndarray
     return rng.uniform(0.0, 2.0 * np.pi, 2 * n_qubits * layers)
 
 
-# Signs that turn a float view of phi, reversed along one axis, into -i P phi
-# for the rotation generator P. Axes: (bit of the qubit, lo, re/im).
-# -iY = RY(pi) maps (phi_0, phi_1) to (-phi_1, phi_0): RY's signs, bit axis reversed.
-_MINUS_I_Y_SIGNS = sv._RY_SIGNS[:, :, None]
-# -iZ maps phi_0 to -i phi_0 and phi_1 to i phi_1, and -i(x + iy) = y - ix;
-# reverse the re/im axis.
-_MINUS_I_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :]
-# The same signs on phi's unreversed float view, as complex numbers whose
-# float view gives both parts: -Z_q on both parts for Y, Z_q times (+1, -1)
-# for Z.
+# The +-1 signs that turn lambda times phi's float view, reversed along P's
+# axis, into lambda times -iP phi, indexed as lambda: -Z_q on both float parts
+# for P = Y_q, Z_q times (+1, -1) for P = Z_q. As complex numbers, so that the
+# float view of their product with a Z_q row gives both parts.
 _READ_SIGNS = np.array([-1.0 - 1.0j, 1.0 - 1.0j])
 # A run's batches of reads share one products buffer of at most this many
 # floats (64 KiB), or of one read where a read's products alone exceed it. A
@@ -137,14 +131,13 @@ def _adjoint_plan(
     row's own undo indices.
     A read writes the products of lambda with phi's float view, reversed
     along P's axis, into its slot of one products buffer. The reads fill it
-    in batches of as many as fit in ``_READ_BATCH_FLOATS`` floats; each
-    batch, the last one possibly partial, then takes one multiply by its
-    reads' +-1 signs of -iP (rows of ``sv.z_signs``) and one row sum per
-    (read, block, row) into a read-ordered buffer, and one take per run puts
-    the entries in parameter order. Where the buffer holds one read, a read
-    forms chi = -iP phi first and multiplies lambda by it, which is faster
-    there than the strided product over G blocks; a +-1 factor commutes with
-    an IEEE product, so both forms give the same bits.
+    in batches of as many as fit in ``_READ_BATCH_FLOATS`` floats, at least
+    one; each batch, the last one possibly partial, then takes one multiply
+    by its reads' +-1 signs of -iP (rows of ``sv.z_signs``) and one row sum
+    per (read, block, row) into a read-ordered buffer, and one take per run
+    puts the entries in parameter order. A +-1 factor commutes with an IEEE
+    product, so the entries have the bits of Re<lambda|-iP phi> summed row
+    by row.
     The walk back ends at its last read, that of the circuit's first gate,
     whose undo would feed no read. It skips the last layer's RZ gates, as
     the forward does: their gradient entries are exact zeros. Every row sum
@@ -183,54 +176,38 @@ def _adjoint_plan(
     order = np.full(spec.param_count, len(reads))
     order[[gate[2] for gate in reads]] = np.arange(len(reads))
     by_param = read_grads.transpose(1, 2, 0)
-    lam = flat[1:]
-    if batch > 1:
-        # Row (kind, qubit) of sign_table: that read's signs of -iP on phi's
-        # unreversed float view, as int8 (+-1 is exact in any dtype) to keep
-        # the 2n rows small; read r takes row sign_index[r].
-        sign_table = (_READ_SIGNS[:, None, None] * sv.z_signs(n)).view(np.float64).astype(
-            np.int8).reshape(2 * n, 1, 1, -1)
-        sign_index = np.array([a + n * (kind == "rz") for kind, a, _ in reads])
-    else:
-        chi = np.empty((n_draws, 2 ** (n + 1)))
-        lone = (lam.reshape(products.shape[1:]), chi, products[0])  # lambda * chi
-    # (kind, qubit) -> the read's operands and the kernel view of every row
-    # of rows. A batched read takes its slot of the last operand, products in
-    # phi's shape; a lone read forms chi first.
+    # Row (kind, qubit) of sign_table: that read's signs, as int8 (+-1 is
+    # exact in any dtype) to keep the 2n rows small; read r takes row
+    # sign_index[r].
+    sign_table = (_READ_SIGNS[:, None, None] * sv.z_signs(n)).view(np.float64).astype(
+        np.int8).reshape(2 * n, 1, 1, -1)
+    sign_index = np.array([a + n * (kind == "rz") for kind, a, _ in reads])
+    # (kind, qubit) -> the read's lambda and reversed phi views, its batch's
+    # products in phi's shape, and the kernel view of every row of rows.
     reads_of = {}
     for a in range(n):
         shape = (n_draws, 2 ** (n - 1 - a), 2, 2**a, 2)
         phi = flat[0].reshape(shape)
+        lam = flat[1:].reshape(n_blocks, *shape)
+        slots = products.reshape(batch, n_blocks, *shape)
         undo_view = sv._qubit_view(rows, a)
-        if batch > 1:
-            lam_view = lam.reshape(n_blocks, *shape)
-            slots = products.reshape(batch, n_blocks, *shape)
-            reads_of["ry", a] = (lam_view, phi[:, :, ::-1], slots), undo_view
-            reads_of["rz", a] = (lam_view, phi[..., ::-1], slots), undo_view
-        else:
-            chi_view = chi.reshape(shape)
-            reads_of["ry", a] = (phi[:, :, ::-1], _MINUS_I_Y_SIGNS, chi_view), undo_view
-            reads_of["rz", a] = (phi[..., ::-1], _MINUS_I_Z_SIGNS, chi_view), undo_view
+        reads_of["ry", a] = (lam, phi[:, :, ::-1], slots), undo_view
+        reads_of["rz", a] = (lam, phi[..., ::-1], slots), undo_view
     schedule, r = [], 0  # r: the next read's row of read_grads
     for gate in walk:
         if gate is None:
             schedule.append(None)
             continue
         kind, a, b = gate
-        operands, undo_view = reads_of[kind, a]
+        (lam, phi, slots), undo_view = reads_of[kind, a]
         k = r % batch  # the read's slot of products
-        if batch > 1:
-            multiplies = ((operands[0], operands[1], operands[2][k]),)
-        else:
-            multiplies = (operands, lone)
         r += 1
         # A batch's signs and row sums follow its last read.
         flush = None
         if k == batch - 1 or r == len(reads):
             first = r - k - 1
-            flush = (products if k == batch - 1 else products[:k + 1],
-                     sign_index[first:r] if batch > 1 else None, read_grads[first:r])
-        schedule.append((kind, b, multiplies, flush, undo_view))
+            flush = products[:k + 1], sign_index[first:r], read_grads[first:r]
+        schedule.append((kind, b, (lam, phi, slots[k]), flush, undo_view))
     last_read = schedule[-1]  # the circuit's first gate, RY on qubit 0
 
     def run(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,14 +236,12 @@ def _adjoint_plan(
                 # mode="raise" take buffers its output, so the overlap is safe.
                 blocks.take(undo, axis=-1, out=rows)
                 continue
-            kind, b, multiplies, flush, view = gate
-            for x, y, out in multiplies:
-                np.multiply(x, y, out=out)
+            kind, b, (lam, phi, out), flush, view = gate
+            np.multiply(lam, phi, out=out)
             if flush:
-                block, signs, out = flush
-                if signs is not None:
-                    block *= sign_table.take(signs, axis=0)
-                np.add.reduce(block, axis=-1, out=out)
+                block, signs, sums = flush
+                block *= sign_table.take(signs, axis=0)
+                np.add.reduce(block, axis=-1, out=sums)
             if gate is last_read:
                 break
             if kind == "ry":

@@ -280,6 +280,8 @@ class TestRowGathers:
         real = ansatz.sv._apply_cnot_inplace
         monkeypatch.setattr(ansatz.sv, "_apply_cnot_inplace",
                             lambda *args: calls.append(args[1:]) or real(*args))
+        # Nor does it build the spec's CNOT pair list, which only the walk reads.
+        monkeypatch.setattr(ansatz, "entangler_pairs", lambda spec: calls.append(spec))
         for forward in gathers:
             run_circuit_batch(spec, np.zeros((2, spec.param_count)), forward)
         assert calls == []

@@ -3,6 +3,7 @@ whole-circuit parameter-shift rule of ``shift_rule``."""
 
 import gc
 import re
+import types
 import weakref
 
 import numpy as np
@@ -604,16 +605,21 @@ class TestAdjointPlan:
                 out[threshold] = b"".join(array.tobytes() for array in run(angles))
             assert len(set(out.values())) == 1
 
+    @staticmethod
+    def variance_grid():
+        """A variance cell's grid: two draws of each all-to-all config, G = 3."""
+        grid = [[config] * 2 for config in all_configs() if config.required_topology() is ATA]
+        assert len(grid) == 3
+        return grid
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_every_read_batch_gives_the_run_bits(self, n, monkeypatch):
         # A plan reads gradients._READ_BATCH_FLOATS when it is built, so one
-        # plan is built per batch length: 1 read (the chi form), 2, 3 and all
-        # n(2L - 1) reads. Where 2 or 3 does not divide that count, the last
-        # batch is partial.
+        # plan is built per batch length: 1 read, 2, 3 and all n(2L - 1)
+        # reads. Where 2 or 3 does not divide that count, the last batch is
+        # partial.
         grids = ([all_configs()],  # training's mixed grid, G = 1
-                 [[config] * 2 for config in all_configs()
-                  if config.required_topology() is ATA])  # a variance cell, G = 3
-        assert len(grids[1]) == 3
+                 self.variance_grid())
         for layers in (1, 2):
             for grid in grids:
                 angles = np.stack([draw_params(0, n, layers, k) for k in range(len(grid[0]))])
@@ -625,6 +631,36 @@ class TestAdjointPlan:
                     run = gradients._adjoint_plan(grid, n, layers)
                     out.add(b"".join(array.tobytes() for array in run(angles)))
                 assert len(out) == 1
+
+    @pytest.mark.parametrize("grid", ["mixed", "variance"])
+    @pytest.mark.parametrize("n, layers", [(4, 3), (8, 3), (10, 3), (12, 1)])
+    def test_one_product_per_read_and_one_row_sum_per_batch(self, n, layers, grid,
+                                                            monkeypatch):
+        # Every read, in a batch of one too, is one np.multiply into its slot
+        # of the products buffer, and every batch one np.add.reduce: n(2L - 1)
+        # reads in batches of as many as fit in _READ_BATCH_FLOATS, at least one.
+        grid = [all_configs()] if grid == "mixed" else self.variance_grid()
+        run = gradients._adjoint_plan(grid, n, layers)
+        angles = np.stack([draw_params(0, n, layers, k) for k in range(len(grid[0]))])
+        calls = []
+
+        class CountingNumpy:
+            """numpy, with its multiply and add.reduce calls counted."""
+            multiply = staticmethod(lambda *args, **kwargs:
+                                    calls.append("multiply") or np.multiply(*args, **kwargs))
+            add = types.SimpleNamespace(reduce=lambda *args, **kwargs:
+                                        calls.append("reduce") or np.add.reduce(*args, **kwargs))
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(gradients, "np", CountingNumpy())
+        run(angles)
+        reads = n * (2 * layers - 1)
+        per_batch = max(1, gradients._READ_BATCH_FLOATS // (len(grid) * len(grid[0])
+                                                             * 2 ** (n + 1)))
+        assert calls.count("multiply") == reads
+        assert calls.count("reduce") == -(-reads // per_batch)
 
     @pytest.mark.parametrize("n, layers", [(3, 2), (4, 3)])
     def test_a_run_makes_one_coefficient_call_and_no_undo_view(self, n, layers,

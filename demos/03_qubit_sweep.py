@@ -7,8 +7,6 @@ reduced here to keep the demo quick; the protocol value is K = 25.
 Run:  python3 demos/03_qubit_sweep.py
 """
 
-import numpy as np
-
 from plateaulab import ScalingModel, fit_scaling, sweep_qubits
 from plateaulab.cli import emit_reference_lines
 

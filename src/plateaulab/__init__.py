@@ -41,6 +41,7 @@ from .losses import (
 from .gradients import (
     draw_params,
     finite_difference_gradient,
+    gradient_samples,
     gradient_variance,
     loss_gradient,
 )

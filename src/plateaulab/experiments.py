@@ -79,7 +79,12 @@ class EntropyRow:
     n: int
     layers: int
     topology: str
-    mean_entropy_bits: float
+    entropy_bits: np.ndarray
+
+    @property
+    def mean_entropy_bits(self) -> float:
+        """Plain mean of the per-draw entropies."""
+        return float(np.mean(self.entropy_bits))
 
     @property
     def ratio_to_max(self) -> float:
@@ -201,8 +206,7 @@ def entanglement_sweep(
                     von_neumann_entropy(reduced_density_matrix(
                         gradients.run_circuit_batch(spec, angles, perm), range(n // 2)))
                     for angles in blocks])
-                rows.append(EntropyRow(n=n, layers=layers, topology=spec.topology.value,
-                                       mean_entropy_bits=float(np.mean(entropies))))
+                rows.append(EntropyRow(n, layers, spec.topology.value, entropies))
     return rows
 
 

@@ -3,7 +3,7 @@
 Every loss is a function of the outputs f of its ``observables``, so its
 gradient is J^T * dL/df with dL/df analytic. One exact engine computes it,
 the adjoint plan ``_adjoint_plan``: it serves variance cells
-(``gradient_variance``), training (``experiments.train``) and the
+(``gradient_samples``), training (``experiments.train``) and the
 single-point API (``loss_gradient``), each entry with the same bits.
 
 All randomness flows through ``draw_params``: sample i of a run is drawn from
@@ -260,17 +260,17 @@ def _blocks(draws: np.ndarray, live_rows: int) -> list[np.ndarray]:
     return np.split(draws, range(size, len(draws), size))
 
 
-def gradient_variance(
+def gradient_samples(
     configs: Sequence[LossConfig], n_qubits: int, layers: int, n_samples: int, seed: int
-) -> list[np.ndarray]:
-    """Per-parameter gradient variances (p,) at random initializations.
+) -> np.ndarray:
+    """Per-draw gradients (C, K, p) at random initializations: entry [c, k] is
+    config c's gradient at draw k of the ``n_samples``, shared by every config.
 
-    One array per config, in order. Each of the ``n_samples`` draws is shared
-    by every config. The configs are grouped by required topology, in order
-    of first use; per group the draws run in blocks, each one plan run for
-    all of the group's configs, and one plan per block length is alive at a
-    time. Variances use the unbiased K-1 divisor, so ``n_samples`` must be an
-    integer >= MIN_VARIANCE_SAMPLES; every config must be a LossConfig.
+    The configs are grouped by required topology, in order of first use; per
+    group the draws run in blocks, each one plan run for all of the group's
+    configs, and one plan per block length is alive at a time. ``n_samples``
+    must be an integer >= MIN_VARIANCE_SAMPLES and every config a LossConfig,
+    both checked before any draw (ValueError).
     """
     sv._check_count("n_samples", n_samples, MIN_VARIANCE_SAMPLES)
     _check_configs(configs)
@@ -278,14 +278,23 @@ def gradient_variance(
     for i, config in enumerate(configs):
         groups.setdefault(config.required_topology(), []).append(i)
     draws = np.stack([draw_params(seed, n_qubits, layers, k) for k in range(n_samples)])
-    grads: list = [None] * len(configs)
+    grads = np.empty((len(configs), *draws.shape))
     for members in groups.values():
         # Each draw takes C + 1 live rows: phi and one lambda row per config.
-        stacks = []
+        start = 0
         for length, same in groupby(_blocks(draws, len(members) + 1), key=len):
             run = _adjoint_plan([[configs[i]] * length for i in members], n_qubits, layers)
-            stacks += [run(angles)[1] for angles in same]
+            for angles in same:
+                grads[members, start:start + length] = run(angles)[1]
+                start += length
             del run  # so one plan's buffers are alive at a time
-        for i, stack in zip(members, np.concatenate(stacks, axis=1)):
-            grads[i] = stack
-    return [g.var(axis=0, ddof=1) for g in grads]
+    return grads
+
+
+def gradient_variance(
+    configs: Sequence[LossConfig], n_qubits: int, layers: int, n_samples: int, seed: int
+) -> list[np.ndarray]:
+    """Per-parameter gradient variances (p,) of ``gradient_samples``, one
+    array per config, in order, with the unbiased K-1 divisor."""
+    samples = gradient_samples(configs, n_qubits, layers, n_samples, seed)
+    return [g.var(axis=0, ddof=1) for g in samples]

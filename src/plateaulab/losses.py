@@ -310,8 +310,8 @@ def d_loss_d_outputs(config: LossConfig, f, disc: Discretization) -> np.ndarray:
 
 def total_loss(config: LossConfig, spec: CircuitSpec, params, disc: Discretization) -> float:
     """Run the circuit, as ``run_circuit_batch`` with ``z_readout``, and
-    evaluate the configured loss; ValueError unless ``params`` holds
-    param_count angles."""
+    evaluate the configured loss; ValueError unless config, spec and disc
+    pair (``check_pairing``) and ``params`` holds param_count angles."""
     check_pairing(config, spec, disc)
     angles = _check_params(spec, params)
     probs = probabilities(run_circuit_batch(spec, angles[None], z_readout=True)[0])
@@ -320,7 +320,12 @@ def total_loss(config: LossConfig, spec: CircuitSpec, params, disc: Discretizati
 
 
 def check_pairing(config: LossConfig, spec: CircuitSpec, disc: Discretization) -> None:
-    """Reject mismatched config/topology/grid combinations."""
+    """Reject, with ValueError, an argument of the wrong type, checked in
+    order, then mismatched config/topology/grid combinations."""
+    for name, value, kind in (("config", config, LossConfig), ("spec", spec, CircuitSpec),
+                              ("disc", disc, Discretization)):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
     required = config.required_topology()
     if spec.topology is not required:
         raise ValueError(

@@ -23,7 +23,7 @@ from plateaulab.cli import main as cli_main
 from plateaulab.gradients import (
     draw_params,
     finite_difference_gradient,
-    gradient_variance,
+    gradient_samples,
     loss_gradient,
 )
 from plateaulab.losses import (
@@ -58,6 +58,7 @@ from shift_rule import shift_gradient
 
 TREND_SEED = 7
 TREND_SAMPLES = 100
+BOOTSTRAP_RESAMPLES = 2000
 
 
 @contextlib.contextmanager
@@ -267,6 +268,32 @@ def test_criterion_09_depth_scaling_trends():
             "loss starts high at L=1 and decays faster with depth than the "
             "parity cost"
         )
+
+
+def test_criterion_09_miss_is_not_sampling_noise():
+    # A paired bootstrap of criterion 9's cell from the per-draw gradients:
+    # each resample draws K indices for L = 1, then K for L = 5, both from
+    # one default_rng(0), and both configs read the same index sets.
+    configs = [LossConfig(LossKind.GLOBAL_COST), LossConfig(LossKind.PDE_STRUCTURED)]
+    k = TREND_SAMPLES
+    shallow, deep = (gradient_samples(configs, 6, layers, k, TREND_SEED) for layers in (1, 5))
+
+    def decay(shallow_draws, deep_draws):
+        """Each config's var(1)/var(5) of the mean per-parameter variance."""
+        return (shallow[:, shallow_draws].var(axis=1, ddof=1).mean(axis=1)
+                / deep[:, deep_draws].var(axis=1, ddof=1).mean(axis=1))
+
+    glo, pde = decay(range(k), range(k))
+    assert (glo, pde, pde - glo) == pytest.approx((2.78, 19.58, 16.80), abs=0.005)
+    rng = np.random.default_rng(0)
+    differences = []
+    for _ in range(BOOTSTRAP_RESAMPLES):
+        shallow_draws = rng.integers(0, k, k)
+        deep_draws = rng.integers(0, k, k)
+        glo, pde = decay(shallow_draws, deep_draws)
+        differences.append(pde - glo)
+    assert np.percentile(differences, [2.5, 97.5]) == pytest.approx([12.23, 22.07], abs=0.005)
+    assert min(differences) > 0, "a resample reverses the order"
 
 
 def test_criterion_10_pde_ordering():

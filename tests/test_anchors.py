@@ -12,12 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from plateaulab import gradients
-from plateaulab.ansatz import CircuitSpec, Topology, run_circuit_batch
 from plateaulab.experiments import entanglement_sweep
-from plateaulab.gradients import draw_params, gradient_variance
+from plateaulab.gradients import gradient_samples
 from plateaulab.losses import all_configs
-from plateaulab.statevector import reduced_density_matrix, von_neumann_entropy
 from test_exact import EXACT_TOL, exact_variance
 
 SAMPLES = 200
@@ -42,12 +39,9 @@ def test_sampled_variances_match_the_exact_l1_variances(n, seed):
     # sqrt((m4 - (K - 3) / (K - 1) * s^4) / K), from the entry's fourth
     # central moment m4. An entry whose exact variance is 0 has no spread
     # to compare; its estimate must be 0 to the exact grid's tolerance.
-    draws = np.stack([draw_params(seed, n, 1, k) for k in range(SAMPLES)])
-    variances = gradient_variance(all_configs(), n, 1, SAMPLES, seed)
-    for config, variance in zip(all_configs(), variances):
-        stack = gradients._adjoint_plan([[config] * SAMPLES], n, 1)(draws)[1][0]
+    stacks = gradient_samples(all_configs(), n, 1, SAMPLES, seed)
+    for config, stack in zip(all_configs(), stacks):
         s2 = stack.var(axis=0, ddof=1)
-        assert variance.tobytes() == s2.tobytes()
         exact = exact_variance(config.name, n)
         live = exact > EXACT_TOL
         assert np.all(np.abs(s2[~live] - exact[~live]) <= EXACT_TOL)
@@ -76,18 +70,14 @@ def test_deep_circuit_variances_reach_the_2_design_value(n):
     assert haar_gradient_variance(4) == pytest.approx(0.029527, abs=1e-6)
     assert haar_gradient_variance(6) == pytest.approx(0.0076942, abs=1e-7)
     costs = all_configs()[:2]  # the global and local costs
-    draws = np.stack([draw_params(0, n, HAAR_LAYERS, k) for k in range(SAMPLES)])
-    variances = gradient_variance(costs, n, HAAR_LAYERS, SAMPLES, 0)
-    stacks = gradients._adjoint_plan([[config] * SAMPLES for config in costs],
-                                     n, HAAR_LAYERS)(draws)[1]
+    stacks = gradient_samples(costs, n, HAAR_LAYERS, SAMPLES, 0)
     middle = slice(2 * n * (HAAR_LAYERS // 3), 2 * n * (2 * HAAR_LAYERS // 3))
-    for config, variance, stack in zip(costs, variances, stacks):
-        assert variance.tobytes() == stack.var(axis=0, ddof=1).tobytes()
+    for config, stack in zip(costs, stacks):
         entries = stack[:, middle]
         left_out = [np.delete(entries, k, axis=0).var(axis=0, ddof=1).mean()
                     for k in range(SAMPLES)]
         se = math.sqrt((SAMPLES - 1) * np.var(left_out))
-        z = (variance[middle].mean() - haar_gradient_variance(n)) / se
+        z = (stack.var(axis=0, ddof=1)[middle].mean() - haar_gradient_variance(n)) / se
         assert abs(z) <= HAAR_Z, (config.name, z)
 
 
@@ -102,15 +92,9 @@ def page_entropy_bits(n):
 @pytest.mark.parametrize("n", [4, 6])
 def test_deep_circuits_reach_page_entropy(n):
     # At L = 20 and 40 the draws are close to Haar-random states; the
-    # standard error of each mean comes from the per-draw entropies of the
-    # same draws, whose mean is the sweep's to the bit.
+    # standard error of each mean comes from the row's per-draw entropies.
     assert page_entropy_bits(4) == pytest.approx(1.3307, abs=1e-4)
     for row in entanglement_sweep([n], [20, 40], SAMPLES, 0):
-        spec = CircuitSpec(n, row.layers, Topology(row.topology))
-        draws = np.stack([draw_params(0, n, row.layers, k) for k in range(SAMPLES)])
-        entropies = von_neumann_entropy(
-            reduced_density_matrix(run_circuit_batch(spec, draws), range(n // 2)))
-        assert np.mean(entropies) == row.mean_entropy_bits
-        se = np.std(entropies, ddof=1) / math.sqrt(SAMPLES)
+        se = np.std(row.entropy_bits, ddof=1) / math.sqrt(SAMPLES)
         z = (row.mean_entropy_bits - page_entropy_bits(n)) / se
-        assert abs(z) <= PAGE_Z, (row, z)
+        assert abs(z) <= PAGE_Z, (row.layers, row.topology, z)

@@ -133,6 +133,7 @@ class TestEntanglementSweep:
                     run_circuit(spec, draw_params(6, row.n, row.layers, k)), range(row.n // 2)))
                 for k in range(14)
             ]
+            assert row.entropy_bits.tolist() == entropies
             assert row.mean_entropy_bits == float(np.mean(entropies))
 
     @pytest.mark.parametrize("ns, cnot_calls", [((4, 6), 29), ((4, 6, 8, 10, 12), 195)])

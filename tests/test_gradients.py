@@ -21,6 +21,7 @@ from plateaulab.experiments import SweepRow, train
 from plateaulab.gradients import (
     draw_params,
     finite_difference_gradient,
+    gradient_samples,
     gradient_variance,
     loss_gradient,
 )
@@ -328,15 +329,22 @@ class TestGradientVariance:
         np.testing.assert_array_equal(a, b)
         assert np.mean(a) == np.mean(b)
 
-    def test_too_few_samples_rejected(self):
+    @pytest.mark.parametrize("function", [gradient_samples, gradient_variance],
+                             ids=lambda f: f.__name__)
+    def test_too_few_samples_rejected(self, function, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gradients, "draw_params", lambda *args: calls.append(args))
         cfg = LossConfig(LossKind.GLOBAL_COST)
-        with pytest.raises(ValueError):
-            gradient_variance([cfg], 4, 1, 1, 0)
-        with pytest.raises(ValueError):
-            gradient_variance([cfg], 4, 1, 2.5, 0)
+        for k in (1, 2.5):
+            message = f"n_samples must be an integer >= 2, got {k}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                function([cfg], 4, 1, k, 0)
+        assert calls == []
 
+    @pytest.mark.parametrize("function", [gradient_samples, gradient_variance],
+                             ids=lambda f: f.__name__)
     @pytest.mark.parametrize("bad", ["x", None, LossKind.GLOBAL_COST])
-    def test_entry_other_than_a_loss_config_rejected_before_any_draw(self, bad,
+    def test_entry_other_than_a_loss_config_rejected_before_any_draw(self, function, bad,
                                                                      monkeypatch):
         # Unchecked, grouping by topology would raise AttributeError.
         calls = []
@@ -345,8 +353,17 @@ class TestGradientVariance:
         for configs, index in (([bad], 0), ([LossConfig(LossKind.GLOBAL_COST), bad], 1)):
             message = f"configs[{index}] must be a LossConfig, got {bad!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                gradient_variance(configs, 4, 1, 2, 0)
+                function(configs, 4, 1, 2, 0)
         assert calls == []
+
+    @pytest.mark.parametrize("n, layers, k", [(3, 1, 14), (4, 2, 9)])
+    def test_variances_have_the_bits_of_the_samples(self, n, layers, k):
+        # Both cells split each topology's draws into several blocks.
+        samples = gradient_samples(all_configs(), n, layers, k, 0)
+        assert samples.shape == (4, k, 2 * n * layers)
+        variances = gradient_variance(all_configs(), n, layers, k, 0)
+        for variance, stack in zip(variances, samples, strict=True):
+            assert variance.tobytes() == stack.var(axis=0, ddof=1).tobytes()
 
     def test_one_forward_batch_per_topology_and_block(self, monkeypatch):
         original = gradients.run_circuit_batch
@@ -393,20 +410,15 @@ class TestGradientVariance:
         assert plans == [(ATA, 1), (Topology.NEAREST_NEIGHBOR, 3),
                          (Topology.NEAREST_NEIGHBOR, 2)]
 
-    def test_reports_equal_per_config_gradient_stacks(self):
+    def test_samples_are_each_configs_gradients_at_the_shared_draws(self):
         configs = all_configs()
-        variances = gradient_variance(configs, 4, 2, 3, 0)
-        assert len(variances) == len(configs)
+        samples = gradient_samples(configs, 4, 2, 3, 0)
         draws = np.stack([draw_params(0, 4, 2, k) for k in range(3)])
-        for config, variance in zip(configs, variances):
+        for config, stack in zip(configs, samples, strict=True):
+            np.testing.assert_array_equal(stack, run_adjoint([config], 4, 2, draws)[0])
             spec = spec_for(config, 4, 2)
-            adjoint = run_adjoint([config], 4, 2, draws)[0]
-            expected = adjoint.var(axis=0, ddof=1)
-            np.testing.assert_array_equal(variance, expected)
-            assert float(np.mean(variance)) == float(np.mean(expected))
             shift = np.stack([shift_gradient(config, spec, d, Discretization(4)) for d in draws])
-            np.testing.assert_allclose(variance, shift.var(axis=0, ddof=1),
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stack, shift, rtol=0, atol=1e-12)
 
     def test_first_draws_have_the_same_bits_whatever_k(self, monkeypatch):
         # At n=4, L=2 the all-to-all blocks hold 4 draws, so K=5 splits the

@@ -1,10 +1,13 @@
 """Loss and residual checks against direct-summation stencil oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
-from plateaulab import losses
+from plateaulab import gradients, losses
 from plateaulab.ansatz import CircuitSpec, Topology, run_circuit
+from plateaulab.gradients import loss_gradient
 from plateaulab.losses import (
     DEFAULT_PHYSICS_WEIGHT,
     Burgers,
@@ -282,6 +285,25 @@ class TestTotalLoss:
         ata_spec = CircuitSpec(4, 1, Topology.ALL_TO_ALL)
         with pytest.raises(ValueError):
             total_loss(LossConfig(LossKind.PDE_STRUCTURED), ata_spec, np.zeros(8), disc)
+
+    @pytest.mark.parametrize("function", [total_loss, loss_gradient], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("position, name, kind", [
+        (0, "config", "LossConfig"), (1, "spec", "CircuitSpec"), (3, "disc", "Discretization"),
+    ])
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_argument_of_the_wrong_type_rejected_by_name(self, function, position, name, kind,
+                                                         bad, monkeypatch):
+        calls = []
+        for module in (losses, gradients):
+            monkeypatch.setattr(module, "run_circuit_batch",
+                                lambda *args, **kwargs: calls.append(args))
+        args = [LossConfig(LossKind.GLOBAL_COST), CircuitSpec(4, 1, Topology.ALL_TO_ALL),
+                np.zeros(8), Discretization(4)]
+        args[position] = bad
+        message = f"{name} must be a {kind}, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            function(*args)
+        assert calls == []
 
     def test_grid_size_must_match_qubits(self):
         spec = CircuitSpec(4, 1, Topology.ALL_TO_ALL)

@@ -28,16 +28,26 @@ def test_binding_resolves_to_the_function_its_span_names(module, attr, name):
     assert bound is getattr(importlib.import_module(f"plateaulab.{layer}"), function)
 
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "plateaulab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "plateaulab"
 
 
-def _unused_imports(path):
-    """Names bound by the imports of ``path`` marked ``# noqa: F401``."""
+def _unused_imports(path, marked=True):
+    """Names bound by the imports of ``path`` marked ``# noqa: F401``, or with
+    ``marked=False`` those of unmarked imports that the module never reads.
+    ``import a.b`` binds ``a``, and ``__future__`` imports bind nothing."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    for node in ast.walk(ast.parse("\n".join(lines))):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
-                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
-            yield from (alias.asname or alias.name for alias in node.names)
+    tree = ast.parse("\n".join(lines))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"):
+            continue
+        if marked == any("# noqa: F401" in line
+                         for line in lines[node.lineno - 1:node.end_lineno]):
+            names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            yield from (name for name in names if marked or name not in read)
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
@@ -50,3 +60,12 @@ def test_every_unused_import_is_a_binding_the_tracer_wraps(path):
     wrapped = {attr for m, attr, _ in BINDINGS if m is module}
     stray = [name for name in _unused_imports(path) if name not in wrapped]
     assert not stray, f"plateaulab.{path.stem} keeps {stray} with no BINDINGS row"
+
+
+# The package's __init__ imports only to re-export.
+@pytest.mark.parametrize("path", sorted(
+    p for p in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    if p != SRC / "__init__.py"), ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_read_unless_marked(path):
+    unread = list(_unused_imports(path, marked=False))
+    assert not unread, f"{path.relative_to(ROOT)} imports {unread} and never reads them"
